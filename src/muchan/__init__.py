@@ -21,7 +21,7 @@ from .analysis import (GapRankCertificate, MixedUnitaryDecomposition,
 from .constructive import (ToroidalDecomposition, decompose_low_dim,
                            toroidal_decompose_small,
                            toroidal_from_decomposition, zero_diagonal_unitary)
-from .search import (MurankReport, SearchConfig, SearchResult,
+from .search import (MurankReport, RestartRecord, SearchConfig, SearchResult,
                      decomposition_from_isometry, murank_search,
                      search_isometry, traceless_image_basis)
 from . import gallery, io
@@ -43,7 +43,8 @@ __all__ = [
     "decompositions_equivalent", "schur_equivalence_check",
     "ToroidalDecomposition", "zero_diagonal_unitary", "decompose_low_dim",
     "toroidal_decompose_small", "toroidal_from_decomposition",
-    "SearchConfig", "SearchResult", "MurankReport", "traceless_image_basis",
+    "SearchConfig", "SearchResult", "RestartRecord", "MurankReport",
+    "traceless_image_basis",
     "search_isometry", "decomposition_from_isometry", "murank_search",
     "gallery", "io",
 ]

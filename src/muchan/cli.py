@@ -7,15 +7,17 @@ rotates a traceless matrix to vanishing diagonal.
 
 Every path prints a single JSON object to stdout.  Exit codes: 0 on
 success/found, 2 on input errors, 3 when nothing was found (or a
-verification failed), 4 on numerical failures.  ``MUCHAN_THREADS`` caps
-search parallelism.
+verification failed), 4 on numerical failures.  Search results carry
+``restart_log`` (final objective per restart) and ``restart_trace`` (per
+restart: index, seed, iterations, objective evaluations, stop reason and
+final objective).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
-import os
 import sys
 
 import numpy as np
@@ -123,10 +125,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _search_config(args) -> SearchConfig:
-    workers = int(os.environ.get("MUCHAN_THREADS", "1") or "1")
     return SearchConfig(
         restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
-        time_budget=args.time_budget, max_workers=max(1, workers),
+        time_budget=args.time_budget,
     )
 
 
@@ -136,6 +137,7 @@ def _result_obj(res) -> dict:
         "N": res.n_terms,
         "objective": res.objective,
         "restart_log": list(res.restart_log),
+        "restart_trace": [dataclasses.asdict(rec) for rec in res.restart_trace],
         "decomposition": None if res.decomposition is None
         else io.to_obj(res.decomposition),
     }

@@ -11,13 +11,21 @@ orthonormal basis of the image of the traceless subspace under Psi, by
 Riemannian gradient descent (Wirtinger gradient, tangent projection,
 QR retraction, Armijo backtracking) from Haar-random starts.
 
+The restarts of one search run in lockstep along a leading batch axis:
+every round makes one Armijo trial for each live restart with stacked
+products and one batched QR, while each restart keeps its own step,
+counters and stopping rule, so its iterates are exactly those of a
+restart run on its own.  Because f never increases, once restart i is
+below the objective tolerance every restart above i is dropped, and the
+log ends at the first success as if the restarts ran one after another.
+
 A failed search is never a certificate: ``not_found`` only reports that
 all restarts plateaued above the objective tolerance.
 """
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +39,7 @@ from .linalg import dagger, haar_isometry, unvec, vec
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "SearchConfig", "SearchResult", "MurankReport",
+    "SearchConfig", "SearchResult", "RestartRecord", "MurankReport",
     "traceless_image_basis", "search_isometry",
     "decomposition_from_isometry", "murank_search",
 ]
@@ -39,17 +47,25 @@ __all__ = [
 STALL_PATIENCE = 30
 STALL_REL = 1e-9
 POLISH_TOL = 1e-28
+GRAD_FLOOR = 1e-30
+MAX_BACKTRACKS = 40
 UNITARITY_SLACK = 1e-6
 DECOMP_RESIDUAL = 1e-8
+# Stop reasons, in the order they are tested (see RestartRecord).
+STOP_REASONS = ("target", "stall", "max_iters", "grad", "armijo", "budget")
+# Restarts per lockstep block.  It bounds the batch arrays' memory; results
+# do not depend on it.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the Stiefel search.
 
-    Restart i draws its Haar start from ``default_rng(seed + i)``, so
-    sequential and parallel runs coincide.  ``max_workers`` > 1 runs
-    restarts concurrently with a deterministic index-ordered merge.
+    Restart i draws its Haar start from ``default_rng(seed + i)``.  The
+    restarts run as one lockstep batch (in blocks of at most ``_BLOCK``),
+    and each restart's iterates match those of the same restart run
+    alone, so the result does not depend on how restarts are grouped.
     """
 
     restarts: int = 50
@@ -59,11 +75,10 @@ class SearchConfig:
     seed: int = 0
     objective_tol: float = 1e-16
     time_budget: Optional[float] = None
-    max_workers: int = 1
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.max_workers < 1:
-            raise ValidationError("restarts, max_iters, max_workers must be positive")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValidationError("restarts and max_iters must be positive")
         if not (self.step_init > 0 and 0 < self.armijo_beta < 1):
             raise ValidationError("need step_init > 0 and armijo_beta in (0, 1)")
         if not self.objective_tol > 0:
@@ -71,8 +86,33 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """How one restart ended.
+
+    ``stop`` is one of ``STOP_REASONS``: the polish target was reached,
+    the objective stalled (30 iterations under 1e-9 relative decrease),
+    ``max_iters`` ran out, the Riemannian gradient vanished (squared norm
+    <= 1e-30), 40 Armijo backtracks failed, or the time budget cut it
+    off.  When several hold at once the first in ``STOP_REASONS`` is
+    reported.
+    """
+
+    index: int
+    seed: int
+    iterations: int          # accepted steps
+    evaluations: int         # objective evaluations, the start included
+    stop: str
+    objective: float
+
+
+@dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one isometry search at a fixed candidate size N."""
+    """Outcome of one isometry search at a fixed candidate size N.
+
+    ``restart_trace`` has one record per restart run, in index order,
+    ending at the first success; ``restart_log`` holds the final
+    objectives of the records before the first one cut by the budget.
+    """
 
     status: str                      # found | not_found | budget_exhausted
     n_terms: int
@@ -80,6 +120,7 @@ class SearchResult:
     isometry: Optional[np.ndarray]
     decomposition: Optional[MixedUnitaryDecomposition]
     restart_log: tuple
+    restart_trace: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -124,65 +165,118 @@ def traceless_image_basis(psi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np
     return basis
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the trailing two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def _objective(v: np.ndarray, basis: np.ndarray):
-    # t[k, j, :] = row j of (V B_k); d[k, j] = (V B_k V*)(j, j)
-    t = np.matmul(v[None, :, :], basis)
-    d = np.einsum("kjq,jq->kj", t, v.conj())
-    return float(np.sum(np.abs(d) ** 2)), d, t
+    """f, d, t for an isometry or a stack of them, ``v`` of shape (..., N, r)."""
+    # t[..., k, j, :] = row j of (V B_k); d[..., k, j] = (V B_k V*)(j, j)
+    t = np.matmul(v[..., None, :, :], basis)
+    d = np.einsum("...kjq,...jq->...kj", t, v.conj())
+    return np.sum(np.abs(d) ** 2, axis=(-2, -1)), d, t
 
 
 def _euclidean_gradient(v, basis, d, t):
-    g = np.einsum("kj,kjq->jq", d.conj(), t)
-    th = np.matmul(v[None, :, :], basis.conj().transpose(0, 2, 1))
-    g += np.einsum("kj,kjq->jq", d, th)
+    g = np.einsum("...kj,...kjq->...jq", d.conj(), t)
+    th = np.matmul(v[..., None, :, :], _h(basis))
+    g += np.einsum("...kj,...kjq->...jq", d, th)
     return 2 * g
 
 
+def _descent_direction(v, basis, d, t):
+    """Riemannian gradient at each V (tangent projection) and its squared norm."""
+    g = _euclidean_gradient(v, basis, d, t)
+    a = _h(v) @ g
+    delta = g - v @ (a + _h(a)) / 2
+    return delta, np.sum(np.abs(delta) ** 2, axis=(-2, -1))
+
+
 def _retract(v: np.ndarray) -> np.ndarray:
+    """QR retraction with the phases of R's diagonal absorbed, per matrix."""
     q, r = np.linalg.qr(v)
-    ph = np.diag(r)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-    return q * ph
+    return q * ph[..., None, :]
 
 
-def _run_restart(basis: np.ndarray, n_terms: int, r: int, cfg: SearchConfig,
-                 index: int):
-    """One gradient-descent restart; returns (final objective, V)."""
-    rng_seed = cfg.seed + index
-    v = haar_isometry(n_terms, r, rng_seed)
-    if basis.shape[0] == 0:
-        return 0.0, v
-    f, d, t = _objective(v, basis)
-    step = cfg.step_init
-    stall = 0
+def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
+               indices: range, expired):
+    """Run restarts ``indices`` in lockstep along a leading batch axis.
+
+    Each round makes one Armijo trial for every live restart, with its own
+    step tau: the trial point retract(V - tau Delta) and its objective.  A
+    restart that passes the Armijo test moves to the trial point and gets
+    its descent direction there; one that fails shrinks its tau.  The
+    state arrays are compacted only when a restart stops or is dropped.
+    Once restart i is below ``objective_tol`` (f never increases) the live
+    restarts above i are dropped: the log ends at the first success.
+
+    Returns the records and final isometries of restarts ``indices[0]``
+    up to the first success (or all of them), and whether the time budget
+    ran out.
+    """
+    b = len(indices)
+    v = np.array([haar_isometry(n_terms, basis.shape[1], cfg.seed + i) for i in indices])
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
     target = min(cfg.objective_tol, POLISH_TOL)
-    for _ in range(cfg.max_iters):
-        if f <= target:
+    f, d, t = _objective(v, basis)
+    delta, g2 = _descent_direction(v, basis, d, t)
+    pos = np.arange(b)                       # block position of each live restart
+    tau = np.full(b, cfg.step_init)
+    stall = np.zeros(b, dtype=int)
+    iters = np.zeros(b, dtype=int)
+    backtracks = np.zeros(b, dtype=int)
+    out_f, out_v = np.zeros(b), np.empty_like(v)
+    out_iters, out_evals = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
+    out_stop = [""] * b
+    first_ok = b                             # lowest position with f <= objective_tol
+    exhausted = False
+    for rounds in itertools.count():
+        # a rejected trial leaves f, g2, stall and iters as they were, so
+        # one test serves the start and every round; in STOP_REASONS order
+        tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
+                 g2 <= GRAD_FLOOR, backtracks >= MAX_BACKTRACKS)
+        done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
+        ok = f <= cfg.objective_tol
+        if ok.any():
+            first_ok = min(first_ok, int(pos[ok.argmax()]))
+        live = ~done & (pos <= first_ok)
+        if live.any() and expired():
+            exhausted = True
+            done |= live
+            live[:] = False
+        for k in np.flatnonzero(done):
+            p = pos[k]
+            out_f[p], out_v[p], out_iters[p], out_evals[p] = f[k], v[k], iters[k], rounds + 1
+            out_stop[p] = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]),
+                               "budget")
+        if not live.any():
             break
-        g = _euclidean_gradient(v, basis, d, t)
-        a = dagger(v) @ g
-        delta = g - v @ (a + dagger(a)) / 2
-        g2 = float(np.sum(np.abs(delta) ** 2))
-        if g2 <= 1e-30:
-            break
-        tau, accepted = step, False
-        for _ in range(40):
-            vn = _retract(v - tau * delta)
-            fn, dn, tn = _objective(vn, basis)
-            if fn <= f - 1e-4 * tau * g2:
-                accepted = True
-                break
-            tau *= cfg.armijo_beta
-        if not accepted:
-            break
-        stall = stall + 1 if f - fn <= STALL_REL * max(f, 1e-300) else 0
-        v, f, d, t = vn, fn, dn, tn
-        if stall >= STALL_PATIENCE:
-            break
-        step = min(cfg.step_init * 10, tau / cfg.armijo_beta)
-    return f, v
+        if not live.all():
+            pos, v, f, delta, g2, tau, stall, iters, backtracks = (
+                x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
+        trial = _retract(v - tau[:, None, None] * delta)
+        fn, dn, tn = _objective(trial, basis)
+        acc = fn <= f - 1e-4 * tau * g2
+        tau = np.where(acc, np.minimum(cfg.step_init * 10, tau / cfg.armijo_beta),
+                       tau * cfg.armijo_beta)
+        backtracks = np.where(acc, 0, backtracks + 1)
+        if not acc.any():
+            continue
+        stalled = f - fn <= STALL_REL * np.maximum(f, 1e-300)
+        stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
+        iters += acc
+        f = np.where(acc, fn, f)
+        v[acc] = trial[acc]
+        delta[acc], g2[acc] = _descent_direction(v[acc], basis, dn[acc], tn[acc])
+    records = [RestartRecord(index=i, seed=cfg.seed + i, iterations=int(out_iters[p]),
+                             evaluations=int(out_evals[p]), stop=out_stop[p],
+                             objective=float(out_f[p]))
+               for p, i in enumerate(indices[:first_ok + 1])]
+    return records, list(out_v[:len(records)]), exhausted
 
 
 def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchConfig(),
@@ -193,9 +287,12 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     ``status="found"`` requires the best objective to reach
     ``cfg.objective_tol``; when the minimal ``channel`` is supplied, the
     induced decomposition must additionally pass verification (unitarity
-    within 1e-6, Choi residual within 1e-8), and is returned.  The
-    restart log holds each executed restart's final objective; execution
-    stops at the first successful restart index.
+    within 1e-6, Choi residual within 1e-8), and is returned.  Restarts
+    run in index-ordered lockstep blocks of at most ``_BLOCK``; the next
+    block starts only while nothing has succeeded.  The restart log holds
+    each finished restart's final objective up to the first success; when
+    the time budget runs out (checked before every round) it holds the
+    longest index-ordered prefix of finished restarts.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -204,46 +301,28 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     if n_terms < r:
         raise ValidationError(f"candidate size N={n_terms} is below the rank r={r}")
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
-    log = []
-    best_f, best_v = np.inf, None
-    exhausted = False
-    found_index = None
 
-    def handle(index, outcome):
-        nonlocal best_f, best_v, found_index
-        f, v = outcome
-        log.append(f)
+    def expired():
+        return deadline is not None and time.monotonic() > deadline
+
+    trace, finals = [], []
+    exhausted = False
+    for first in range(0, cfg.restarts, _BLOCK):
+        if expired():
+            exhausted = True
+            break
+        records, vs, exhausted = _run_block(
+            basis, n_terms, cfg, range(first, min(first + _BLOCK, cfg.restarts)), expired)
+        trace += records
+        finals += vs
+        if exhausted or records[-1].objective <= cfg.objective_tol:
+            break
+    n_done = next((k for k, rec in enumerate(trace) if rec.stop == "budget"), len(trace))
+    log = [rec.objective for rec in trace[:n_done]]
+    best_f, best_v = np.inf, None
+    for f, v in zip(log, finals):
         if f < best_f:
             best_f, best_v = f, v
-        if f <= cfg.objective_tol and found_index is None:
-            found_index = index
-
-    if cfg.max_workers == 1:
-        for i in range(cfg.restarts):
-            if deadline is not None and time.monotonic() > deadline:
-                exhausted = True
-                break
-            handle(i, _run_restart(basis, n_terms, r, cfg, i))
-            if found_index is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            i = 0
-            while i < cfg.restarts and found_index is None and not exhausted:
-                if deadline is not None and time.monotonic() > deadline:
-                    exhausted = True
-                    break
-                chunk = list(range(i, min(i + cfg.max_workers, cfg.restarts)))
-                outcomes = list(pool.map(
-                    lambda k: _run_restart(basis, n_terms, r, cfg, k), chunk))
-                for k, out in zip(chunk, outcomes):
-                    handle(k, out)
-                    if found_index is not None:
-                        break
-                i = chunk[-1] + 1
-        if found_index is not None:
-            # keep the log prefix up to the first success, as sequentially
-            log[:] = log[:found_index + 1]
 
     status = "found" if best_f <= cfg.objective_tol else (
         "budget_exhausted" if exhausted else "not_found")
@@ -263,7 +342,8 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
                         objective=float(best_f),
                         isometry=best_v if status == "found" else None,
                         decomposition=decomposition,
-                        restart_log=tuple(log))
+                        restart_log=tuple(log),
+                        restart_trace=tuple(trace))
 
 
 def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,

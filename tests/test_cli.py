@@ -5,7 +5,8 @@ import pytest
 
 from muchan import io
 from muchan.cli import main
-from muchan.gallery import corr_B3, weyl_channel, wh_sym3_decomposition
+from muchan.gallery import (corr_B3, gap_channel, weyl_channel,
+                            wh_sym3_decomposition)
 
 
 def run_cli(capsys, *argv):
@@ -178,17 +179,34 @@ def test_search_scan(tmp_path, capsys):
 
 
 def test_search_reports_reproducible(tmp_path, capsys, monkeypatch):
+    from muchan import search
     p = tmp_path / "c.json"
     io.save(weyl_channel(3), str(p))
     outs = []
-    for threads in ("1", "1", "3"):  # parallel run must match sequential
-        monkeypatch.setenv("MUCHAN_THREADS", threads)
+    for block in (search._BLOCK, search._BLOCK, 1):  # one-restart blocks must match
+        monkeypatch.setattr(search, "_BLOCK", block)
         code, obj = run_cli(capsys, "search", str(p), "--N", "3",
                             "--restarts", "4", "--seed", "7")
         assert code == 0
         obj.pop("timestamp")
         outs.append(json.dumps(obj, sort_keys=True))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_search_reports_restart_trace(tmp_path, capsys):
+    p = tmp_path / "gap.json"
+    io.save(gap_channel(3, 1), str(p))
+    code, obj = run_cli(capsys, "search", str(p), "--scan",
+                        "--restarts", "3", "--seed", "0")
+    assert code == 0
+    for res in obj["results"]:
+        trace = res["restart_trace"]
+        assert [t["objective"] for t in trace] == res["restart_log"]
+        assert [t["index"] for t in trace] == list(range(len(trace)))
+        for t in trace:
+            assert set(t) == {"index", "seed", "iterations", "evaluations",
+                              "stop", "objective"}
+    assert obj["results"][-1]["restart_trace"][-1]["stop"] == "target"
 
 
 # ---------------------------------------------------------------- zero-diag

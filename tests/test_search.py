@@ -6,8 +6,11 @@ from muchan import (SearchConfig, ValidationError, complementary, dagger,
                     identity_channel, minimize_kraus, murank_search,
                     search_isometry, traceless_image_basis,
                     verify_decomposition)
-from muchan.gallery import gap_channel, weyl_channel
-from muchan.search import _euclidean_gradient, _objective
+from muchan import search as search_mod
+from muchan import haar_isometry, schur_channel
+from muchan.gallery import corr_C4, gap_channel, weyl_channel
+from muchan.search import (STOP_REASONS, _euclidean_gradient, _objective,
+                           _run_block)
 
 
 def _basis_of(phi):
@@ -55,19 +58,19 @@ def test_gradient_matches_finite_differences():
         m = int(rng.integers(1, 5))
         basis = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
         basis -= np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
-        from muchan import haar_isometry
-        v = haar_isometry(n_terms, r, seed=trial)
+        v = haar_isometry(n_terms, r, seed=trial)[None]   # a batch of one
         f, d, t = _objective(v, basis)
         g = _euclidean_gradient(v, basis, d, t)
+        assert f.shape == (1,) and g.shape == v.shape
         eps = 1e-6
         j, k = int(rng.integers(n_terms)), int(rng.integers(r))
         for direction in (1.0, 1j):
             e = np.zeros_like(v)
-            e[j, k] = direction
+            e[0, j, k] = direction
             fp, _, _ = _objective(v + eps * e, basis)
             fm, _, _ = _objective(v - eps * e, basis)
-            fd = (fp - fm) / (2 * eps)
-            an = float(np.real(np.conj(g[j, k]) * direction))
+            fd = float(fp[0] - fm[0]) / (2 * eps)
+            an = float(np.real(np.conj(g[0, j, k]) * direction))
             if abs(fd) > 1e-10:
                 worst = max(worst, abs(fd - an) / abs(fd))
     assert worst <= 1e-5
@@ -136,16 +139,176 @@ def test_search_time_budget_exhaustion():
     assert res.restart_log == ()
 
 
-def test_search_deterministic_and_parallel_consistent():
+def test_search_deterministic_and_block_size_invariant(monkeypatch):
     phi = gap_channel(3, 1)
     basis = _basis_of(phi)
     a = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
     b = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
-    c = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4, max_workers=4),
-                        channel=phi)
+    monkeypatch.setattr(search_mod, "_BLOCK", 1)  # one restart after another
+    c = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
     assert a.restart_log == b.restart_log == c.restart_log
     assert a.objective == b.objective == c.objective
     assert np.array_equal(a.isometry, c.isometry)
+
+
+@pytest.mark.parametrize("n_terms, status", [(5, "not_found"), (6, "found")])
+def test_search_bitwise_independent_of_block_size(monkeypatch, n_terms, status):
+    phi = gap_channel(3, 1)
+    basis = _basis_of(phi)
+    cfg = SearchConfig(restarts=7, seed=2)
+    ref = search_isometry(basis, n_terms, cfg, channel=phi)
+    monkeypatch.setattr(search_mod, "_BLOCK", 3)
+    small = search_isometry(basis, n_terms, cfg, channel=phi)
+    assert ref.status == small.status == status
+    assert ref.restart_log == small.restart_log
+    assert ref.restart_trace == small.restart_trace
+    assert ref.objective == small.objective
+    if status == "found":
+        assert np.array_equal(ref.isometry, small.isometry)
+    else:
+        assert len(ref.restart_log) == 7
+
+
+class _CountingClock:
+    """Stands in for ``time`` in the search: each reading is one second later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_search_budget_log_is_prefix_of_unbudgeted_log(monkeypatch):
+    # the clock advances one second per reading, so a budget allows a fixed
+    # number of deadline checks (one per round and one before each block)
+    phi = gap_channel(3, 1)
+    basis = _basis_of(phi)
+    full = search_isometry(basis, 5, SearchConfig(restarts=12, seed=0), channel=phi)
+    monkeypatch.setattr(search_mod, "_BLOCK", 3)
+    clock = _CountingClock()
+    monkeypatch.setattr(search_mod, "time", clock)
+    search_isometry(basis, 5, SearchConfig(restarts=12, seed=0, time_budget=1e9),
+                    channel=phi)
+    checks = clock.now
+    lengths = []
+    for share in (0.0, 0.25, 0.5, 0.75):
+        clock.now = 0.0
+        cut = search_isometry(basis, 5, SearchConfig(restarts=12, seed=0,
+                                                     time_budget=share * checks + 0.5),
+                              channel=phi)
+        assert cut.status == "budget_exhausted"
+        k = len(cut.restart_log)
+        assert cut.restart_log == full.restart_log[:k]
+        assert cut.restart_trace[:k] == full.restart_trace[:k]
+        assert all(rec.stop == "budget" for rec in cut.restart_trace[k:k + 1])
+        lengths.append(k)
+    assert lengths[0] == 0 and lengths == sorted(lengths) and 0 < lengths[-1] < 12
+
+
+def test_restart_trace_records():
+    phi = gap_channel(3, 1)
+    basis = _basis_of(phi)
+    for n_terms in (5, 6):
+        res = search_isometry(basis, n_terms, SearchConfig(restarts=5, seed=3),
+                              channel=phi)
+        trace = res.restart_trace
+        assert [rec.objective for rec in trace] == list(res.restart_log)
+        assert [rec.index for rec in trace] == list(range(len(trace)))
+        assert [rec.seed for rec in trace] == [3 + i for i in range(len(trace))]
+        for rec in trace:
+            assert rec.stop in STOP_REASONS and rec.stop != "budget"
+            assert 1 <= rec.evaluations and rec.iterations < rec.evaluations
+    assert res.status == "found" and trace[-1].stop == "target"
+    assert all(rec.objective > 1e-16 for rec in trace[:-1])
+
+
+def test_restart_trace_max_iters():
+    phi = gap_channel(3, 1)
+    res = search_isometry(_basis_of(phi), 6, SearchConfig(restarts=2, seed=0, max_iters=3))
+    assert [rec.stop for rec in res.restart_trace] == ["max_iters"] * 2
+    assert [rec.iterations for rec in res.restart_trace] == [3, 3]
+
+
+# ------------------------------------------- sequential reference restarts
+# The single-restart gradient descent the lockstep driver replaced, kept
+# verbatim as an oracle: every restart of the batch must end exactly here.
+
+def _seq_objective(v, basis):
+    t = np.matmul(v[None, :, :], basis)
+    d = np.einsum("kjq,jq->kj", t, v.conj())
+    return float(np.sum(np.abs(d) ** 2)), d, t
+
+
+def _seq_euclidean_gradient(v, basis, d, t):
+    g = np.einsum("kj,kjq->jq", d.conj(), t)
+    th = np.matmul(v[None, :, :], basis.conj().transpose(0, 2, 1))
+    g += np.einsum("kj,kjq->jq", d, th)
+    return 2 * g
+
+
+def _seq_retract(v):
+    q, r = np.linalg.qr(v)
+    ph = np.diag(r)
+    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
+    return q * ph
+
+
+def _seq_run_restart(basis, n_terms, r, cfg, index):
+    v = haar_isometry(n_terms, r, cfg.seed + index)
+    if basis.shape[0] == 0:
+        return 0.0, v
+    f, d, t = _seq_objective(v, basis)
+    step = cfg.step_init
+    stall = 0
+    target = min(cfg.objective_tol, 1e-28)
+    for _ in range(cfg.max_iters):
+        if f <= target:
+            break
+        g = _seq_euclidean_gradient(v, basis, d, t)
+        a = dagger(v) @ g
+        delta = g - v @ (a + dagger(a)) / 2
+        g2 = float(np.sum(np.abs(delta) ** 2))
+        if g2 <= 1e-30:
+            break
+        tau, accepted = step, False
+        for _ in range(40):
+            vn = _seq_retract(v - tau * delta)
+            fn, dn, tn = _seq_objective(vn, basis)
+            if fn <= f - 1e-4 * tau * g2:
+                accepted = True
+                break
+            tau *= cfg.armijo_beta
+        if not accepted:
+            break
+        stall = stall + 1 if f - fn <= 1e-9 * max(f, 1e-300) else 0
+        v, f, d, t = vn, fn, dn, tn
+        if stall >= 30:
+            break
+        step = min(cfg.step_init * 10, tau / cfg.armijo_beta)
+    return f, v
+
+
+@pytest.mark.parametrize("fixture, n_terms", [
+    ("gap", 4), ("gap", 5), ("gap", 6), ("c4", 3)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed):
+    phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
+    basis = _basis_of(phi)
+    # the default tolerance drops restarts after the first success; a
+    # tolerance no restart reaches runs all four to their own stop
+    for objective_tol in (1e-16, 1e-300):
+        cfg = SearchConfig(restarts=4, seed=seed, objective_tol=objective_tol)
+        records, finals, exhausted = _run_block(basis, n_terms, cfg, range(4),
+                                                lambda: False)
+        assert not exhausted
+        assert len(records) == 4 or records[-1].objective <= objective_tol
+        for rec, v in zip(records, finals):
+            f_ref, v_ref = _seq_run_restart(basis, n_terms, basis.shape[1], cfg,
+                                            rec.index)
+            assert rec.objective == f_ref
+            assert np.array_equal(v, v_ref)
 
 
 # -------------------------------------------- decomposition_from_isometry

@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
 def _cmd_zero_diag(args) -> int:
     tol = _tol(args)
     z = io.load_matrix(args.matrix, tol)
-    u = zero_diagonal_unitary(z, tol, seed=args.seed)
+    u = zero_diagonal_unitary(z, tol)
     resid = float(np.max(np.abs(np.diag(u @ z @ u.conj().T))))
     _emit({"unitary": io.matrix_to_literal(u), "residual": resid})
     return EXIT_OK
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zero-diag", help="rotate a traceless matrix to "
                                          "vanishing diagonal")
     p.add_argument("matrix")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_zero_diag)
     return parser

@@ -1,7 +1,11 @@
 """Constructive decomposition algorithms.
 
 * ``zero_diagonal_unitary``: for traceless Z, a unitary U with U Z U*
-  having (numerically) vanishing diagonal, by deflation.
+  having (numerically) vanishing diagonal, by deflation.  Each step needs
+  a unit v with v* Z v = 0; it comes from the diagonal alone (the
+  diagonal of a traceless matrix averages to 0), by a chain of
+  closed-form 2x2 rotations whose targets, the running means of the
+  diagonal, always lie between the two diagonal entries being mixed.
 * ``decompose_low_dim``: channels whose operator system has dimension at
   most 3 are mixed unitary with rank equal to their Choi rank; the proof
   is run as an algorithm.
@@ -11,7 +15,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import MixedUnitaryDecomposition
 from .channels import KrausChannel, complementary, minimize_kraus, operator_system, schur_channel
@@ -23,10 +26,6 @@ __all__ = [
     "ToroidalDecomposition", "zero_diagonal_unitary", "decompose_low_dim",
     "toroidal_decompose_small", "toroidal_from_decomposition",
 ]
-
-FALLBACK_RESTARTS = 64
-FALLBACK_ITERS = 500
-
 
 class ToroidalDecomposition:
     """Convex decomposition C = sum_k p_k u_k u_k* with unimodular vectors."""
@@ -100,47 +99,17 @@ def _opposite_through_zero(z0: complex, z1: complex, rel: float) -> bool:
     return scale > 0 and p.real < 0 and abs(p.imag) <= rel * scale
 
 
-def _fallback_minimize(z: np.ndarray, seed: int) -> np.ndarray | None:
-    """Projected-gradient minimization of |v* Z v|^2 on the unit sphere."""
-    n = z.shape[0]
-    zh = dagger(z)
-    for restart in range(FALLBACK_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        step = 0.5
-        for _ in range(FALLBACK_ITERS):
-            q = complex(np.conj(v) @ (z @ v))
-            if abs(q) ** 2 < 1e-28:
-                return v
-            g = 2 * (np.conj(q) * (z @ v) + q * (zh @ v))
-            g = g - (np.conj(v) @ g).real * v
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            w = v - step * g
-            w /= np.linalg.norm(w)
-            if abs(np.conj(w) @ (z @ w)) ** 2 < abs(q) ** 2:
-                v = w
-                step = min(0.5, step * 1.5)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if abs(np.conj(v) @ (z @ v)) ** 2 < 1e-28:
-            return v
-    return None
-
-
-def _null_rayleigh_vector(z: np.ndarray, seed: int) -> np.ndarray:
+def _null_rayleigh_vector(z: np.ndarray) -> np.ndarray:
     """A unit vector v with v* Z v = 0 for traceless Z.
 
     Fast paths: a vanishing diagonal entry, then a coordinate pair whose
-    diagonal entries bracket 0.  Certified path: in a Schur basis the
-    eigenvalues average to zero, so a single eigenvalue vanishes, or a
-    pair brackets 0, or some triangle of eigenvalues contains 0; each case
-    reduces to closed-form 2x2 compressions.  A projected-gradient
-    minimizer remains as a last resort.
+    diagonal entries bracket 0.  Otherwise a running-mean chain: start at
+    w = e_0 with w* Z w = d_0 and, for k = 1..n-1, compress Z onto the
+    orthonormal pair (w, e_k).  That 2x2 compression has diagonal
+    (mean(d_0..d_{k-1}), d_k), and mean(d_0..d_k) lies on the segment
+    between them, so a closed-form 2x2 step moves w to a unit vector in
+    span(w, e_k) with w* Z w = mean(d_0..d_k).  After n-1 steps the value
+    is Tr(Z)/n = 0.  Only the diagonal of Z decides the targets.
     """
     n = z.shape[0]
     nrm = float(np.linalg.norm(z))
@@ -157,47 +126,18 @@ def _null_rayleigh_vector(z: np.ndarray, seed: int) -> np.ndarray:
                 v = np.zeros(n, dtype=complex)
                 v[i], v[j] = x
                 return v
-    t, q = sla.schur(z, output="complex")
-    lam = np.diag(t)
-    for i in range(n):
-        if abs(lam[i]) <= 1e-12 * nrm:
-            return q[:, i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _opposite_through_zero(lam[i], lam[j], 1e-12):
-                # compression onto Schur vectors i < j is upper triangular
-                b = np.array([[t[i, i], t[i, j]], [0.0, t[j, j]]], dtype=complex)
-                return q[:, [i, j]] @ _solve_bracketed_2x2(b)
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a = np.array([[lam[i].real, lam[j].real, lam[k].real],
-                              [lam[i].imag, lam[j].imag, lam[k].imag],
-                              [1.0, 1.0, 1.0]])
-                try:
-                    bary = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if best is None or bary.min() > best[0]:
-                    best = (float(bary.min()), (i, j, k), bary)
-    if best is not None and best[0] >= -1e-12:
-        _, (i, j, k), bary = best
-        wij = bary[0] + bary[1]
-        rho = (bary[0] * lam[i] + bary[1] * lam[j]) / wij
-        b = np.array([[t[i, i] - rho, t[i, j]], [0.0, t[j, j] - rho]], dtype=complex)
-        v1 = q[:, [i, j]] @ _solve_bracketed_2x2(b)
-        qk = q[:, k]
-        b2 = np.array([[rho, np.conj(v1) @ (z @ qk)],
-                       [np.conj(qk) @ (z @ v1), lam[k]]], dtype=complex)
-        x2 = _solve_bracketed_2x2(b2)
-        return np.vstack([v1, qk]).T @ x2
-    v = _fallback_minimize(z, seed)
-    if v is None:
-        raise NumericalError(
-            f"could not locate a zero of the numerical range of a {n}x{n} "
-            "traceless matrix within the search budget")
-    return v
+    w = np.zeros(n, dtype=complex)
+    w[0] = 1
+    mean = d[0]
+    for k in range(1, n):
+        # the diagonal of B - mean(d_0..d_k) I is (-step, k * step)
+        step = (d[k] - mean) / (k + 1)
+        b = np.array([[-step, np.conj(w) @ z[:, k]], [z[k] @ w, k * step]])
+        x = _solve_bracketed_2x2(b)
+        w = x[0] * w
+        w[k] = x[1]
+        mean += step
+    return w
 
 
 def _first_column_unitary(v: np.ndarray) -> np.ndarray:
@@ -210,40 +150,48 @@ def _first_column_unitary(v: np.ndarray) -> np.ndarray:
     return q
 
 
-def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> np.ndarray:
+def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary U such that U Z U* has vanishing diagonal, for traceless Z.
 
     Deflation: find a unit vector v with v* Z v = 0, rotate it to the
     first coordinate, and recurse on the trailing block (still traceless).
     The identity is returned whenever the diagonal already vanishes.
+    Z is first scaled by the power of two that brings its largest real or
+    imaginary part into [1/2, 1): the scaling is exact, leaves U
+    unchanged, and keeps norms from underflowing or overflowing, so the
+    trace test and the residual guard are relative at every scale.
     """
     z = as_matrix(z, "matrix")
     n = z.shape[0]
     if z.shape != (n, n):
         raise ValidationError("zero_diagonal_unitary requires a square matrix")
+    parts = np.ascontiguousarray(z).view(float)
+    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    z = np.ldexp(parts, -e).view(complex)
     nrm = float(np.linalg.norm(z))
     if abs(np.trace(z)) > max(tol.eps_eq * nrm, 1e-12):
         raise ValidationError(
-            f"matrix is not traceless: |Tr| = {abs(np.trace(z)):.3e}")
-    u = _zero_diag_recurse(z, seed)
+            f"matrix is not traceless: |Tr| = {np.ldexp(abs(np.trace(z)), e):.3e}")
+    u = _zero_diag_recurse(z)
     resid = float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
-    if nrm > 0 and resid > 1e-8 * nrm:
+    if resid > 1e-8 * nrm:
         raise NumericalError(
-            f"zero-diagonal construction missed tolerance: residual {resid:.3e}")
+            "zero-diagonal construction missed tolerance: residual "
+            f"{resid / nrm:.3e} relative to the Frobenius norm")
     return u
 
 
-def _zero_diag_recurse(z: np.ndarray, seed: int) -> np.ndarray:
+def _zero_diag_recurse(z: np.ndarray) -> np.ndarray:
     n = z.shape[0]
     if n == 1:
         return np.eye(1, dtype=complex)
     nrm = float(np.linalg.norm(z))
     if nrm == 0 or np.max(np.abs(np.diag(z))) <= 1e-16 * nrm:
         return np.eye(n, dtype=complex)
-    v = _null_rayleigh_vector(z, seed)
+    v = _null_rayleigh_vector(z)
     q = _first_column_unitary(v)
     z1 = dagger(q) @ z @ q
-    sub = _zero_diag_recurse(z1[1:, 1:], seed + 1)
+    sub = _zero_diag_recurse(z1[1:, 1:])
     u = np.eye(n, dtype=complex)
     u[1:, 1:] = sub
     return u @ dagger(q)
@@ -278,8 +226,8 @@ def _traceless_hermitian_directions(basis, n: int, tol: Tolerance):
     return dirs
 
 
-def decompose_low_dim(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
-                      seed: int = 0) -> MixedUnitaryDecomposition:
+def decompose_low_dim(phi: KrausChannel,
+                      tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
     """Mixed-unitary decomposition with N = Choi rank, for s <= 3.
 
     Steps: build the minimal Kraus list and the complementary channel Psi;
@@ -307,7 +255,7 @@ def decompose_low_dim(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
         zmat = zmat + psi(dirs[0])
     if len(dirs) >= 2:
         zmat = zmat + 1j * psi(dirs[1])
-    u = zero_diagonal_unitary(zmat, tol, seed)
+    u = zero_diagonal_unitary(zmat, tol)
     remixed = [sum(u[k, j] * phi.kraus[j] for j in range(r)) for k in range(r)]
     probs, us = [], []
     for k, b in enumerate(remixed):
@@ -345,8 +293,7 @@ def toroidal_from_decomposition(d: MixedUnitaryDecomposition,
     return ToroidalDecomposition(d.probs, vectors, tol)
 
 
-def toroidal_decompose_small(c, tol: Tolerance = DEFAULT_TOL,
-                             seed: int = 0) -> ToroidalDecomposition:
+def toroidal_decompose_small(c, tol: Tolerance = DEFAULT_TOL) -> ToroidalDecomposition:
     """Toroidal decomposition of a 2x2 or 3x3 correlation matrix with
     N = rank(C) terms.  Larger matrices are refused (use the isometry
     search on the Schur channel instead)."""
@@ -356,5 +303,5 @@ def toroidal_decompose_small(c, tol: Tolerance = DEFAULT_TOL,
             "refusal: constructive toroidal decompositions cover dim <= 3 only; "
             "run the isometry search on the Schur channel for larger matrices")
     phi = schur_channel(c, tol)
-    d = decompose_low_dim(phi, tol, seed)
+    d = decompose_low_dim(phi, tol)
     return toroidal_from_decomposition(d, tol)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import muchan
 from muchan import io
 from muchan.cli import main
 from muchan.gallery import (corr_B3, gap_channel, weyl_channel,
@@ -234,6 +238,15 @@ def test_zero_diag_rejects_nonzero_trace(tmp_path, capsys):
     assert obj["error"]["code"] == "invalid"
 
 
+def test_zero_diag_has_no_seed_option(tmp_path, capsys):
+    p = tmp_path / "z.json"
+    with open(p, "w") as fh:
+        json.dump(io.matrix_obj(np.diag([1.0, -1.0])), fh)
+    code, obj = run_cli(capsys, "zero-diag", str(p), "--seed", "0")
+    assert code == 2
+    assert obj["error"]["code"] == "usage"
+
+
 def test_usage_error_is_json(capsys):
     code = main(["search"])  # missing required arguments
     out = capsys.readouterr().out.strip()
@@ -247,3 +260,17 @@ def test_correlation_file_kind(tmp_path, capsys):
     kind, c = io.load(str(p))
     assert kind == "correlation"
     assert np.array_equal(c, corr_B3())
+
+
+# ------------------------------------------------------------- dependencies
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muchan.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, muchan.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

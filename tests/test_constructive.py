@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from muchan import (ToroidalDecomposition, ValidationError,
                     dagger, decompose_low_dim, decompositions_equivalent,
-                    identity_channel, numerical_rank, schur_channel,
+                    haar_unitary, identity_channel, numerical_rank, schur_channel,
                     toroidal_decompose_small, toroidal_from_decomposition,
                     verify_decomposition, zero_diagonal_unitary)
 from muchan.analysis import MixedUnitaryDecomposition
@@ -18,6 +20,12 @@ def _random_traceless(n, seed):
 
 def _diag_residual(u, z):
     return float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
+
+
+def _assert_zero_diag(u, z):
+    n = z.shape[0]
+    assert np.linalg.norm(dagger(u) @ u - np.eye(n)) <= 1e-10
+    assert _diag_residual(u, z) <= 1e-8 * np.linalg.norm(z)
 
 
 # ----------------------------------------------------- zero_diagonal_unitary
@@ -47,16 +55,92 @@ def test_zero_diag_random_6x6():
 
 
 def test_zero_diag_normal_matrix_without_bracketing_pair():
-    # cube-roots-of-unity spectrum: no pair of eigenvalues straddles zero,
-    # the triangle path must engage
+    # cube-roots-of-unity diagonal: no pair of diagonal entries straddles
+    # zero, so the running-mean chain must engage
     z = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
     u = zero_diagonal_unitary(z)
     assert _diag_residual(u, z) <= 1e-10
 
 
+def _jordan(n):
+    return np.eye(n, k=1, dtype=complex)
+
+
+def _haar_conjugate(z, seed):
+    u = haar_unitary(z.shape[0], seed)
+    return u @ z @ dagger(u)
+
+
+def _collinear_normal(n, seed):
+    # e^{i theta} U diag(lam) U* with real traceless lam: every diagonal
+    # entry lies on one line through 0
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal(n)
+    lam -= lam.mean()
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * _haar_conjugate(np.diag(lam), seed)
+
+
+def _roots_of_unity_plus_upper(scale):
+    # non-normal, and no pair of diagonal entries brackets 0
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)
+    return np.diag(np.exp(2j * np.pi * np.arange(3) / 3)) + scale * upper
+
+
+def _near_vanishing_entry(rel, seed):
+    # diagonal entry 0 set to rel * ||Z||, entry 1 absorbs the trace
+    z = _random_traceless(5, seed)
+    new = rel * np.linalg.norm(z) * np.exp(0.7j)
+    z[1, 1] += z[0, 0] - new
+    z[0, 0] = new
+    return z
+
+
+ADVERSARIAL = {
+    **{f"jordan{n}": _jordan(n) for n in (3, 5, 8)},
+    **{f"haar_jordan{n}": _haar_conjugate(_jordan(n), n) for n in (3, 5, 8)},
+    **{f"collinear_normal{n}": _collinear_normal(n, n) for n in (3, 5, 8)},
+    **{f"roots_plus_upper{s:g}": _roots_of_unity_plus_upper(s) for s in (10.0, 1e4)},
+    **{f"near_zero_entry{r:g}": _near_vanishing_entry(r, 7) for r in (5e-15, 1.5e-14, 2e-14)},
+    **{f"gauss{n}_seed{k}": _random_traceless(n, k) for n in (20, 40) for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_zero_diag_adversarial(name):
+    z = ADVERSARIAL[name]
+    _assert_zero_diag(zero_diagonal_unitary(z), z)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_zero_diag_extreme_scale(scale):
+    # Frobenius norms of such matrices underflow to 0 or overflow to inf
+    z = _random_traceless(4, 11)
+    zs = z * scale
+    u = zero_diagonal_unitary(zs)
+    _assert_zero_diag(u, z)
+    assert _diag_residual(u, zs) <= 1e-8 * scale * np.linalg.norm(z)
+
+
+_traceless = st.integers(2, 8).flatmap(lambda n: arrays(
+    np.complex128, (n, n),
+    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                allow_infinity=False))).map(
+    lambda z: z - np.trace(z) / z.shape[0] * np.eye(z.shape[0]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_traceless)
+def test_zero_diag_property(z):
+    _assert_zero_diag(zero_diagonal_unitary(z), z)
+
+
 def test_zero_diag_rejects_nonzero_trace():
     with pytest.raises(ValidationError):
         zero_diagonal_unitary(np.eye(2))
+    # the trace test is relative to the entries at every scale
+    with pytest.raises(ValidationError):
+        zero_diagonal_unitary(1e-300 * np.eye(2))
 
 
 def test_zero_diag_zero_matrix():

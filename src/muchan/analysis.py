@@ -5,7 +5,7 @@ equivalence, and Schur-equivalence testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -15,6 +15,9 @@ from .exceptions import NumericalError, ValidationError
 from .linalg import (as_matrix, dagger, dirsum, frob_inner,
                      unitarity_defect, vec)
 from .tolerances import DEFAULT_TOL, Tolerance
+
+# Memory budget of one chunk's product stack in _max_commutator.
+_COMMUTATOR_CHUNK_BYTES = 256 * 1024
 
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
@@ -104,8 +107,10 @@ class RankBoundsReport:
     """Choi rank, operator-system dimension, and mixed-unitary rank bounds.
 
     ``exact`` is set only when a theorem pins the mixed-unitary rank
-    (never from search outcomes).  ``upper`` is floored at ``lower``; the
-    bounds carry meaning for mixed-unitary channels, where N >= r always.
+    (never from search outcomes), and ``exact_reason`` names it:
+    ``"s<=3"``, ``"s=r^2-r+1"``, or None when no theorem applies.
+    ``upper`` is floored at ``lower``; the bounds carry meaning for
+    mixed-unitary channels, where N >= r always.
     """
 
     r: int
@@ -116,11 +121,13 @@ class RankBoundsReport:
     extremal: bool
     schur_equivalent: bool
     unique_decomposition_certified: bool
+    exact_reason: Optional[str]
 
     def as_dict(self) -> dict:
         return {
             "r": self.r, "s": self.s, "lower": self.lower, "upper": self.upper,
-            "exact": self.exact, "extremal": self.extremal,
+            "exact": self.exact, "exact_reason": self.exact_reason,
+            "extremal": self.extremal,
             "schur_equivalent": self.schur_equivalent,
             "uniqueness_certified": self.unique_decomposition_certified,
         }
@@ -169,34 +176,60 @@ def _require_unital_square(phi: KrausChannel, tol: Tolerance, what: str):
                               "(mixed-unitary channels are unital)")
 
 
+class _Bounds(NamedTuple):
+    upper: int
+    exact: Optional[int]
+    exact_reason: Optional[str]
+
+
+def _bounds(r: int, s: int) -> _Bounds:
+    """Rank bounds from the Choi rank r and the operator-system dimension
+    s: the one place where exactness is decided.
+
+    ``exact = r`` when s <= 3 (``"s<=3"``; for r = 2 this is the r <= 2
+    non-extremal case) or when the un-floored upper bound equals r, which
+    happens only at s = r^2 - r + 1 (``"s=r^2-r+1"``), never for extremal
+    channels (s = r^2, whose un-floored bound falls below r).
+    """
+    raw_upper = min(r * r - s + 1, r * r - r + 1)
+    if r == 3:
+        raw_upper = min(raw_upper, 6)
+    if s <= 3:
+        reason = "s<=3"
+    elif raw_upper == r:
+        reason = "s=r^2-r+1"
+    else:
+        reason = None
+    return _Bounds(upper=max(raw_upper, r), exact=None if reason is None else r,
+                   exact_reason=reason)
+
+
+def _minimal_system(phi: KrausChannel, tol: Tolerance):
+    """The minimal Kraus list of ``phi`` and its operator system."""
+    phi_min = minimize_kraus(phi, tol)
+    return phi_min, operator_system(phi_min, tol)
+
+
 def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsReport:
     """Mixed-unitary rank bounds for a unital square channel.
 
     upper = min(r^2 - s + 1, r^2 - r + 1), additionally clamped to 6 when
-    r = 3.  ``exact = r`` when s <= 3, or when r <= 2 and the channel is
-    not extremal (s < 4), or when the upper bound already equals r (the
-    case s = r^2 - r + 1, which also certifies a unique decomposition).
+    r = 3; ``exact = r`` when s <= 3 or s = r^2 - r + 1 (see
+    :class:`RankBoundsReport`).  The minimal Kraus list and the operator
+    system are computed once; (r, s) decide the bounds, and the commutator
+    test of the operator system gives ``schur_equivalent``.
     """
     _require_unital_square(phi, tol, "rank_bounds")
-    phi = minimize_kraus(phi, tol)
-    r = len(phi.kraus)
-    s = operator_system(phi, tol).s
-    raw_upper = min(r * r - s + 1, r * r - r + 1)
-    if r == 3:
-        raw_upper = min(raw_upper, 6)
-    # exactness decided on the un-floored bound: raw_upper == r happens
-    # only at the critical dimension s = r^2 - r + 1, never for extremal
-    # channels (s = r^2, raw_upper < r, which also certifies the channel
-    # is not mixed unitary when r >= 2)
-    exact = None
-    if s <= 3 or (r <= 2 and s < 4) or raw_upper == r:
-        exact = r
-    upper = max(raw_upper, r)
+    phi, system = _minimal_system(phi, tol)
+    r, s = len(phi.kraus), system.s
+    b = _bounds(r, s)
     return RankBoundsReport(
-        r=r, s=s, lower=r, upper=upper, exact=exact,
+        r=r, s=s, lower=r, upper=b.upper, exact=b.exact,
         extremal=(s == r * r),
-        schur_equivalent=schur_equivalence_check(phi, tol, witnesses=False).equivalent,
+        schur_equivalent=_schur_equivalence(phi, system.basis, tol,
+                                            witnesses=False).equivalent,
         unique_decomposition_certified=(s == r * r - r + 1),
+        exact_reason=b.exact_reason,
     )
 
 
@@ -206,10 +239,9 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     "not certified", not "not unique".
     """
     _require_unital_square(phi, tol, "uniqueness_certificate")
-    phi = minimize_kraus(phi, tol)
+    phi, system = _minimal_system(phi, tol)
     r = len(phi.kraus)
-    s = operator_system(phi, tol).s
-    return s == r * r - r + 1
+    return system.s == r * r - r + 1
 
 
 def _proportional_unitary_decomposition(phi: KrausChannel, tol: Tolerance):
@@ -231,15 +263,14 @@ def _proportional_unitary_decomposition(phi: KrausChannel, tol: Tolerance):
     return MixedUnitaryDecomposition(probs, us, tol)
 
 
-def _rank_r_decomposition(phi: KrausChannel, tol: Tolerance,
+def _rank_r_decomposition(phi_min: KrausChannel, s: int, tol: Tolerance,
                           search_config=None) -> MixedUnitaryDecomposition:
-    """An r-term mixed-unitary decomposition of a channel certified to have
-    mixed-unitary rank r."""
-    phi_min = minimize_kraus(phi, tol)
+    """An r-term mixed-unitary decomposition of a minimal Kraus list with
+    operator-system dimension s, certified to have mixed-unitary rank r."""
     direct = _proportional_unitary_decomposition(phi_min, tol)
     if direct is not None:
         return direct
-    if operator_system(phi_min, tol).s <= 3:
+    if s <= 3:
         from .constructive import decompose_low_dim
         return decompose_low_dim(phi_min, tol)
     from .search import SearchConfig, search_isometry, traceless_image_basis
@@ -266,21 +297,20 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
     if m < 1:
         raise ValidationError("block dimension m must be a positive integer")
     _require_unital_square(phi, tol, "certified_gap_rank")
-    phi_min = minimize_kraus(phi, tol)
-    r = len(phi_min.kraus)
+    phi_min, system = _minimal_system(phi, tol)
+    r, s = len(phi_min.kraus), system.s
     if r < 2:
         raise ValidationError(
             "refusal: hypothesis r >= 2 fails (the +/- block construction "
             "degenerates for a unitary channel)")
-    if not uniqueness_certificate(phi_min, tol):
+    if s != r * r - r + 1:
         raise ValidationError(
             "refusal: hypothesis s = r^2 - r + 1 (unique mixed-unitary "
             "decomposition) fails")
-    bounds = rank_bounds(phi_min, tol)
-    if bounds.exact != r:
+    if _bounds(r, s).exact != r:
         raise ValidationError(
             "refusal: hypothesis mixed-unitary rank = Choi rank is not certified")
-    base = _rank_r_decomposition(phi_min, tol, search_config)
+    base = _rank_r_decomposition(phi_min, s, tol, search_config)
     check = verify_decomposition(phi_min, base, tol)
     if not check.ok:
         raise NumericalError(
@@ -361,29 +391,65 @@ def _simultaneously_diagonalize(mats, rng, depth=0) -> np.ndarray:
     return v
 
 
+def _max_commutator(basis) -> float:
+    """Largest Frobenius norm of B_i B_j - B_j B_i over pairs of ``basis``.
+
+    The basis is stacked once, as rows (B_0; B_1; ...) and as columns
+    (B_0 B_1 ...).  A chunk of rows i in [i0, i1) meets every column
+    j >= i0 (pairs with j < i0 were met by an earlier chunk), and each of
+    the products B_i B_j and B_j B_i is one matrix product of those
+    slices.  Chunks are sized so that one product takes about
+    ``_COMMUTATOR_CHUNK_BYTES`` (at least one row), which bounds memory at
+    any s.
+    """
+    b = np.asarray(basis, dtype=complex)
+    s, n, _ = b.shape
+    rows = b.reshape(s * n, n)
+    cols = b.transpose(1, 0, 2).reshape(n, s * n)
+    best = 0.0
+    i0 = 0
+    while i0 < s:
+        m = s - i0
+        i1 = i0 + min(m, max(1, _COMMUTATOR_CHUNK_BYTES // (16 * n * n * m)))
+        c = i1 - i0
+        ij = (rows[i0 * n:i1 * n] @ cols[:, i0 * n:]).reshape(c, n, m, n)
+        ji = (rows[i0 * n:] @ cols[:, i0 * n:i1 * n]).reshape(m, n, c, n)
+        d = (ij - ji.transpose(2, 1, 0, 3)).view(float)
+        sq = np.einsum("iajb,iajb->ij", d, d)
+        best = max(best, float(np.sqrt(sq.max())))
+        i0 = i1
+    return best
+
+
 def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
                             *, witnesses: bool = True,
                             seed: int = 0) -> SchurEquivalence:
     """Decide whether the channel is unitarily equivalent to a Schur map.
 
     Equivalent iff the operator system is a commuting family, tested on an
-    orthonormal basis.  When requested (and the test passes), unitaries
-    (U, V) with ``U Phi(V D V*) U* = D`` for every diagonal D are
-    constructed by simultaneous diagonalization of the family followed by
-    alignment of the rank-one images Phi(V E_kk V*); a witness that misses
-    its residual bound raises :class:`NumericalError` rather than being
-    silently accepted.
+    orthonormal basis: ``max_commutator`` is the largest Frobenius norm of
+    B_i B_j - B_j B_i over basis pairs, from batched matrix products over
+    row chunks of the stacked basis (about 256 KB of products per chunk at
+    any s).  When requested (and the test passes), unitaries (U, V) with
+    ``U Phi(V D V*) U* = D`` for every diagonal D are constructed by
+    simultaneous diagonalization of the family followed by alignment of
+    the rank-one images Phi(V E_kk V*); a witness that misses its residual
+    bound raises :class:`NumericalError` rather than being silently
+    accepted.
     """
     if phi.dim_in != phi.dim_out:
         raise ValidationError("schur_equivalence_check requires a square channel")
+    phi, system = _minimal_system(phi, tol)
+    return _schur_equivalence(phi, system.basis, tol, witnesses=witnesses,
+                              seed=seed)
+
+
+def _schur_equivalence(phi: KrausChannel, basis, tol: Tolerance, *,
+                       witnesses: bool = True, seed: int = 0) -> SchurEquivalence:
+    """:func:`schur_equivalence_check` on a minimal Kraus list ``phi``
+    whose operator-system basis is ``basis``."""
     n = phi.dim_in
-    phi = minimize_kraus(phi, tol)
-    basis = operator_system(phi, tol).basis
-    max_comm = 0.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i])
-            max_comm = max(max_comm, float(c))
+    max_comm = _max_commutator(basis)
     if max_comm > tol.eps_eq:
         return SchurEquivalence(equivalent=False, witnesses=None,
                                 max_commutator=max_comm)

@@ -93,8 +93,8 @@ class KrausChannel:
         if self.dim_in != self.dim_out:
             return False
         s = sum(a @ dagger(a) for a in self.kraus)
-        return np.linalg.norm(s - np.eye(self.dim_out)) <= tol.eps_eq * max(
-            1.0, np.sqrt(self.dim_out))
+        return bool(np.linalg.norm(s - np.eye(self.dim_out)) <= tol.eps_eq * max(
+            1.0, np.sqrt(self.dim_out)))
 
     def stacked(self) -> np.ndarray:
         """Kraus operators as one (r, m, n) array."""
@@ -207,8 +207,12 @@ def apply(phi: KrausChannel, x) -> np.ndarray:
 
 
 def _is_minimal(phi: KrausChannel, tol: Tolerance) -> bool:
+    """Whether the Kraus list is linearly independent, decided as the Choi
+    rank is.  The Gram matrix of the vec rows has the nonzero Choi
+    eigenvalues as its eigenvalues (the squared singular values of the
+    rows), so its numerical rank applies the Choi matrix's cutoff."""
     vecs = np.array([vec(a) for a in phi.kraus])
-    return numerical_rank(vecs, tol) == len(phi.kraus)
+    return numerical_rank(vecs @ dagger(vecs), tol) == len(phi.kraus)
 
 
 def minimize_kraus(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:

@@ -23,8 +23,9 @@ import sys
 import numpy as np
 
 from . import gallery, io
-from .analysis import rank_bounds, schur_equivalence_check, verify_decomposition
-from .channels import choi_of, minimize_kraus, operator_system
+from .analysis import (_minimal_system, _schur_equivalence, rank_bounds,
+                       verify_decomposition)
+from .channels import choi_of, minimize_kraus
 from .constructive import zero_diagonal_unitary
 from .exceptions import FileFormatError, MuchanError, NumericalError, ValidationError
 from .search import SearchConfig, murank_search, search_isometry, traceless_image_basis
@@ -100,22 +101,20 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     tol = _tol(args)
     phi = io.load_channel(args.channel, tol)
-    phi_min = minimize_kraus(phi, tol)
-    r = len(phi_min.kraus)
-    s = operator_system(phi_min, tol).s
     report = {
         "dim_in": phi.dim_in, "dim_out": phi.dim_out,
-        "r": r, "s": s,
         "unital": phi.is_unital(tol) and phi.dim_in == phi.dim_out,
     }
     if report["unital"]:
-        b = rank_bounds(phi_min, tol)
-        report.update(b.as_dict())
+        report.update(rank_bounds(phi, tol).as_dict())
     else:
-        sch = schur_equivalence_check(phi_min, tol, witnesses=False) \
+        phi_min, system = _minimal_system(phi, tol)
+        r, s = len(phi_min.kraus), system.s
+        sch = _schur_equivalence(phi_min, system.basis, tol, witnesses=False) \
             if phi.dim_in == phi.dim_out else None
         report.update({
-            "lower": r, "upper": None, "exact": None,
+            "r": r, "s": s,
+            "lower": r, "upper": None, "exact": None, "exact_reason": None,
             "extremal": s == r * r,
             "schur_equivalent": None if sch is None else sch.equivalent,
             "uniqueness_certified": None,

@@ -154,9 +154,10 @@ def dumps(thing) -> str:
 
 
 def save(thing, path: str):
+    """Write ``dumps(thing)`` and a newline to ``path`` in one write."""
+    text = dumps(thing) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_obj(thing), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path: str, tol: Tolerance = DEFAULT_TOL):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import muchan.analysis
 from muchan import (MixedUnitaryDecomposition, ValidationError,
                     certified_gap_rank, dagger, decompositions_equivalent,
                     dephasing_channel, direct_sum, identity_channel,
                     minimize_kraus, operator_system, rank_bounds,
                     schur_channel, schur_equivalence_check,
                     uniqueness_certificate, verify_decomposition)
-from muchan.gallery import (corr_B3, mub_correlation, random_channel,
-                            random_unital_rank2, weyl_channel)
+from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
+                            random_channel, random_unital_rank2, weyl_channel)
 
 
 def _paper_gap_decomposition():
@@ -117,6 +118,18 @@ def test_rank_bounds_r3_clamp():
     from muchan.gallery import corr_C4
     b = rank_bounds(schur_channel(corr_C4()))
     assert b.r == 3 and b.upper <= 6
+
+
+@pytest.mark.parametrize("phi, exact, reason", [
+    (dephasing_channel(3), 3, "s<=3"),
+    (random_unital_rank2(3, seed=0), 2, "s<=3"),
+    (weyl_channel(3), 3, "s=r^2-r+1"),
+    (gap_channel(3, 1), None, None),
+], ids=["dephasing3", "rank2", "weyl3", "gap3"])
+def test_rank_bounds_exact_reason(phi, exact, reason):
+    b = rank_bounds(phi)
+    assert (b.exact, b.exact_reason) == (exact, reason)
+    assert b.as_dict()["exact_reason"] == reason
 
 
 def test_rank_bounds_refuses_non_unital():
@@ -276,3 +289,89 @@ def test_appendix_commutation_identities_rank2():
             for j in range(i + 1, 4):
                 comm = prods[i] @ prods[j] - prods[j] @ prods[i]
                 assert np.linalg.norm(comm) <= 1e-9
+
+
+# ------------------------------------------- batched commutator test oracle
+
+def _pairwise_max_commutator(basis):
+    """The pairwise loop the batched commutator test replaced."""
+    max_comm = 0.0
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            c = np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i])
+            max_comm = max(max_comm, float(c))
+    return max_comm
+
+
+_ORACLE_CHANNELS = {
+    "weyl3": lambda: weyl_channel(3),
+    "weyl5": lambda: weyl_channel(5),
+    "weyl7": lambda: weyl_channel(7),
+    "gap3": lambda: gap_channel(3, 1),
+    "dephasing4": lambda: dephasing_channel(4),
+    "schurC4": lambda: schur_channel(corr_C4()),
+    "rank2_dim3": lambda: random_unital_rank2(3, seed=0),
+    "rank2_dim4": lambda: random_unital_rank2(4, seed=1),
+    "rank2_dim5": lambda: random_unital_rank2(5, seed=2),
+    "unitary": lambda: identity_channel(3),
+    "s2": lambda: dephasing_channel(2),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 1 << 30],
+                         ids=["default", "one_row", "one_chunk"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_CHANNELS))
+def test_batched_commutator_matches_pairwise_oracle(name, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(muchan.analysis, "_COMMUTATOR_CHUNK_BYTES", chunk_bytes)
+    phi = _ORACLE_CHANNELS[name]()
+    basis = operator_system(minimize_kraus(phi)).basis
+    want = _pairwise_max_commutator(basis)
+    res = schur_equivalence_check(phi, witnesses=False)
+    assert abs(res.max_commutator - want) <= 1e-15
+    assert res.equivalent == (want <= 1e-9)
+    if name == "unitary":
+        assert len(basis) == 1 and res.max_commutator == 0.0
+    if name == "s2":
+        assert len(basis) == 2
+
+
+def test_batched_commutator_on_noncommuting_pair():
+    # an orthonormal basis with s = 2 that does not commute: ||[X, Z]|| / 2
+    x = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2)
+    z = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
+    got = muchan.analysis._max_commutator((x, z))
+    assert abs(got - _pairwise_max_commutator((x, z))) <= 1e-15
+    assert abs(got - np.sqrt(2)) <= 1e-15
+
+
+# ------------------------------------------------ one computation per call
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(muchan.analysis, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(muchan.analysis, name, counted)
+    return calls
+
+
+def test_certified_gap_rank_builds_operator_system_once(monkeypatch):
+    systems = _count_calls(monkeypatch, "operator_system")
+    commutators = _count_calls(monkeypatch, "_max_commutator")
+    cert = certified_gap_rank(weyl_channel(3), 1)
+    assert (cert.choi_rank, cert.mu_rank) == (4, 6)
+    assert len(systems) == 1
+    assert commutators == []
+
+
+def test_rank_bounds_builds_each_once(monkeypatch):
+    systems = _count_calls(monkeypatch, "operator_system")
+    commutators = _count_calls(monkeypatch, "_max_commutator")
+    b = rank_bounds(weyl_channel(3))
+    assert not b.schur_equivalent
+    assert len(systems) == 1
+    assert len(commutators) == 1

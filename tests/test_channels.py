@@ -128,6 +128,18 @@ def test_minimal_kraus_roundtrip_many():
         assert np.linalg.norm(choi_of(mk).matrix - j) <= 1e-9 * max(1, np.linalg.norm(j))
 
 
+@pytest.mark.parametrize("e, rank", [(1e-8, 2), (1e-12, 1), (1e-16, 1)])
+def test_minimality_decided_as_choi_rank(e, rank):
+    # a weak second Kraus operator: the list is minimal exactly when the
+    # Choi matrix has rank 2, whose eigenvalue ratio is e / (1 - e)
+    from muchan import rank_bounds
+    z = np.diag([1.0, -1.0]).astype(complex)
+    phi = KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z])
+    assert len(minimize_kraus(phi).kraus) == rank
+    assert choi_of(phi).rank() == rank
+    assert rank_bounds(phi).r == rank
+
+
 # ------------------------------------------------------------------- apply
 
 def test_apply_dephasing_kills_off_diagonal():

@@ -44,6 +44,14 @@ def test_decomposition_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("thing", [weyl_channel(3), wh_sym3_decomposition()],
+                         ids=["channel", "decomposition"])
+def test_save_writes_dumps_text(tmp_path, thing):
+    p = tmp_path / "thing.json"
+    io.save(thing, str(p))
+    assert p.read_text(encoding="utf-8") == io.dumps(thing) + "\n"
+
+
 def test_load_rejects_missing_format(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"kind": "correlation", "matrix": [[[1.0, 0.0]]]}))
@@ -96,6 +104,37 @@ def test_analyze_weyl3(tmp_path, capsys):
     assert obj["uniqueness_certified"] is True
     assert obj["exact"] == 3
     assert obj["schur_equivalent"] is False
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: muchan.dephasing_channel(3), "s<=3"),
+    (lambda: weyl_channel(3), "s=r^2-r+1"),
+    (lambda: gap_channel(3, 1), None),
+], ids=["dephasing3", "weyl3", "gap3"])
+def test_analyze_reports_exact_reason(tmp_path, capsys, make, reason):
+    p = tmp_path / "c.json"
+    io.save(make(), str(p))
+    code, obj = run_cli(capsys, "analyze", str(p))
+    assert code == 0
+    assert obj["exact_reason"] == reason
+    assert (obj["exact"] is None) == (reason is None)
+
+
+@pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3)])
+def test_analyze_non_unital(tmp_path, capsys, dim_in, dim_out):
+    # a random rank-2 channel is not unital; analyze still prints one JSON
+    # object, with r and s and no rank bounds
+    phi = muchan.gallery.random_channel(dim_in, dim_out, 2, seed=1)
+    assert not phi.is_unital()
+    p = tmp_path / "c.json"
+    io.save(phi, str(p))
+    code, obj = run_cli(capsys, "analyze", str(p))
+    assert code == 0
+    assert obj["unital"] is False
+    assert (obj["r"], obj["s"]) == (2, 4)
+    assert obj["upper"] is None and obj["exact"] is None
+    assert obj["exact_reason"] is None
+    assert obj["schur_equivalent"] is (False if dim_in == dim_out else None)
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

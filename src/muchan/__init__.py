@@ -9,8 +9,9 @@ from .exceptions import (FileFormatError, MuchanError, NumericalError,
                          ValidationError)
 from .linalg import (dagger, dirsum, frob_inner, haar_isometry, haar_unitary,
                      kron, numerical_rank, schur_product, unvec, vec)
-from .channels import (ChoiMatrix, KrausChannel, OperatorSystemBasis, apply,
-                       choi_of, complementary, dephasing_channel, direct_sum,
+from .channels import (ChannelProfile, ChoiMatrix, KrausChannel,
+                       OperatorSystemBasis, apply, channel_profile, choi_of,
+                       complementary, dephasing_channel, direct_sum,
                        identity_channel, minimal_kraus, minimize_kraus,
                        operator_system, schur_channel)
 from .analysis import (GapRankCertificate, MixedUnitaryDecomposition,
@@ -36,7 +37,7 @@ __all__ = [
     "KrausChannel", "ChoiMatrix", "OperatorSystemBasis", "choi_of",
     "minimal_kraus", "minimize_kraus", "apply", "complementary",
     "operator_system", "direct_sum", "schur_channel", "identity_channel",
-    "dephasing_channel",
+    "dephasing_channel", "ChannelProfile", "channel_profile",
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
     "GapRankCertificate", "SchurEquivalence", "verify_decomposition",
     "rank_bounds", "uniqueness_certificate", "certified_gap_rank",

@@ -1,6 +1,7 @@
 """Mixed-unitary rank analysis: decomposition verification, rank bounds,
 uniqueness certificates, the direct-sum gap construction, decomposition
-equivalence, and Schur-equivalence testing.
+equivalence, and Schur-equivalence testing.  Every entry point that reads
+r and s takes a channel or its :class:`~muchan.channels.ChannelProfile`.
 """
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (KrausChannel, apply, choi_of, direct_sum,
-                       identity_channel, minimize_kraus, operator_system)
+from .channels import (ChannelProfile, KrausChannel, apply, channel_profile, choi_of,
+                       complementary, direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
 from .linalg import (as_matrix, dagger, dirsum, frob_inner,
                      unitarity_defect, vec)
@@ -204,30 +205,24 @@ def _bounds(r: int, s: int) -> _Bounds:
                    exact_reason=reason)
 
 
-def _minimal_system(phi: KrausChannel, tol: Tolerance):
-    """The minimal Kraus list of ``phi`` and its operator system."""
-    phi_min = minimize_kraus(phi, tol)
-    return phi_min, operator_system(phi_min, tol)
-
-
 def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsReport:
     """Mixed-unitary rank bounds for a unital square channel.
 
     upper = min(r^2 - s + 1, r^2 - r + 1), additionally clamped to 6 when
     r = 3; ``exact = r`` when s <= 3 or s = r^2 - r + 1 (see
-    :class:`RankBoundsReport`).  The minimal Kraus list and the operator
-    system are computed once; (r, s) decide the bounds, and the commutator
-    test of the operator system gives ``schur_equivalent``.
+    :class:`RankBoundsReport`).  (r, s) are read from the channel profile
+    and decide the bounds, and the commutator test of its operator system
+    gives ``schur_equivalent``.
     """
-    _require_unital_square(phi, tol, "rank_bounds")
-    phi, system = _minimal_system(phi, tol)
-    r, s = len(phi.kraus), system.s
+    profile = channel_profile(phi, tol)
+    _require_unital_square(profile.minimal, tol, "rank_bounds")
+    r, s = profile.r, profile.s
     b = _bounds(r, s)
     return RankBoundsReport(
         r=r, s=s, lower=r, upper=b.upper, exact=b.exact,
         extremal=(s == r * r),
-        schur_equivalent=_schur_equivalence(phi, system.basis, tol,
-                                            witnesses=False).equivalent,
+        schur_equivalent=schur_equivalence_check(profile, tol,
+                                                 witnesses=False).equivalent,
         unique_decomposition_certified=(s == r * r - r + 1),
         exact_reason=b.exact_reason,
     )
@@ -238,10 +233,10 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     unique mixed-unitary decomposition.  One-directional: False means
     "not certified", not "not unique".
     """
-    _require_unital_square(phi, tol, "uniqueness_certificate")
-    phi, system = _minimal_system(phi, tol)
-    r = len(phi.kraus)
-    return system.s == r * r - r + 1
+    profile = channel_profile(phi, tol)
+    _require_unital_square(profile.minimal, tol, "uniqueness_certificate")
+    r = profile.r
+    return profile.s == r * r - r + 1
 
 
 def _proportional_unitary_decomposition(phi: KrausChannel, tol: Tolerance):
@@ -263,21 +258,20 @@ def _proportional_unitary_decomposition(phi: KrausChannel, tol: Tolerance):
     return MixedUnitaryDecomposition(probs, us, tol)
 
 
-def _rank_r_decomposition(phi_min: KrausChannel, s: int, tol: Tolerance,
+def _rank_r_decomposition(profile: ChannelProfile, tol: Tolerance,
                           search_config=None) -> MixedUnitaryDecomposition:
-    """An r-term mixed-unitary decomposition of a minimal Kraus list with
-    operator-system dimension s, certified to have mixed-unitary rank r."""
-    direct = _proportional_unitary_decomposition(phi_min, tol)
+    """An r-term mixed-unitary decomposition of a channel whose profile
+    certifies mixed-unitary rank r."""
+    direct = _proportional_unitary_decomposition(profile.minimal, tol)
     if direct is not None:
         return direct
-    if s <= 3:
+    if profile.s <= 3:
         from .constructive import decompose_low_dim
-        return decompose_low_dim(phi_min, tol)
+        return decompose_low_dim(profile, tol)
     from .search import SearchConfig, search_isometry, traceless_image_basis
-    from .channels import complementary
     cfg = search_config or SearchConfig()
-    basis = traceless_image_basis(complementary(phi_min, tol), tol)
-    result = search_isometry(basis, len(phi_min.kraus), cfg, channel=phi_min, tol=tol)
+    basis = traceless_image_basis(complementary(profile, tol), tol)
+    result = search_isometry(basis, profile.r, cfg, channel=profile.minimal, tol=tol)
     if result.status != "found" or result.decomposition is None:
         raise NumericalError(
             "isometry search did not realize the certified rank-r decomposition; "
@@ -292,13 +286,14 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
     Requires the uniqueness certificate (s = r^2 - r + 1 with r >= 2) so
     the direct sum provably has Choi rank r + 1 and mixed-unitary rank 2r.
     The returned 2r-term decomposition pairs each U_k with +1 and -1
-    blocks at weight p_k / 2 and is verified before being returned.
+    blocks at weight p_k / 2 and is verified before being returned; the
+    direct sum's Choi rank is the size of its minimal Kraus list.
     """
     if m < 1:
         raise ValidationError("block dimension m must be a positive integer")
-    _require_unital_square(phi, tol, "certified_gap_rank")
-    phi_min, system = _minimal_system(phi, tol)
-    r, s = len(phi_min.kraus), system.s
+    profile = channel_profile(phi, tol)
+    _require_unital_square(profile.minimal, tol, "certified_gap_rank")
+    r, s = profile.r, profile.s
     if r < 2:
         raise ValidationError(
             "refusal: hypothesis r >= 2 fails (the +/- block construction "
@@ -310,8 +305,8 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
     if _bounds(r, s).exact != r:
         raise ValidationError(
             "refusal: hypothesis mixed-unitary rank = Choi rank is not certified")
-    base = _rank_r_decomposition(phi_min, s, tol, search_config)
-    check = verify_decomposition(phi_min, base, tol)
+    base = _rank_r_decomposition(profile, tol, search_config)
+    check = verify_decomposition(profile.minimal, base, tol)
     if not check.ok:
         raise NumericalError(
             f"rank-r decomposition failed verification: residual {check.choi_residual:.3e}")
@@ -321,12 +316,12 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
         probs += [p / 2, p / 2]
         us += [dirsum(u, eye), dirsum(u, -eye)]
     d2 = MixedUnitaryDecomposition(probs, us, tol)
-    summed = direct_sum(phi_min, identity_channel(m), tol)
+    summed = direct_sum(profile.minimal, identity_channel(m), tol)
     check2 = verify_decomposition(summed, d2, tol)
     if not check2.ok:
         raise NumericalError(
             f"gap decomposition failed verification: residual {check2.choi_residual:.3e}")
-    choi_rank = choi_of(summed, tol).rank(tol)
+    choi_rank = len(minimize_kraus(summed, tol))
     if choi_rank != r + 1:
         raise NumericalError(
             f"direct sum has Choi rank {choi_rank}, expected {r + 1}")
@@ -422,8 +417,7 @@ def _max_commutator(basis) -> float:
 
 
 def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
-                            *, witnesses: bool = True,
-                            seed: int = 0) -> SchurEquivalence:
+                            *, witnesses: bool = True) -> SchurEquivalence:
     """Decide whether the channel is unitarily equivalent to a Schur map.
 
     Equivalent iff the operator system is a commuting family, tested on an
@@ -432,22 +426,15 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     row chunks of the stacked basis (about 256 KB of products per chunk at
     any s).  When requested (and the test passes), unitaries (U, V) with
     ``U Phi(V D V*) U* = D`` for every diagonal D are constructed by
-    simultaneous diagonalization of the family followed by alignment of
-    the rank-one images Phi(V E_kk V*); a witness that misses its residual
-    bound raises :class:`NumericalError` rather than being silently
-    accepted.
+    simultaneous diagonalization of the family (random combinations drawn
+    from a generator seeded with 0) followed by alignment of the rank-one
+    images Phi(V E_kk V*); a witness that misses its residual bound raises
+    :class:`NumericalError` rather than being silently accepted.
     """
+    profile = channel_profile(phi, tol)
+    phi, basis = profile.minimal, profile.system.basis
     if phi.dim_in != phi.dim_out:
         raise ValidationError("schur_equivalence_check requires a square channel")
-    phi, system = _minimal_system(phi, tol)
-    return _schur_equivalence(phi, system.basis, tol, witnesses=witnesses,
-                              seed=seed)
-
-
-def _schur_equivalence(phi: KrausChannel, basis, tol: Tolerance, *,
-                       witnesses: bool = True, seed: int = 0) -> SchurEquivalence:
-    """:func:`schur_equivalence_check` on a minimal Kraus list ``phi``
-    whose operator-system basis is ``basis``."""
     n = phi.dim_in
     max_comm = _max_commutator(basis)
     if max_comm > tol.eps_eq:
@@ -461,7 +448,7 @@ def _schur_equivalence(phi: KrausChannel, basis, tol: Tolerance, *,
         for h in ((b + dagger(b)) / 2, (b - dagger(b)) / 2j):
             if np.linalg.norm(h) > 1e-12:
                 herms.append(h)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = _simultaneously_diagonalize(herms, rng)
     ws = []
     for k in range(n):

@@ -1,5 +1,5 @@
-"""Channel representations: Kraus and Choi forms, complementary channels,
-operator systems, direct sums, Schur channels.
+"""Channel representations: Kraus and Choi forms, channel profiles,
+complementary channels, operator systems, direct sums, Schur channels.
 
 Choi index convention
 ---------------------
@@ -34,9 +34,9 @@ from .linalg import (as_matrix, dagger, dirsum, frob_inner, numerical_rank,
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "KrausChannel", "ChoiMatrix", "OperatorSystemBasis",
-    "choi_of", "minimal_kraus", "apply", "complementary",
-    "operator_system", "direct_sum", "schur_channel", "identity_channel",
+    "KrausChannel", "ChoiMatrix", "OperatorSystemBasis", "ChannelProfile",
+    "choi_of", "minimal_kraus", "apply", "complementary", "operator_system",
+    "channel_profile", "direct_sum", "schur_channel", "identity_channel",
     "dephasing_channel",
 ]
 
@@ -173,9 +173,11 @@ def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     """Minimal Kraus representation from the Choi eigendecomposition.
 
     Returns exactly ``numerical_rank(J)`` operators ``unvec(sqrt(l) v)``,
-    ordered by descending eigenvalue, each eigenvector's global phase
-    fixed by making its largest-magnitude entry real positive.  The list
-    is pairwise orthogonal in the Frobenius inner product.
+    counted on the eigenvalue moduli of the same ``eigh`` (the singular
+    values of the Hermitian J), ordered by descending eigenvalue, each
+    eigenvector's global phase fixed by making its largest-magnitude
+    entry real positive.  The list is pairwise orthogonal in the
+    Frobenius inner product.
     """
     w, v = np.linalg.eigh(j.matrix)
     wmax = max(float(w[-1]), 0.0)
@@ -183,7 +185,8 @@ def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     if neg < -tol.eps_rank * max(wmax, 1e-300):
         raise ValidationError(
             f"Choi matrix is not PSD: offending eigenvalue {neg:.6e}")
-    r = numerical_rank(j.matrix, tol)
+    mags = np.abs(w)
+    r = int(np.count_nonzero(mags > tol.eps_rank * mags.max()))
     order = np.argsort(w)[::-1][:r]
     ops = []
     for i in order:
@@ -231,7 +234,7 @@ def complementary(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChann
     conjugates the output: the list B_k = sum_j V(k,j) A_j has
     complementary V Psi(.) V*.
     """
-    phi = minimize_kraus(phi, tol)
+    phi = channel_profile(phi, tol).minimal
     r, n = len(phi.kraus), phi.dim_in
     # Choi of Psi, assembled from Psi(E_ab)[j,k] = (A_k^* A_j)[b, a]
     gram = np.empty((r, r, n, n), dtype=complex)
@@ -248,9 +251,13 @@ def operator_system(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> Operator
     The dimension s equals the rank of the r^2 x n^2 matrix whose rows
     are vec(A_k* A_j)*, and satisfies r <= s <= r^2.  The basis spans an
     operator system: it contains the identity direction and is closed
-    under adjoints.
+    under adjoints.  A non-minimal input is minimized first.
     """
-    phi = minimize_kraus(phi, tol)
+    return channel_profile(phi, tol).system
+
+
+def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
+    """:func:`operator_system` of a Kraus list already known to be minimal."""
     r, n = len(phi.kraus), phi.dim_in
     rows = np.array([vec(dagger(phi.kraus[k]) @ phi.kraus[j]).conj()
                      for j in range(r) for k in range(r)])
@@ -271,21 +278,53 @@ def operator_system(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> Operator
     return OperatorSystemBasis(dim=n, basis=basis, s=keep)
 
 
+@dataclass(frozen=True, eq=False)
+class ChannelProfile:
+    """A minimal Kraus list, its operator system and the tolerance both
+    were decided under, which give the Choi rank r and the dimension s.
+    Made by :func:`channel_profile`; :func:`complementary` and every entry
+    point that reads r and s take it in place of a channel."""
+
+    minimal: KrausChannel
+    system: OperatorSystemBasis
+    tol: Tolerance
+
+    @property
+    def r(self) -> int:
+        return len(self.minimal.kraus)
+
+    @property
+    def s(self) -> int:
+        return self.system.s
+
+
+def channel_profile(phi, tol: Tolerance = DEFAULT_TOL) -> ChannelProfile:
+    """Minimize the Kraus list once and build its operator system.  A
+    profile made under the same ``tol`` is returned unchanged; under
+    another ``tol`` its rank decisions do not hold, so that raises
+    :class:`ValidationError`."""
+    if isinstance(phi, ChannelProfile):
+        if phi.tol != tol:
+            raise ValidationError(f"profile was made under {phi.tol}, not {tol}")
+        return phi
+    phi_min = minimize_kraus(phi, tol)
+    return ChannelProfile(phi_min, _operator_system(phi_min, tol), tol)
+
+
 def direct_sum(phi: KrausChannel, psi: KrausChannel,
-               tol: Tolerance = DEFAULT_TOL, minimal: bool = False) -> KrausChannel:
+               tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     """Direct sum channel on M_{n+m}, block constructed.
 
     Kraus list is {A_i (+) 0} plus {0 (+) B_j}; off-diagonal blocks of the
-    input are annihilated.  Choi ranks add.  With ``minimal=True`` the
-    result is reduced to a minimal Kraus list.
+    input are annihilated.  Choi ranks add, and the list is minimal when
+    both inputs are.
     """
     if phi.dim_in != phi.dim_out or psi.dim_in != psi.dim_out:
         raise ValidationError("direct_sum requires square channels")
     n, m = phi.dim_in, psi.dim_in
     ops = [dirsum(a, np.zeros((m, m))) for a in phi.kraus]
     ops += [dirsum(np.zeros((n, n)), b) for b in psi.kraus]
-    out = KrausChannel(ops, tol)
-    return minimize_kraus(out, tol) if minimal else out
+    return KrausChannel(ops, tol)
 
 
 def schur_channel(c, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:

@@ -23,13 +23,11 @@ import sys
 import numpy as np
 
 from . import gallery, io
-from .analysis import (_minimal_system, _schur_equivalence, rank_bounds,
-                       verify_decomposition)
-from .channels import choi_of, minimize_kraus
+from .analysis import rank_bounds, schur_equivalence_check, verify_decomposition
+from .channels import channel_profile, choi_of, complementary
 from .constructive import zero_diagonal_unitary
 from .exceptions import FileFormatError, MuchanError, NumericalError, ValidationError
 from .search import SearchConfig, murank_search, search_isometry, traceless_image_basis
-from .channels import complementary
 from .tolerances import Tolerance
 
 EXIT_OK = 0
@@ -105,12 +103,12 @@ def _cmd_analyze(args) -> int:
         "dim_in": phi.dim_in, "dim_out": phi.dim_out,
         "unital": phi.is_unital(tol) and phi.dim_in == phi.dim_out,
     }
+    profile = channel_profile(phi, tol)
     if report["unital"]:
-        report.update(rank_bounds(phi, tol).as_dict())
+        report.update(rank_bounds(profile, tol).as_dict())
     else:
-        phi_min, system = _minimal_system(phi, tol)
-        r, s = len(phi_min.kraus), system.s
-        sch = _schur_equivalence(phi_min, system.basis, tol, witnesses=False) \
+        r, s = profile.r, profile.s
+        sch = schur_equivalence_check(profile, tol, witnesses=False) \
             if phi.dim_in == phi.dim_out else None
         report.update({
             "r": r, "s": s,
@@ -158,9 +156,9 @@ def _cmd_search(args) -> int:
             else io.to_obj(scan.decomposition)
         _emit(report)
         return EXIT_OK if scan.n_found is not None else EXIT_NOT_FOUND
-    phi_min = minimize_kraus(phi, tol)
-    basis = traceless_image_basis(complementary(phi_min, tol), tol)
-    res = search_isometry(basis, args.N, cfg, channel=phi_min, tol=tol)
+    profile = channel_profile(phi, tol)
+    basis = traceless_image_basis(complementary(profile, tol), tol)
+    res = search_isometry(basis, args.N, cfg, channel=profile.minimal, tol=tol)
     report.update(_result_obj(res))
     _emit(report)
     return EXIT_OK if res.status == "found" else EXIT_NOT_FOUND

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import MixedUnitaryDecomposition
-from .channels import KrausChannel, complementary, minimize_kraus, operator_system, schur_channel
+from .analysis import MixedUnitaryDecomposition, _require_unital_square
+from .channels import KrausChannel, channel_profile, complementary, schur_channel
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix, dagger, vec, unvec
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -230,26 +230,22 @@ def decompose_low_dim(phi: KrausChannel,
                       tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
     """Mixed-unitary decomposition with N = Choi rank, for s <= 3.
 
-    Steps: build the minimal Kraus list and the complementary channel Psi;
+    Steps: build the complementary channel Psi of the profile's minimal list;
     extract traceless Hermitian H, K spanning the operator system together
     with the identity (K = 0 when s <= 2, H = K = 0 when s = 1); rotate
     Psi(H) + i Psi(K) to vanishing diagonal by a unitary U; remix the
     Kraus list by U rows; each remixed operator is then a scalar multiple
     of a unitary, giving the weights and unitaries directly.
     """
-    if phi.dim_in != phi.dim_out:
-        raise ValidationError("decompose_low_dim requires a square channel")
-    if not phi.is_unital(tol):
-        raise ValidationError("decompose_low_dim requires a unital channel")
-    n = phi.dim_in
-    phi = minimize_kraus(phi, tol)
-    sys = operator_system(phi, tol)
-    if sys.s > 3:
+    profile = channel_profile(phi, tol)
+    phi = profile.minimal
+    _require_unital_square(phi, tol, "decompose_low_dim")
+    n, r = phi.dim_in, profile.r
+    if profile.s > 3:
         raise ValidationError(
-            f"refusal: operator system has dimension {sys.s} > 3")
-    psi = complementary(phi, tol)
-    dirs = _traceless_hermitian_directions(sys.basis, n, tol)
-    r = len(phi.kraus)
+            f"refusal: operator system has dimension {profile.s} > 3")
+    psi = complementary(profile, tol)
+    dirs = _traceless_hermitian_directions(profile.system.basis, n, tol)
     zmat = np.zeros((r, r), dtype=complex)
     if len(dirs) >= 1:
         zmat = zmat + psi(dirs[0])

@@ -76,10 +76,10 @@ def channel_to_obj(phi: KrausChannel) -> dict:
 
 def channel_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                      path: Optional[str] = None) -> KrausChannel:
-    ops = [matrix_from_literal(o, path) for o in obj.get("operators", [])]
-    if not ops:
-        raise _bad("channel file has no operators", path)
-    phi = KrausChannel(ops, tol)
+    lits = obj.get("operators")
+    if not isinstance(lits, list) or not lits:
+        raise _bad("channel file's operators must be a nonempty list", path)
+    phi = KrausChannel([matrix_from_literal(o, path) for o in lits], tol)
     if phi.dim_in != obj.get("dim_in") or phi.dim_out != obj.get("dim_out"):
         raise _bad("declared dimensions disagree with the operators", path)
     return phi

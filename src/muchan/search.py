@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
                        rank_bounds, verify_decomposition)
-from .channels import KrausChannel, complementary, minimize_kraus
+from .channels import KrausChannel, channel_profile, complementary, minimize_kraus
 from .exceptions import NumericalError, ValidationError
 from .linalg import dagger, haar_isometry, unvec, vec
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -333,7 +333,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
         except NumericalError:
             decomposition = None
         if decomposition is not None:
-            check = verify_decomposition(minimize_kraus(channel, tol), decomposition, tol)
+            check = verify_decomposition(channel, decomposition, tol)
             if check.choi_residual > DECOMP_RESIDUAL:
                 decomposition = None
         if decomposition is None:
@@ -380,8 +380,7 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     total = sum(probs)
     probs = [p / total for p in probs]
     return MixedUnitaryDecomposition(probs, us, Tolerance(
-        eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK),
-        eps_obj=tol.eps_obj))
+        eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK)))
 
 
 def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),
@@ -391,15 +390,15 @@ def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),
     Starts at the Choi rank (or at the theorem-certified exact value when
     available) and walks up to the rank bound.  Failures at smaller N are
     recorded as diagnostics; they are soft evidence only and never certify
-    a lower bound.
+    a lower bound.  The bounds and the search basis come from one profile.
     """
-    bounds = rank_bounds(phi, tol)
-    phi_min = minimize_kraus(phi, tol)
-    basis = traceless_image_basis(complementary(phi_min, tol), tol)
+    profile = channel_profile(phi, tol)
+    bounds = rank_bounds(profile, tol)
+    basis = traceless_image_basis(complementary(profile, tol), tol)
     start = bounds.exact if bounds.exact is not None else bounds.lower
     results = []
     for n_candidate in range(start, bounds.upper + 1):
-        res = search_isometry(basis, n_candidate, cfg, channel=phi_min, tol=tol)
+        res = search_isometry(basis, n_candidate, cfg, channel=profile.minimal, tol=tol)
         results.append(res)
         if res.status == "found":
             return MurankReport(n_found=n_candidate, decomposition=res.decomposition,

@@ -1,8 +1,9 @@
 """Global tolerance policy.
 
-One object carries the three cutoffs used throughout the package so that
-every rank decision, every equality test, and every search acceptance is
-made against the same, explicitly chosen thresholds.
+One object carries the two cutoffs used throughout the package so that
+every rank decision and every equality test is made against the same,
+explicitly chosen thresholds.  The Stiefel search accepts on its own
+``SearchConfig.objective_tol``, a sum of squared moduli.
 """
 from dataclasses import dataclass
 
@@ -19,17 +20,13 @@ class Tolerance:
         Relative singular/eigenvalue cutoff for numerical ranks.
     eps_eq : float
         Relative entrywise/Frobenius threshold for equality tests.
-    eps_obj : float
-        Acceptance threshold for the search objective (a sum of squared
-        moduli, hence the much smaller scale).
     """
 
     eps_rank: float = 1e-9
     eps_eq: float = 1e-9
-    eps_obj: float = 1e-16
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_eq", "eps_obj"):
+        for name in ("eps_rank", "eps_eq"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be strictly positive")
         if self.eps_rank > 1:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import muchan.analysis
+import muchan.channels
 from muchan import (MixedUnitaryDecomposition, ValidationError,
                     certified_gap_rank, dagger, decompositions_equivalent,
                     dephasing_channel, direct_sum, identity_channel,
@@ -253,6 +254,12 @@ def test_schur_equivalence_random_unital_rank2():
         assert np.linalg.norm(out - d) <= 1e-7
 
 
+def test_schur_equivalence_has_no_seed_option():
+    # the simultaneous diagonalization draws from a generator seeded with 0
+    with pytest.raises(TypeError):
+        schur_equivalence_check(schur_channel(corr_B3()), seed=1)
+
+
 def test_schur_equivalence_rejects_weyl():
     res = schur_equivalence_check(weyl_channel(3))
     assert not res.equivalent
@@ -347,30 +354,18 @@ def test_batched_commutator_on_noncommuting_pair():
 
 # ------------------------------------------------ one computation per call
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    inner = getattr(muchan.analysis, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(muchan.analysis, name, counted)
-    return calls
-
-
-def test_certified_gap_rank_builds_operator_system_once(monkeypatch):
-    systems = _count_calls(monkeypatch, "operator_system")
-    commutators = _count_calls(monkeypatch, "_max_commutator")
+def test_certified_gap_rank_builds_operator_system_once(count_calls):
+    systems = count_calls(muchan.channels, "_operator_system")
+    commutators = count_calls(muchan.analysis, "_max_commutator")
     cert = certified_gap_rank(weyl_channel(3), 1)
     assert (cert.choi_rank, cert.mu_rank) == (4, 6)
     assert len(systems) == 1
     assert commutators == []
 
 
-def test_rank_bounds_builds_each_once(monkeypatch):
-    systems = _count_calls(monkeypatch, "operator_system")
-    commutators = _count_calls(monkeypatch, "_max_commutator")
+def test_rank_bounds_builds_each_once(count_calls):
+    systems = count_calls(muchan.channels, "_operator_system")
+    commutators = count_calls(muchan.analysis, "_max_commutator")
     b = rank_bounds(weyl_channel(3))
     assert not b.schur_equivalent
     assert len(systems) == 1

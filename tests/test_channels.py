@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muchan import (ChoiMatrix, KrausChannel, ValidationError, apply, choi_of,
+from muchan import (ChoiMatrix, KrausChannel, Tolerance, ValidationError, apply, choi_of,
                     complementary, dagger, dephasing_channel, direct_sum,
                     frob_inner, identity_channel, minimal_kraus, minimize_kraus,
                     numerical_rank, operator_system, schur_channel, vec)
@@ -128,7 +128,8 @@ def test_minimal_kraus_roundtrip_many():
         assert np.linalg.norm(choi_of(mk).matrix - j) <= 1e-9 * max(1, np.linalg.norm(j))
 
 
-@pytest.mark.parametrize("e, rank", [(1e-8, 2), (1e-12, 1), (1e-16, 1)])
+@pytest.mark.parametrize("e, rank", [(1e-8, 2), (1.2e-9, 2), (0.8e-9, 1),
+                                     (1e-12, 1), (1e-16, 1)])
 def test_minimality_decided_as_choi_rank(e, rank):
     # a weak second Kraus operator: the list is minimal exactly when the
     # Choi matrix has rank 2, whose eigenvalue ratio is e / (1 - e)
@@ -138,6 +139,18 @@ def test_minimality_decided_as_choi_rank(e, rank):
     assert len(minimize_kraus(phi).kraus) == rank
     assert choi_of(phi).rank() == rank
     assert rank_bounds(phi).r == rank
+
+
+@pytest.mark.parametrize("e", [1e-8, 1.2e-9, 1e-9, 0.8e-9, 1e-12, 1e-16])
+def test_minimal_kraus_rank_is_numerical_rank(e):
+    # minimal_kraus counts the eigenvalue moduli of its own eigh against
+    # the cutoff; that is numerical_rank's singular-value rule.  eps_eq is
+    # loosened only so that the list truncated at e = 1e-9, whose dropped
+    # weight sits at the trace-preservation threshold, is accepted.
+    tol = Tolerance(eps_rank=1e-9, eps_eq=1e-8)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    j = choi_of(KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z]), tol)
+    assert len(minimal_kraus(j, tol)) == numerical_rank(j.matrix, tol)
 
 
 # ------------------------------------------------------------------- apply
@@ -318,9 +331,16 @@ def test_direct_sum_of_trivial_channels_is_dephasing():
     assert np.linalg.norm(choi_of(d).matrix - choi_of(dephasing_channel(2)).matrix) <= 1e-12
 
 
+def test_direct_sum_has_no_minimal_option():
+    with pytest.raises(TypeError):
+        direct_sum(weyl_channel(3), identity_channel(1), minimal=True)
+
+
 def test_direct_sum_choi_rank_additive():
     d = direct_sum(weyl_channel(3), identity_channel(1))
     assert choi_of(d).rank() == 4
+    # certified_gap_rank reads it as the size of the minimal Kraus list
+    assert len(minimize_kraus(d)) == 4
 
 
 def test_direct_sum_block_action():

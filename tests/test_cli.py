@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import muchan
+import muchan.cli
 from muchan import io
 from muchan.cli import main
 from muchan.gallery import (corr_B3, gap_channel, weyl_channel,
@@ -144,6 +145,27 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert code == 2
     assert obj["error"]["code"] == "format"
     assert obj["error"]["path"] == str(p)
+
+
+@pytest.mark.parametrize("operators", [5, None, True], ids=["number", "null", "true"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "zero-diag"])
+def test_malformed_operators_field_is_format_error(tmp_path, capsys, command, operators):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"format": "muchan/1", "kind": "kraus", "dim_in": 1,
+                             "dim_out": 1, "operators": operators}))
+    argv = [command, str(p)] + ([str(p)] if command == "verify" else [])
+    code, obj = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == 2
+    assert obj["error"]["code"] == "format"
+    assert obj["error"]["path"] == str(p)
+
+
+def test_cli_imports_no_private_names():
+    import ast
+    tree = ast.parse(open(muchan.cli.__file__, encoding="utf-8").read())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ------------------------------------------------------------ verify/search

@@ -183,6 +183,14 @@ def test_low_dim_refuses_large_operator_system():
         decompose_low_dim(weyl_channel(3))
 
 
+def test_low_dim_refuses_non_square_or_non_unital():
+    from muchan.gallery import random_channel
+    with pytest.raises(ValidationError, match="square"):
+        decompose_low_dim(random_channel(2, 3, 2, seed=6))
+    with pytest.raises(ValidationError, match="unital"):
+        decompose_low_dim(random_channel(3, 3, 2, seed=5))
+
+
 def test_low_dim_reproducible_across_kraus_presentations():
     # same channel handed over with a remixed Kraus list must give an
     # equivalent decomposition (uniqueness realized as reproducibility)

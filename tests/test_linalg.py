@@ -145,3 +145,9 @@ def test_tolerance_validation():
         Tolerance(eps_rank=2.0)
     with pytest.raises(ValidationError):
         Tolerance(eps_eq=-1e-9)
+
+
+def test_tolerance_has_no_search_objective_field():
+    # the search accepts on SearchConfig.objective_tol
+    with pytest.raises(TypeError):
+        Tolerance(eps_obj=1e-16)

@@ -10,15 +10,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (ChannelProfile, KrausChannel, apply, channel_profile, choi_of,
+from .channels import (ChannelProfile, KrausChannel, apply, channel_profile,
                        complementary, direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
-from .linalg import (as_matrix, dagger, dirsum, frob_inner,
-                     unitarity_defect, vec)
+from .linalg import as_matrix, dagger, dirsum, frob_inner, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
-# Memory budget of one chunk's product stack in _max_commutator.
-_COMMUTATOR_CHUNK_BYTES = 256 * 1024
+# Memory budget of one chunk of products (_max_commutator, verify_decomposition).
+_CHUNK_BYTES = 256 * 1024
 
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
@@ -76,10 +75,6 @@ class MixedUnitaryDecomposition:
     @property
     def n_terms(self) -> int:
         return len(self.probs)
-
-    def choi(self) -> np.ndarray:
-        vecs = np.array([vec(u) for u in self.unitaries])
-        return np.einsum("k,ki,kj->ij", self.probs, vecs, vecs.conj())
 
     def to_channel(self, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
         return KrausChannel([np.sqrt(p) * u for p, u in zip(self.probs, self.unitaries)], tol)
@@ -156,14 +151,24 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
     ``choi_residual`` is the relative Frobenius distance
     ``||J(phi) - sum_k p_k vec(U_k)vec(U_k)*|| / ||J(phi)||``; the result
     is ok when it is at most ``eps_eq`` and ``d`` satisfies its own
-    invariants (weights and unitarity re-checked here).
+    invariants (weights and unitarity re-checked here).  The difference
+    is the signed product ``H^T diag(1, .., 1, -p_1, .., -p_N) conj(H)`` of
+    the rows H = [vec A_i; vec U_k], so equal terms cancel exactly, formed
+    in row chunks of ``_CHUNK_BYTES``; ||J(phi)|| is the Frobenius norm of
+    the Kraus rows' Gram matrix.  No Choi matrix is built.
     """
     if d.dim != phi.dim_in or phi.dim_in != phi.dim_out:
         raise ValidationError(
             f"dimension mismatch: channel {phi.dim_in}->{phi.dim_out}, "
             f"decomposition dim {d.dim}")
-    j = choi_of(phi, tol).matrix
-    resid = float(np.linalg.norm(j - d.choi()) / np.linalg.norm(j))
+    ka = phi.stacked().reshape(len(phi.kraus), -1)
+    h = np.concatenate([ka, np.reshape(d.unitaries, (d.n_terms, -1))])
+    w = np.concatenate([np.ones(len(ka)), -d.probs])
+    rhs = w[:, None] * h.conj()
+    step = max(1, _CHUNK_BYTES // (16 * h.shape[1]))
+    sq = sum(np.linalg.norm(h[:, i:i + step].T @ rhs) ** 2
+             for i in range(0, h.shape[1], step))
+    resid = float(np.sqrt(sq) / np.linalg.norm(ka.conj() @ ka.T))
     ok = resid <= tol.eps_eq and d.invariants_ok(tol)
     return VerificationResult(ok=ok, choi_residual=resid)
 
@@ -394,7 +399,7 @@ def _max_commutator(basis) -> float:
     j >= i0 (pairs with j < i0 were met by an earlier chunk), and each of
     the products B_i B_j and B_j B_i is one matrix product of those
     slices.  Chunks are sized so that one product takes about
-    ``_COMMUTATOR_CHUNK_BYTES`` (at least one row), which bounds memory at
+    ``_CHUNK_BYTES`` (at least one row), which bounds memory at
     any s.
     """
     b = np.asarray(basis, dtype=complex)
@@ -405,7 +410,7 @@ def _max_commutator(basis) -> float:
     i0 = 0
     while i0 < s:
         m = s - i0
-        i1 = i0 + min(m, max(1, _COMMUTATOR_CHUNK_BYTES // (16 * n * n * m)))
+        i1 = i0 + min(m, max(1, _CHUNK_BYTES // (16 * n * n * m)))
         c = i1 - i0
         ij = (rows[i0 * n:i1 * n] @ cols[:, i0 * n:]).reshape(c, n, m, n)
         ji = (rows[i0 * n:] @ cols[:, i0 * n:i1 * n]).reshape(m, n, c, n)

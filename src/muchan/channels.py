@@ -169,32 +169,36 @@ def choi_of(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiMatrix:
     return ChoiMatrix(j, phi.dim_in, phi.dim_out, tol)
 
 
-def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
-    """Minimal Kraus representation from the Choi eigendecomposition.
+def _kraus_from_spectrum(w, cols, dim_out: int, dim_in: int, tol: Tolerance, scale=None):
+    """The one Choi-rank rule: keep the columns of one ``eigh`` (w, cols)
+    whose |w| exceeds ``eps_rank`` times the largest, by descending w, each
+    phase-fixed (largest-magnitude entry real positive), times ``scale[i]``
+    when given, and unvec'd."""
+    mags = np.abs(w)
+    r = int(np.count_nonzero(mags > tol.eps_rank * mags.max()))
+    ops = []
+    for i in np.argsort(w)[::-1][:r]:
+        col = cols[:, i]
+        k = int(np.argmax(np.abs(col)))
+        col = col * (np.conj(col[k]) / abs(col[k]))
+        op = unvec(col, dim_out, dim_in)
+        ops.append(op if scale is None else scale[i] * op)
+    return ops
 
-    Returns exactly ``numerical_rank(J)`` operators ``unvec(sqrt(l) v)``,
-    counted on the eigenvalue moduli of the same ``eigh`` (the singular
-    values of the Hermitian J), ordered by descending eigenvalue, each
-    eigenvector's global phase fixed by making its largest-magnitude
-    entry real positive.  The list is pairwise orthogonal in the
-    Frobenius inner product.
-    """
+
+def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+    """Minimal Kraus representation of a Choi matrix: the operators
+    ``unvec(sqrt(l) v)`` of its ``eigh``, counted, ordered and phase-fixed
+    by :func:`_kraus_from_spectrum` (|l| are the singular values of J, so
+    the count is ``numerical_rank(J)``); pairwise Frobenius orthogonal."""
     w, v = np.linalg.eigh(j.matrix)
     wmax = max(float(w[-1]), 0.0)
     neg = float(w[0])
     if neg < -tol.eps_rank * max(wmax, 1e-300):
         raise ValidationError(
             f"Choi matrix is not PSD: offending eigenvalue {neg:.6e}")
-    mags = np.abs(w)
-    r = int(np.count_nonzero(mags > tol.eps_rank * mags.max()))
-    order = np.argsort(w)[::-1][:r]
-    ops = []
-    for i in order:
-        col = v[:, i]
-        k = int(np.argmax(np.abs(col)))
-        col = col * (np.conj(col[k]) / abs(col[k]))
-        ops.append(np.sqrt(w[i]) * unvec(col, j.dim_out, j.dim_in))
-    return KrausChannel(ops, tol)
+    scale = np.sqrt(np.maximum(w, 0.0))
+    return KrausChannel(_kraus_from_spectrum(w, v, j.dim_out, j.dim_in, tol, scale), tol)
 
 
 def apply(phi: KrausChannel, x) -> np.ndarray:
@@ -209,20 +213,15 @@ def apply(phi: KrausChannel, x) -> np.ndarray:
     return out
 
 
-def _is_minimal(phi: KrausChannel, tol: Tolerance) -> bool:
-    """Whether the Kraus list is linearly independent, decided as the Choi
-    rank is.  The Gram matrix of the vec rows has the nonzero Choi
-    eigenvalues as its eigenvalues (the squared singular values of the
-    rows), so its numerical rank applies the Choi matrix's cutoff."""
-    vecs = np.array([vec(a) for a in phi.kraus])
-    return numerical_rank(vecs @ dagger(vecs), tol) == len(phi.kraus)
-
-
 def minimize_kraus(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
-    """Return ``phi`` itself if its Kraus list is minimal, else re-derive."""
-    if _is_minimal(phi, tol):
-        return phi
-    return minimal_kraus(choi_of(phi, tol), tol)
+    """Return ``phi`` itself if its Kraus list is minimal, else re-derive,
+    from one ``eigh`` of the Gram matrix G = conj(H) H^T of the vec rows H:
+    G has the nonzero Choi eigenvalues, and for G v = l v, ``H^T v`` is a
+    Choi eigenvector of norm sqrt(l), the vec of a minimal Kraus operator."""
+    h = phi.stacked().reshape(len(phi.kraus), -1)
+    w, v = np.linalg.eigh(h.conj() @ h.T)
+    ops = _kraus_from_spectrum(w, h.T @ v, phi.dim_out, phi.dim_in, tol)
+    return phi if len(ops) == len(phi.kraus) else KrausChannel(ops, tol)
 
 
 def complementary(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
@@ -233,16 +232,11 @@ def complementary(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChann
     input is minimized first.  Mixing the Kraus list by an isometry V
     conjugates the output: the list B_k = sum_j V(k,j) A_j has
     complementary V Psi(.) V*.
+    Psi's Kraus operators are B_i[j, :] = A_j[i, :], with Gram matrix
+    Phi(I)^T, so a unital channel's list is kept as it is.
     """
     phi = channel_profile(phi, tol).minimal
-    r, n = len(phi.kraus), phi.dim_in
-    # Choi of Psi, assembled from Psi(E_ab)[j,k] = (A_k^* A_j)[b, a]
-    gram = np.empty((r, r, n, n), dtype=complex)
-    for jj in range(r):
-        for kk in range(r):
-            gram[jj, kk] = dagger(phi.kraus[kk]) @ phi.kraus[jj]
-    jpsi = np.einsum("jkba->jakb", gram).reshape(r * n, r * n)
-    return minimal_kraus(ChoiMatrix(jpsi, n, r, tol), tol)
+    return minimize_kraus(KrausChannel(phi.stacked().transpose(1, 0, 2), tol), tol)
 
 
 def operator_system(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> OperatorSystemBasis:

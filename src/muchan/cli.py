@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gallery, io
 from .analysis import rank_bounds, schur_equivalence_check, verify_decomposition
-from .channels import channel_profile, choi_of, complementary
+from .channels import channel_profile, complementary, minimize_kraus
 from .constructive import zero_diagonal_unitary
 from .exceptions import FileFormatError, MuchanError, NumericalError, ValidationError
 from .search import SearchConfig, murank_search, search_isometry, traceless_image_basis
@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
     d = io.load_decomposition(args.decomposition, tol)
     res = verify_decomposition(phi, d, tol)
     _emit({"ok": res.ok, "choi_residual": res.choi_residual,
-           "terms": d.n_terms, "choi_rank": choi_of(phi, tol).rank(tol)})
+           "terms": d.n_terms, "choi_rank": len(minimize_kraus(phi, tol))})
     return EXIT_OK if res.ok else EXIT_NOT_FOUND
 
 

@@ -37,15 +37,18 @@ def _bad(msg: str, path: Optional[str] = None) -> FileFormatError:
     return FileFormatError(msg, path)
 
 
+def _entry(e) -> complex:
+    if not isinstance(e, list) or len(e) != 2:
+        raise TypeError(f"entry {e!r} is not a [re, im] pair")
+    return complex(float(e[0]), float(e[1]))
+
+
 def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     if not isinstance(lit, list) or not lit:
         raise _bad("matrix literal must be a nonempty list of rows", path)
     try:
-        rows = []
-        for row in lit:
-            rows.append([complex(float(e[0]), float(e[1])) for e in row])
-        m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        m = np.array([[_entry(e) for e in row] for row in lit], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise _bad(f"malformed matrix literal: {exc}", path) from exc
     if m.ndim != 2:
         raise _bad("matrix literal rows have inconsistent lengths", path)
@@ -59,8 +62,8 @@ def vector_to_literal(v) -> list:
 
 def vector_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     try:
-        return np.array([complex(float(e[0]), float(e[1])) for e in lit], dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        return np.array([_entry(e) for e in lit], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise _bad(f"malformed vector literal: {exc}", path) from exc
 
 

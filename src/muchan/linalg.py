@@ -7,8 +7,8 @@ Conventions fixed here and inherited by every other module:
   ``vec(A X B^T) = kron(A, B) @ vec(X)``.  Never mix with column stacking.
 * Numerical rank counts singular values above ``eps_rank`` times the
   largest one, for Hermitian inputs too (uniform behavior near defective
-  matrices); ``channels.minimal_kraus`` counts the Choi eigenvalue moduli
-  from its one ``eigh``, which are the singular values of the Hermitian J.
+  matrices); the Choi rank applies it to the eigenvalue moduli of one
+  ``eigh``, of the Kraus rows' Gram matrix (J itself for Choi input).
 * Random isometries are Haar distributed and reproducible: the RNG is
   numpy's ``default_rng`` (PCG64) and the QR phase ambiguity is fixed by
   making the triangular factor's diagonal real positive.

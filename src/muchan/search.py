@@ -35,7 +35,7 @@ from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
                        rank_bounds, verify_decomposition)
 from .channels import KrausChannel, channel_profile, complementary, minimize_kraus
 from .exceptions import NumericalError, ValidationError
-from .linalg import dagger, haar_isometry, unvec, vec
+from .linalg import dagger, haar_isometry
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -136,29 +136,26 @@ class MurankReport:
 def traceless_image_basis(psi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {Psi(X) : Tr X = 0} as an (m, r, r) array.
 
-    Every basis element is traceless because Psi preserves trace; the
-    count m is at most min(n^2 - 1, r^2).
+    ``vec(Psi(X)) = M vec(X)`` with ``M[(a, b), (c, d)] = sum_k B_k[a, c]
+    conj(B_k[b, d])`` for Psi's Kraus operators B_k.  One SVD of M's columns
+    at the off-diagonal units and of its adjacent diagonal-column
+    differences over sqrt(2) gives the basis: m counts singular values
+    above ``eps_rank`` times the largest, and is 0 if that is at most
+    ``eps_rank`` ||M|| (the trace map of a unitary channel).  Every basis
+    element is traceless because Psi preserves trace; m <= min(n^2 - 1, r^2).
     """
     n, r = psi.dim_in, psi.dim_out
-    mats = []
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                e = np.zeros((n, n), dtype=complex)
-                e[j, k] = 1
-                mats.append(e)
-    for l in range(n - 1):
-        e = np.zeros((n, n), dtype=complex)
-        e[l, l], e[l + 1, l + 1] = 1, -1
-        mats.append(e / np.sqrt(2))
-    if not mats:
-        return np.zeros((0, r, r), dtype=complex)
-    rows = np.array([vec(psi(x)) for x in mats])
+    kr = psi.stacked()
+    # cols[c * n + d] is M's column at E_cd
+    cols = np.einsum("kac,kbd->cdab", kr, kr.conj()).reshape(n * n, r * r)
+    diag = np.arange(n) * (n + 1)
+    off = np.setdiff1d(np.arange(n * n), diag)
+    rows = np.concatenate([cols[off], (cols[diag[:-1]] - cols[diag[1:]]) / np.sqrt(2)])
     _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0:
+    if not sv.size or sv[0] <= tol.eps_rank * np.linalg.norm(cols):
         return np.zeros((0, r, r), dtype=complex)
     keep = int(np.count_nonzero(sv > tol.eps_rank * sv[0]))
-    basis = np.array([unvec(vh[i], r, r) for i in range(keep)])
+    basis = vh[:keep].reshape(keep, r, r)
     worst = max((abs(np.trace(b)) for b in basis), default=0.0)
     if worst > max(tol.eps_eq, 1e-8):
         raise NumericalError(f"image basis not traceless: |Tr| = {worst:.3e}")

@@ -330,7 +330,7 @@ _ORACLE_CHANNELS = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_CHANNELS))
 def test_batched_commutator_matches_pairwise_oracle(name, chunk_bytes, monkeypatch):
     if chunk_bytes is not None:
-        monkeypatch.setattr(muchan.analysis, "_COMMUTATOR_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(muchan.analysis, "_CHUNK_BYTES", chunk_bytes)
     phi = _ORACLE_CHANNELS[name]()
     basis = operator_system(minimize_kraus(phi)).basis
     want = _pairwise_max_commutator(basis)

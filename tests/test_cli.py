@@ -160,6 +160,30 @@ def test_malformed_operators_field_is_format_error(tmp_path, capsys, command, op
     assert obj["error"]["path"] == str(p)
 
 
+@pytest.mark.parametrize("entry", [{"0": 1}, [1, 0, 7]], ids=["object", "three_numbers"])
+@pytest.mark.parametrize("command", ["analyze", "zero-diag"])
+def test_malformed_matrix_entry_is_format_error(tmp_path, capsys, command, entry):
+    # every entry must be a two-element [re, im] list; an object used to
+    # escape as a KeyError and a third number used to be dropped
+    p = tmp_path / "bad.json"
+    if command == "analyze":
+        obj = {"format": "muchan/1", "kind": "kraus", "dim_in": 1, "dim_out": 1,
+               "operators": [[[entry]]]}
+    else:
+        obj = {"format": "muchan/1", "kind": "matrix", "dim": 1, "matrix": [[entry]]}
+    p.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, command, str(p))
+    assert code == 2
+    assert out["error"]["code"] == "format"
+    assert out["error"]["path"] == str(p)
+
+
+@pytest.mark.parametrize("entry", [{"0": 1}, [1, 0, 7], "12", 5])
+def test_vector_literal_requires_pairs(entry):
+    with pytest.raises(muchan.FileFormatError):
+        io.vector_from_literal([[1.0, 0.0], entry])
+
+
 def test_cli_imports_no_private_names():
     import ast
     tree = ast.parse(open(muchan.cli.__file__, encoding="utf-8").read())
@@ -199,6 +223,28 @@ def test_verify_wrong_decomposition_exits_3(tmp_path, capsys):
     code, obj = run_cli(capsys, "verify", str(cpath), str(dpath))
     assert code == 3
     assert obj["ok"] is False
+
+
+@pytest.mark.parametrize("e", [0.8e-9, 1e-9, 1.2e-9])
+def test_verify_choi_rank_is_analyze_r(tmp_path, capsys, e):
+    # X -> (1-e) X + e Z X Z sits at the rank cutoff; verify must count its
+    # Choi rank by the rule analyze uses for r.  The two-term decomposition
+    # (diag(e^{it}, e^{-it}) at weight 1/2 each, sin^2 t = e) keeps both
+    # weights above the drop threshold.
+    z = np.diag([1.0, -1.0]).astype(complex)
+    phi = muchan.KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z])
+    t = np.arcsin(np.sqrt(e))
+    d = muchan.MixedUnitaryDecomposition(
+        [0.5, 0.5], [np.diag([np.exp(1j * t), np.exp(-1j * t)]),
+                     np.diag([np.exp(-1j * t), np.exp(1j * t)])])
+    cpath, dpath = tmp_path / "c.json", tmp_path / "d.json"
+    io.save(phi, str(cpath))
+    io.save(d, str(dpath))
+    code, verified = run_cli(capsys, "verify", str(cpath), str(dpath))
+    assert code == 0 and verified["ok"] is True
+    code, analyzed = run_cli(capsys, "analyze", str(cpath))
+    assert code == 0
+    assert verified["choi_rank"] == analyzed["r"]
 
 
 def test_search_fixed_n(tmp_path, capsys):

@@ -153,6 +153,17 @@ def test_mub3_gap_certificate():
     assert (cert.choi_rank, cert.mu_rank) == (4, 6)
 
 
+def test_mub5_gap_certificate():
+    # the paper's headline ranks (d + 1, 2d) at d = 5, on C^25
+    from muchan import certified_gap_rank, direct_sum, identity_channel, schur_channel
+    phi = schur_channel(mub_correlation(5).matrix)
+    cert = certified_gap_rank(phi, 1)
+    assert (cert.choi_rank, cert.mu_rank) == (6, 10)
+    assert cert.decomposition.n_terms == 10
+    res = verify_decomposition(direct_sum(phi, identity_channel(1)), cert.decomposition)
+    assert res.ok and res.choi_residual <= 1e-10
+
+
 # ------------------------------------------------- Hermitian basis, matchings
 
 def test_hermitian_basis_m2_entry():

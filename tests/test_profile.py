@@ -26,10 +26,11 @@ def test_profile_reads_r_and_s():
 
 
 def test_profile_minimizes_once(count_calls):
-    decisions = count_calls(muchan.channels, "_is_minimal")
+    c = _counters(count_calls)
     phi = _doubled_weyl3()
     p = channel_profile(phi)
-    assert len(decisions) == 1
+    assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
+                          "choi": 0, "choi_kraus": 0}
     assert len(phi) == 6 and len(p.minimal) == p.r == 3 == choi_of(phi).rank()
     assert p.s == 7
 
@@ -92,12 +93,16 @@ def test_certified_gap_rank_accepts_profile():
 
 
 # ------------------------------------------------------ per-call counts
+# Every Kraus-input path decides r with minimize_kraus (one Gram eigh) and
+# never builds a Choi matrix: choi_of and minimal_kraus are for Choi input.
+# complementary makes one minimize_kraus call on its n-term list.
 
 def _counters(count_calls):
-    return {"minimal": count_calls(muchan.channels, "_is_minimal"),
+    return {"minimize": count_calls(muchan.channels, "minimize_kraus"),
             "system": count_calls(muchan.channels, "_operator_system"),
             "complementary": count_calls(muchan.channels, "complementary"),
-            "choi": count_calls(muchan.channels, "choi_of")}
+            "choi": count_calls(muchan.channels, "choi_of"),
+            "choi_kraus": count_calls(muchan.channels, "minimal_kraus")}
 
 
 def _counts(counters):
@@ -105,34 +110,37 @@ def _counts(counters):
 
 
 def test_murank_search_counts(count_calls):
+    # profile, complementary's list, decomposition_from_isometry
     c = _counters(count_calls)
     murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
-    got = _counts(c)
-    assert got["minimal"] <= 3
-    assert (got["system"], got["complementary"]) == (1, 1)
+    assert _counts(c) == {"minimize": 3, "system": 1, "complementary": 1,
+                          "choi": 0, "choi_kraus": 0}
 
 
 def test_decompose_low_dim_counts(count_calls):
     c = _counters(count_calls)
     decompose_low_dim(random_unital_rank2(3, seed=1))
-    assert _counts(c) == {"minimal": 1, "system": 1, "complementary": 1, "choi": 0}
+    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+                          "choi": 0, "choi_kraus": 0}
 
 
 def test_certified_gap_rank_counts_low_dim(count_calls):
+    # profile, complementary's list, the direct sum's Choi rank
     c = _counters(count_calls)
     certified_gap_rank(random_unital_rank2(3, seed=2), 1)
-    got = _counts(c)
-    assert (got["minimal"], got["system"], got["choi"]) == (2, 1, 2)
+    assert _counts(c) == {"minimize": 3, "system": 1, "complementary": 1,
+                          "choi": 0, "choi_kraus": 0}
 
 
 def test_certified_gap_rank_counts_weyl(count_calls):
     c = _counters(count_calls)
     certified_gap_rank(weyl_channel(5), 1)
-    assert _counts(c)["choi"] == 2
+    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 0,
+                          "choi": 0, "choi_kraus": 0}
 
 
 def test_toroidal_decompose_small_counts(count_calls):
     c = _counters(count_calls)
     toroidal_decompose_small(corr_B3())
-    assert _counts(c)["minimal"] == 1
-
+    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+                          "choi": 0, "choi_kraus": 0}

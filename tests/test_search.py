@@ -32,6 +32,18 @@ def test_image_basis_unitary_channel_empty():
     assert basis.shape[0] == 0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_image_basis_haar_unitary_channel_empty(seed):
+    # Psi is the trace map up to roundoff: its traceless image is zero, not
+    # the roundoff left in it, and the scan finds N = 1
+    from muchan import KrausChannel, haar_unitary
+    phi = KrausChannel([haar_unitary(3, seed)])
+    assert _basis_of(phi).shape == (0, 1, 1)
+    rep = murank_search(phi, SearchConfig(restarts=2))
+    assert rep.n_found == 1
+    assert verify_decomposition(phi, rep.decomposition).choi_residual <= 1e-12
+
+
 def test_image_basis_weyl3():
     # rank oracle: the traceless Hermitian inputs map onto an (s-1)-dim space
     basis = _basis_of(weyl_channel(3))

@@ -244,36 +244,22 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     return profile.s == r * r - r + 1
 
 
-def _proportional_unitary_decomposition(phi: KrausChannel, tol: Tolerance):
-    """If every Kraus operator is a scalar multiple of a unitary, return the
-    induced decomposition (keeps the supplied phases); else None."""
-    n = phi.dim_in
-    probs, us = [], []
-    for a in phi.kraus:
-        p = float(np.linalg.norm(a) ** 2 / n)
-        if p <= tol.eps_eq:
-            return None
-        u = a / np.sqrt(p)
-        if unitarity_defect(u) > tol.eps_eq * max(1.0, np.sqrt(n)):
-            return None
-        probs.append(p)
-        us.append(u)
-    if abs(sum(probs) - 1.0) > max(tol.eps_eq, len(probs) * 1e-15):
-        return None
-    return MixedUnitaryDecomposition(probs, us, tol)
-
-
 def _rank_r_decomposition(profile: ChannelProfile, tol: Tolerance,
                           search_config=None) -> MixedUnitaryDecomposition:
-    """An r-term mixed-unitary decomposition of a channel whose profile
-    certifies mixed-unitary rank r."""
-    direct = _proportional_unitary_decomposition(profile.minimal, tol)
-    if direct is not None:
+    """An r-term decomposition for a profile that certifies mixed-unitary
+    rank r: the minimal list itself if it reads as r unitaries (V = I),
+    else the s <= 3 construction or the isometry search."""
+    from .search import (SearchConfig, decomposition_from_isometry, search_isometry,
+                         traceless_image_basis)
+    try:
+        direct = decomposition_from_isometry(profile.minimal, np.eye(profile.r), tol)
+    except NumericalError:
+        direct = None
+    if direct is not None and direct.n_terms == profile.r:
         return direct
     if profile.s <= 3:
         from .constructive import decompose_low_dim
         return decompose_low_dim(profile, tol)
-    from .search import SearchConfig, search_isometry, traceless_image_basis
     cfg = search_config or SearchConfig()
     basis = traceless_image_basis(complementary(profile, tol), tol)
     result = search_isometry(basis, profile.r, cfg, channel=profile.minimal, tol=tol)
@@ -307,9 +293,6 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
         raise ValidationError(
             "refusal: hypothesis s = r^2 - r + 1 (unique mixed-unitary "
             "decomposition) fails")
-    if _bounds(r, s).exact != r:
-        raise ValidationError(
-            "refusal: hypothesis mixed-unitary rank = Choi rank is not certified")
     base = _rank_r_decomposition(profile, tol, search_config)
     check = verify_decomposition(profile.minimal, base, tol)
     if not check.ok:

@@ -111,24 +111,23 @@ class ChoiMatrix:
     __slots__ = ("matrix", "dim_in", "dim_out")
 
     def __init__(self, matrix, dim_in: int, dim_out: int,
-                 tol: Tolerance = DEFAULT_TOL, *, _validate=True):
+                 tol: Tolerance = DEFAULT_TOL):
         m = as_matrix(matrix, "Choi matrix")
         if m.shape != (dim_in * dim_out, dim_in * dim_out):
             raise ValidationError(
                 f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")
-        if _validate:
-            scale = max(1.0, float(np.linalg.norm(m)))
-            if np.linalg.norm(m - dagger(m)) > tol.eps_eq * scale:
-                raise ValidationError("Choi matrix is not Hermitian within tolerance")
-            w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-            wmax = max(float(w[-1]), 0.0)
-            if w[0] < -tol.eps_rank * max(wmax, 1e-300):
-                raise ValidationError(
-                    f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-            pt = partial_trace_output(m, dim_out, dim_in)
-            if np.linalg.norm(pt - np.eye(dim_in)) > tol.eps_eq * max(1.0, np.sqrt(dim_in)):
-                raise ValidationError(
-                    "partial trace over the output factor is not the identity")
+        scale = max(1.0, float(np.linalg.norm(m)))
+        if np.linalg.norm(m - dagger(m)) > tol.eps_eq * scale:
+            raise ValidationError("Choi matrix is not Hermitian within tolerance")
+        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+        wmax = max(float(w[-1]), 0.0)
+        if w[0] < -tol.eps_rank * max(wmax, 1e-300):
+            raise ValidationError(
+                f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
+        pt = partial_trace_output(m, dim_out, dim_in)
+        if np.linalg.norm(pt - np.eye(dim_in)) > tol.eps_eq * max(1.0, np.sqrt(dim_in)):
+            raise ValidationError(
+                "partial trace over the output factor is not the identity")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim_in", dim_in)
@@ -136,10 +135,6 @@ class ChoiMatrix:
 
     def __setattr__(self, *_):
         raise AttributeError("ChoiMatrix is immutable")
-
-    @classmethod
-    def unchecked(cls, matrix, dim_in: int, dim_out: int) -> "ChoiMatrix":
-        return cls(matrix, dim_in, dim_out, _validate=False)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return numerical_rank(self.matrix, tol)

@@ -20,6 +20,7 @@ from .analysis import MixedUnitaryDecomposition, _require_unital_square
 from .channels import KrausChannel, channel_profile, complementary, schur_channel
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix, dagger, vec, unvec
+from .search import decomposition_from_isometry
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -32,8 +33,7 @@ class ToroidalDecomposition:
 
     __slots__ = ("dim", "probs", "vectors")
 
-    def __init__(self, probs, vectors, tol: Tolerance = DEFAULT_TOL, *,
-                 _validate=True):
+    def __init__(self, probs, vectors, tol: Tolerance = DEFAULT_TOL):
         p = np.asarray(probs, dtype=float)
         vs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors)
         if p.ndim != 1 or p.size != len(vs) or p.size == 0:
@@ -41,14 +41,13 @@ class ToroidalDecomposition:
         n = vs[0].size
         if any(v.size != n for v in vs):
             raise ValidationError("all vectors must share one length")
-        if _validate:
-            if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > max(tol.eps_eq, 1e-12):
-                raise ValidationError("weights must be a probability vector")
-            for i, v in enumerate(vs):
-                dev = float(np.max(np.abs(np.abs(v) - 1.0)))
-                if dev > max(tol.eps_eq, 1e-8):
-                    raise ValidationError(
-                        f"vector {i} is not unimodular: max deviation {dev:.3e}")
+        if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > max(tol.eps_eq, 1e-12):
+            raise ValidationError("weights must be a probability vector")
+        for i, v in enumerate(vs):
+            dev = float(np.max(np.abs(np.abs(v) - 1.0)))
+            if dev > max(tol.eps_eq, 1e-8):
+                raise ValidationError(
+                    f"vector {i} is not unimodular: max deviation {dev:.3e}")
         p.setflags(write=False)
         for v in vs:
             v.setflags(write=False)
@@ -197,10 +196,12 @@ def _zero_diag_recurse(z: np.ndarray) -> np.ndarray:
     return u @ dagger(q)
 
 
-def _traceless_hermitian_directions(basis, n: int, tol: Tolerance):
-    """Split an operator-system basis into at most two orthonormal traceless
-    Hermitian directions (plus the identity), via an isometric real
-    embedding so the principal directions stay Hermitian."""
+def _traceless_hermitian_directions(basis, n: int, k: int):
+    """The k leading orthonormal traceless Hermitian directions of an
+    operator-system basis (k = s - 1 spans them with the identity), via an
+    isometric real embedding so the principal directions stay Hermitian."""
+    if k == 0:
+        return []
     eye = np.eye(n, dtype=complex)
     cands = []
     for b in basis:
@@ -208,22 +209,9 @@ def _traceless_hermitian_directions(basis, n: int, tol: Tolerance):
         for h in ((c + dagger(c)) / 2, (c - dagger(c)) / 2j):
             if np.linalg.norm(h) > 1e-13:
                 cands.append(h)
-    if not cands:
-        return []
     x = np.array([np.concatenate([vec(h).real, vec(h).imag]) for h in cands])
-    _, sv, vh = np.linalg.svd(x, full_matrices=False)
-    if sv[0] <= 1e-13:
-        return []
-    keep = [i for i in range(sv.size) if sv[i] > tol.eps_rank * sv[0]]
-    if len(keep) > 2:
-        raise ValidationError(
-            f"operator system has {len(keep)} traceless directions; "
-            "the low-dimension construction needs at most 2")
-    dirs = []
-    for i in keep:
-        w = vh[i]
-        dirs.append(unvec(w[:n * n] + 1j * w[n * n:], n, n))
-    return dirs
+    vh = np.linalg.svd(x, full_matrices=False)[2]
+    return [unvec(w[:n * n] + 1j * w[n * n:], n, n) for w in vh[:k]]
 
 
 def decompose_low_dim(phi: KrausChannel,
@@ -231,11 +219,13 @@ def decompose_low_dim(phi: KrausChannel,
     """Mixed-unitary decomposition with N = Choi rank, for s <= 3.
 
     Steps: build the complementary channel Psi of the profile's minimal list;
-    extract traceless Hermitian H, K spanning the operator system together
-    with the identity (K = 0 when s <= 2, H = K = 0 when s = 1); rotate
-    Psi(H) + i Psi(K) to vanishing diagonal by a unitary U; remix the
-    Kraus list by U rows; each remixed operator is then a scalar multiple
-    of a unitary, giving the weights and unitaries directly.
+    take the s - 1 traceless Hermitian directions H, K that span the
+    operator system with the identity (K = 0 when s <= 2, H = K = 0 when
+    s = 1); rotate Psi(H) + i Psi(K) to vanishing diagonal by a unitary U;
+    read the decomposition with U as the remixing isometry
+    (:func:`~muchan.search.decomposition_from_isometry`), which must keep
+    all r terms or :class:`NumericalError` is raised; make each unitary's
+    first nonzero entry real positive.
     """
     profile = channel_profile(phi, tol)
     phi = profile.minimal
@@ -245,26 +235,16 @@ def decompose_low_dim(phi: KrausChannel,
         raise ValidationError(
             f"refusal: operator system has dimension {profile.s} > 3")
     psi = complementary(profile, tol)
-    dirs = _traceless_hermitian_directions(profile.system.basis, n, tol)
+    dirs = _traceless_hermitian_directions(profile.system.basis, n, profile.s - 1)
     zmat = np.zeros((r, r), dtype=complex)
-    if len(dirs) >= 1:
-        zmat = zmat + psi(dirs[0])
-    if len(dirs) >= 2:
-        zmat = zmat + 1j * psi(dirs[1])
-    u = zero_diagonal_unitary(zmat, tol)
-    remixed = [sum(u[k, j] * phi.kraus[j] for j in range(r)) for k in range(r)]
-    probs, us = [], []
-    for k, b in enumerate(remixed):
-        p = float(np.linalg.norm(b) ** 2 / n)
-        uk = b / np.sqrt(p)
-        defect = np.linalg.norm(dagger(uk) @ uk - np.eye(n))
-        if defect > 1e-8 * max(1.0, np.sqrt(n)):
-            raise NumericalError(
-                f"remixed Kraus operator {k} is not unitary: defect {defect:.3e}")
-        uk = _phase_fix_first_entry(uk)
-        probs.append(p)
-        us.append(uk)
-    return MixedUnitaryDecomposition(probs, us, tol)
+    for coeff, h in zip((1, 1j), dirs):
+        zmat = zmat + coeff * psi(h)
+    d = decomposition_from_isometry(phi, zero_diagonal_unitary(zmat, tol), tol)
+    if d.n_terms < r:
+        raise NumericalError(
+            f"low-dimension construction kept {d.n_terms} of {r} terms (weight <= eps_eq)")
+    return MixedUnitaryDecomposition(
+        d.probs, [_phase_fix_first_entry(u) for u in d.unitaries], tol)
 
 
 def _phase_fix_first_entry(u: np.ndarray) -> np.ndarray:

@@ -302,6 +302,20 @@ def wh_channels(n: int, tol: Tolerance = DEFAULT_TOL) -> WernerHolevoPair:
     return WernerHolevoPair(phi0=phi0, phi1=phi1)
 
 
+def _matching_unitaries(fac: OneFactorization, element) -> list:
+    """sqrt(2) sum_b zeta^{2ab} element(pair_b) over the pairs pair_b of each
+    matching of ``fac``, for a = 1..n/2, with zeta = exp(2 pi i / n)."""
+    zeta = np.exp(2j * np.pi / fac.n)
+    half = fac.n // 2
+    us = []
+    for pairs in fac.matchings:
+        fs = [element(pair) for pair in pairs]
+        for a in range(1, half + 1):
+            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
+                                       for bb in range(1, half + 1)))
+    return us
+
+
 def wh_antisym_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
     """Minimal decomposition of the anti-symmetric channel, even n.
 
@@ -313,14 +327,7 @@ def wh_antisym_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnita
         raise ValidationError("refusal: the anti-symmetric Werner-Holevo "
                               "channel is not mixed unitary for odd n")
     basis = hermitian_basis(n)
-    fac = one_factorization(n)
-    zeta = np.exp(2j * np.pi / n)
-    us = []
-    for pairs in fac.matchings:
-        fs = [basis[(max(a, b), min(a, b))] for (a, b) in pairs]  # j > k: skew
-        for a in range(1, n // 2 + 1):
-            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
-                                       for bb in range(1, n // 2 + 1)))
+    us = _matching_unitaries(one_factorization(n), lambda pair: basis[pair[::-1]])  # skew
     count = n * (n - 1) // 2
     return MixedUnitaryDecomposition([1 / count] * count, us, tol)
 
@@ -335,14 +342,8 @@ def wh_sym_even_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnit
     if n % 2 != 0:
         raise ValidationError("refusal: even n only; use the odd construction")
     basis = hermitian_basis(n)
-    fac = one_factorization(n)
+    us = _matching_unitaries(one_factorization(n), basis.__getitem__)  # symmetric
     zeta = np.exp(2j * np.pi / n)
-    us = []
-    for pairs in fac.matchings:
-        fs = [basis[(min(a, b), max(a, b))] for (a, b) in pairs]  # j < k: symmetric
-        for a in range(1, n // 2 + 1):
-            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
-                                       for bb in range(1, n // 2 + 1)))
     for j in range(1, n + 1):
         us.append(sum(zeta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
     count = n * (n + 1) // 2
@@ -360,23 +361,14 @@ def wh_sym_odd_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnita
     if n % 2 != 1 or n < 3:
         raise ValidationError("refusal: odd n >= 3 only; use the even construction")
     basis = hermitian_basis(n)
-    fac = one_factorization(n + 1)
-    zeta = np.exp(2j * np.pi / (n + 1))
+
+    def element(pair):  # vertex 0 stands for half-weight diagonal matrices
+        lo, hi = pair[0] - 1, pair[1] - 1
+        return basis[(hi, hi)] / np.sqrt(2) if lo < 0 else basis[(lo, hi)]
+
+    us = _matching_unitaries(one_factorization(n + 1), element)
+    ps = [2 / (n + 1) ** 2] * len(us)
     eta = np.exp(2j * np.pi / n)
-    half = (n + 1) // 2
-    us, ps = [], []
-    for pairs in fac.matchings:
-        fs = []
-        for (a, b) in pairs:
-            lo, hi = min(a, b), max(a, b)
-            if lo == 0:
-                fs.append(basis[(hi - 1, hi - 1)] / np.sqrt(2))
-            else:
-                fs.append(basis[(lo - 1, hi - 1)])
-        for a in range(1, half + 1):
-            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
-                                       for bb in range(1, half + 1)))
-            ps.append(2 / (n + 1) ** 2)
     for j in range(1, n + 1):
         us.append(sum(eta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
         ps.append(1 / (n * (n + 1)))

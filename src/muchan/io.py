@@ -37,10 +37,17 @@ def _bad(msg: str, path: Optional[str] = None) -> FileFormatError:
     return FileFormatError(msg, path)
 
 
+def _number(x) -> float:
+    if type(x) not in (int, float):  # type(), not isinstance(): a bool is refused
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _entry(e) -> complex:
-    if not isinstance(e, list) or len(e) != 2:
-        raise TypeError(f"entry {e!r} is not a [re, im] pair")
-    return complex(float(e[0]), float(e[1]))
+    if type(e) is not list or len(e) != 2 or not (
+            type(e[0]) in (int, float) and type(e[1]) in (int, float)):
+        raise TypeError(f"entry {e!r} is not a [re, im] pair of numbers")
+    return complex(e[0], e[1])
 
 
 def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
@@ -48,7 +55,7 @@ def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
         raise _bad("matrix literal must be a nonempty list of rows", path)
     try:
         m = np.array([[_entry(e) for e in row] for row in lit], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _bad(f"malformed matrix literal: {exc}", path) from exc
     if m.ndim != 2:
         raise _bad("matrix literal rows have inconsistent lengths", path)
@@ -63,7 +70,7 @@ def vector_to_literal(v) -> list:
 def vector_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     try:
         return np.array([_entry(e) for e in lit], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _bad(f"malformed vector literal: {exc}", path) from exc
 
 
@@ -112,12 +119,8 @@ def decomposition_to_obj(d: MixedUnitaryDecomposition) -> dict:
 
 def decomposition_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                            path: Optional[str] = None) -> MixedUnitaryDecomposition:
-    try:
-        probs = [float(p) for p in obj["probs"]]
-        us = [matrix_from_literal(u, path) for u in obj["unitaries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _bad(f"malformed decomposition: {exc}", path) from exc
-    return MixedUnitaryDecomposition(probs, us, tol)
+    return _terms_from_obj(obj, "unitaries", matrix_from_literal,
+                           MixedUnitaryDecomposition, tol, path)
 
 
 def toroidal_to_obj(t: ToroidalDecomposition) -> dict:
@@ -132,12 +135,24 @@ def toroidal_to_obj(t: ToroidalDecomposition) -> dict:
 
 def toroidal_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                       path: Optional[str] = None) -> ToroidalDecomposition:
+    return _terms_from_obj(obj, "vectors", vector_from_literal,
+                           ToroidalDecomposition, tol, path)
+
+
+def _terms_from_obj(obj: dict, key: str, read, cls, tol: Tolerance, path: Optional[str]):
+    """A ``cls`` decomposition from its weights (a list of numbers) and the
+    terms under ``key``; its dimension must be the declared ``dim``."""
     try:
-        probs = [float(p) for p in obj["probs"]]
-        vs = [vector_from_literal(v, path) for v in obj["vectors"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _bad(f"malformed toroidal decomposition: {exc}", path) from exc
-    return ToroidalDecomposition(probs, vs, tol)
+        if not isinstance(obj["probs"], list):
+            raise TypeError("probs must be a list")
+        probs = [_number(p) for p in obj["probs"]]
+        terms = [read(t, path) for t in obj[key]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _bad(f"malformed {cls.__name__}: {exc}", path) from exc
+    d = cls(probs, terms, tol)
+    if d.dim != obj.get("dim"):
+        raise _bad("declared dimension disagrees with the contents", path)
+    return d
 
 
 def to_obj(thing) -> dict:
@@ -170,7 +185,7 @@ def load(path: str, tol: Tolerance = DEFAULT_TOL):
             obj = json.load(fh)
     except OSError as exc:
         raise _bad(f"cannot read file: {exc}", path) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, huge ints, deep nesting
         raise _bad(f"not valid JSON: {exc}", path) from exc
     if not isinstance(obj, dict) or obj.get("format") != FORMAT:
         raise _bad(f"missing or unsupported format version "

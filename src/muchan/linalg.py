@@ -23,7 +23,7 @@ from .tolerances import DEFAULT_TOL, Tolerance
 __all__ = [
     "as_matrix", "vec", "unvec", "dagger", "frob_inner", "numerical_rank",
     "haar_isometry", "haar_unitary", "kron", "schur_product", "dirsum",
-    "is_unitary", "unitarity_defect",
+    "unitarity_defect",
 ]
 
 
@@ -128,9 +128,3 @@ def unitarity_defect(u) -> float:
     n = u.shape[1]
     return float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
 
-
-def is_unitary(u, tol: Tolerance = DEFAULT_TOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return unitarity_defect(u) <= tol.eps_eq * max(1.0, np.sqrt(u.shape[0]))

@@ -33,9 +33,9 @@ import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
                        rank_bounds, verify_decomposition)
-from .channels import KrausChannel, channel_profile, complementary, minimize_kraus
+from .channels import KrausChannel, channel_profile, complementary
 from .exceptions import NumericalError, ValidationError
-from .linalg import dagger, haar_isometry
+from .linalg import dagger, haar_isometry, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -282,9 +282,10 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     """Search for an N x r isometry zeroing all conjugated diagonals.
 
     ``status="found"`` requires the best objective to reach
-    ``cfg.objective_tol``; when the minimal ``channel`` is supplied, the
-    induced decomposition must additionally pass verification (unitarity
-    within 1e-6, Choi residual within 1e-8), and is returned.  Restarts
+    ``cfg.objective_tol``; when ``channel``, the minimal Kraus list the
+    basis was built from, is supplied, the decomposition read from the best
+    isometry (unitarity within ``UNITARITY_SLACK`` = 1e-6) must also pass
+    verification (Choi residual within 1e-8), and is returned.  Restarts
     run in index-ordered lockstep blocks of at most ``_BLOCK``; the next
     block starts only while nothing has succeeded.  The restart log holds
     each finished restart's final objective up to the first success; when
@@ -326,9 +327,10 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     decomposition = None
     if status == "found" and channel is not None:
         try:
-            decomposition = decomposition_from_isometry(channel, best_v, tol)
+            decomposition = decomposition_from_isometry(channel, best_v, Tolerance(
+                eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK)))
         except NumericalError:
-            decomposition = None
+            pass
         if decomposition is not None:
             check = verify_decomposition(channel, decomposition, tol)
             if check.choi_residual > DECOMP_RESIDUAL:
@@ -345,39 +347,36 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
 
 def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
                                 tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
-    """Mixed-unitary decomposition induced by a found isometry.
+    """Mixed-unitary decomposition read from an N x r isometry V that
+    remixes the minimal Kraus list A_1..A_r (a longer list fails the column
+    count) into C_j = sum_k V(j, k) A_k, with weights p_j = ||C_j||^2 / n.
 
-    The remixed Kraus operators C_j = sum_k V(j, k) A_k must each be a
-    scalar multiple of a unitary; terms with negligible weight are
-    dropped.  A retained operator whose unitarity defect exceeds 1e-6
-    raises :class:`NumericalError` with the offending index.
+    Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
+    must have unitarity defect ||U*U - I|| at most ``eps_eq`` (unscaled:
+    1e-9 at the default ``tol``; the search passes 1e-6) or
+    :class:`NumericalError` names j.  The weights are renormalized.  The
+    direct (V = I), low-dimension and search decompositions all come from here.
     """
-    phi_minimal = minimize_kraus(phi_minimal, tol)
     v = np.asarray(v, dtype=complex)
     r, n = len(phi_minimal.kraus), phi_minimal.dim_in
     if v.ndim != 2 or v.shape[1] != r:
         raise ValidationError(f"isometry must have {r} columns, got {v.shape}")
     if np.linalg.norm(dagger(v) @ v - np.eye(r)) > tol.eps_eq * max(1.0, np.sqrt(r)):
         raise ValidationError("matrix is not an isometry within tolerance")
-    stacked = phi_minimal.stacked()
     probs, us = [], []
-    for j in range(v.shape[0]):
-        c = np.tensordot(v[j], stacked, axes=(0, 0))
+    for j, c in enumerate(np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))):
         p = float(np.linalg.norm(c) ** 2 / n)
         if p <= tol.eps_eq:
             continue
         u = c / np.sqrt(p)
-        defect = float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
-        if defect > UNITARITY_SLACK:
+        defect = unitarity_defect(u)
+        if defect > tol.eps_eq:
             raise NumericalError(
                 f"remixed operator {j} is not unitary: defect {defect:.3e}")
         probs.append(p)
         us.append(u)
-    # isometry mixing preserves total weight; renormalize roundoff only
     total = sum(probs)
-    probs = [p / total for p in probs]
-    return MixedUnitaryDecomposition(probs, us, Tolerance(
-        eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK)))
+    return MixedUnitaryDecomposition([p / total for p in probs], us, tol)
 
 
 def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),

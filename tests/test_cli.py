@@ -1,17 +1,23 @@
+import contextlib
+import copy
+import io as io_
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import muchan
 import muchan.cli
 from muchan import io
 from muchan.cli import main
-from muchan.gallery import (corr_B3, gap_channel, weyl_channel,
-                            wh_sym3_decomposition)
+from muchan.channels import identity_channel
+from muchan.gallery import (corr_B3, gap_channel, toroidal_CtensorI2, weyl_channel,
+                            wh_channels, wh_sym3_decomposition)
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +188,127 @@ def test_malformed_matrix_entry_is_format_error(tmp_path, capsys, command, entry
 def test_vector_literal_requires_pairs(entry):
     with pytest.raises(muchan.FileFormatError):
         io.vector_from_literal([[1.0, 0.0], entry])
+
+
+_ID2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def _decomposition_obj(**fields):
+    obj = {"format": "muchan/1", "kind": "mixed-unitary", "dim": 2, "probs": [1.0],
+           "unitaries": [_ID2]}
+    return json.dumps(dict(obj, **fields))
+
+
+def _matrix_text(entry_text):
+    return ('{"format": "muchan/1", "kind": "matrix", "dim": 1, "matrix": [[['
+            + entry_text + ', 0]]]}')
+
+
+def _channel_text(entry_text):
+    return ('{"format": "muchan/1", "kind": "kraus", "dim_in": 1, "dim_out": 1, '
+            '"operators": [[[[' + entry_text + ', 0]]]]}')
+
+
+_MALFORMED = {
+    # (command, contents of the file under test)
+    "not_utf8": ("analyze", b"\xff\xfe"),
+    "not_utf8_matrix": ("zero-diag", b"\xff\xfe"),
+    "deep_nesting": ("analyze", "[" * 100000),
+    "int_digit_limit": ("zero-diag", _matrix_text("1" * 5000)),
+    "float_overflow_matrix": ("zero-diag", _matrix_text("9" * 400)),
+    "float_overflow_channel": ("analyze", _channel_text("9" * 400)),
+    "string_entry": ("analyze", _channel_text('"1"')),
+    "bool_entry": ("zero-diag", _matrix_text("true")),
+    "probs_object": ("verify", _decomposition_obj(probs={"1": 2})),
+    "probs_string": ("verify", _decomposition_obj(probs="1")),
+    "probs_bool": ("verify", _decomposition_obj(probs=[True])),
+    "probs_string_entry": ("verify", _decomposition_obj(probs=["1"])),
+    "probs_overflow": ("verify", _decomposition_obj(probs=[10 ** 400])),
+    "unitaries_object": ("verify", _decomposition_obj(unitaries={"a": _ID2})),
+    "declared_dim": ("verify", _decomposition_obj(dim=7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_file_is_format_error(tmp_path, capsys, case):
+    command, contents = _MALFORMED[case]
+    p = tmp_path / "bad.json"
+    if isinstance(contents, bytes):
+        p.write_bytes(contents)
+    else:
+        p.write_text(contents, encoding="utf-8")
+    if command == "verify":
+        channel = tmp_path / "id2.json"
+        io.save(identity_channel(2), str(channel))
+        argv = [command, str(channel), str(p)]
+    else:
+        argv = [command, str(p)]
+    code, out = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == 2
+    assert out["error"]["code"] == "format"
+    assert out["error"]["path"] == str(p)
+
+
+def test_toroidal_declared_dim_must_match(tmp_path):
+    p = tmp_path / "t.json"
+    obj = io.toroidal_to_obj(toroidal_CtensorI2())
+    p.write_text(json.dumps(dict(obj, dim=obj["dim"] + 1)))
+    with pytest.raises(muchan.FileFormatError):
+        io.load(str(p))
+
+
+def _json_slots(node, out):
+    """Every (container, key) below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        out.append((node, key))
+        _json_slots(child, out)
+    return out
+
+
+def _mutate(text: str, data) -> bytes:
+    raw = text.encode("utf-8")
+    how = data.draw(st.sampled_from(["flip", "truncate", "swap"]))
+    if how == "flip":
+        i = data.draw(st.integers(0, len(raw) - 1))
+        b = data.draw(st.integers(0, 255))
+        return raw[:i] + bytes([b]) + raw[i + 1:]
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    obj = json.loads(text)
+    slots = _json_slots(obj, [])
+    (ca, ka), (cb, kb) = (slots[data.draw(st.integers(0, len(slots) - 1))]
+                          for _ in range(2))
+    va, vb = copy.deepcopy(ca[ka]), copy.deepcopy(cb[kb])
+    ca[ka], cb[kb] = vb, va
+    return json.dumps(obj).encode("utf-8")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(["channel", "decomposition"]), st.data())
+def test_fuzzed_files_never_raise(which, data):
+    # byte flips, truncations and swapped JSON values of saved files: the
+    # CLI answers with one JSON object and an exit code, never a traceback
+    texts = {"channel": io.dumps(wh_channels(3).phi0),
+             "decomposition": io.dumps(wh_sym3_decomposition())}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            contents = _mutate(text, data) if name == which else text.encode("utf-8")
+            with open(paths[name], "wb") as fh:
+                fh.write(contents)
+        argvs = [["verify", paths["channel"], paths["decomposition"]]]
+        if which == "channel":
+            argvs.append(["analyze", paths["channel"]])
+        for argv in argvs:
+            buf = io_.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            lines = buf.getvalue().splitlines()
+            assert code in (0, 2, 3, 4)
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
 def test_cli_imports_no_private_names():

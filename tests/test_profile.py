@@ -5,6 +5,7 @@ import pytest
 
 import muchan
 import muchan.channels
+import muchan.search
 from muchan import (ChannelProfile, KrausChannel, SearchConfig, Tolerance,
                     ValidationError, certified_gap_rank, channel_profile,
                     choi_of, complementary, decompose_low_dim, murank_search,
@@ -30,7 +31,7 @@ def test_profile_minimizes_once(count_calls):
     phi = _doubled_weyl3()
     p = channel_profile(phi)
     assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
-                          "choi": 0, "choi_kraus": 0}
+                          "choi": 0, "choi_kraus": 0, "reader": 0}
     assert len(phi) == 6 and len(p.minimal) == p.r == 3 == choi_of(phi).rank()
     assert p.s == 7
 
@@ -95,14 +96,16 @@ def test_certified_gap_rank_accepts_profile():
 # ------------------------------------------------------ per-call counts
 # Every Kraus-input path decides r with minimize_kraus (one Gram eigh) and
 # never builds a Choi matrix: choi_of and minimal_kraus are for Choi input.
-# complementary makes one minimize_kraus call on its n-term list.
+# complementary makes one minimize_kraus call on its n-term list.  Every
+# decomposition computed from a channel is read by decomposition_from_isometry.
 
 def _counters(count_calls):
     return {"minimize": count_calls(muchan.channels, "minimize_kraus"),
             "system": count_calls(muchan.channels, "_operator_system"),
             "complementary": count_calls(muchan.channels, "complementary"),
             "choi": count_calls(muchan.channels, "choi_of"),
-            "choi_kraus": count_calls(muchan.channels, "minimal_kraus")}
+            "choi_kraus": count_calls(muchan.channels, "minimal_kraus"),
+            "reader": count_calls(muchan.search, "decomposition_from_isometry")}
 
 
 def _counts(counters):
@@ -110,37 +113,38 @@ def _counts(counters):
 
 
 def test_murank_search_counts(count_calls):
-    # profile, complementary's list, decomposition_from_isometry
+    # profile, complementary's list; the reader takes the minimal list as is
     c = _counters(count_calls)
     murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
-    assert _counts(c) == {"minimize": 3, "system": 1, "complementary": 1,
-                          "choi": 0, "choi_kraus": 0}
+    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+                          "choi": 0, "choi_kraus": 0, "reader": 1}
 
 
 def test_decompose_low_dim_counts(count_calls):
     c = _counters(count_calls)
     decompose_low_dim(random_unital_rank2(3, seed=1))
     assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
-                          "choi": 0, "choi_kraus": 0}
+                          "choi": 0, "choi_kraus": 0, "reader": 1}
 
 
 def test_certified_gap_rank_counts_low_dim(count_calls):
-    # profile, complementary's list, the direct sum's Choi rank
+    # profile, complementary's list, the direct sum's Choi rank; the reader
+    # for the direct attempt (V = I) and for the low-dimension path
     c = _counters(count_calls)
     certified_gap_rank(random_unital_rank2(3, seed=2), 1)
     assert _counts(c) == {"minimize": 3, "system": 1, "complementary": 1,
-                          "choi": 0, "choi_kraus": 0}
+                          "choi": 0, "choi_kraus": 0, "reader": 2}
 
 
 def test_certified_gap_rank_counts_weyl(count_calls):
     c = _counters(count_calls)
     certified_gap_rank(weyl_channel(5), 1)
     assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 0,
-                          "choi": 0, "choi_kraus": 0}
+                          "choi": 0, "choi_kraus": 0, "reader": 1}
 
 
 def test_toroidal_decompose_small_counts(count_calls):
     c = _counters(count_calls)
     toroidal_decompose_small(corr_B3())
     assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
-                          "choi": 0, "choi_kraus": 0}
+                          "choi": 0, "choi_kraus": 0, "reader": 1}

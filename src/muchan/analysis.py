@@ -31,13 +31,13 @@ class MixedUnitaryDecomposition:
     """A convex combination of unitary conjugations: probabilities p_k and
     unitaries U_k representing X -> sum_k p_k U_k X U_k*.
 
-    Terms with weight at or below ``eps_eq`` are dropped on construction.
+    Terms with |weight| at or below ``eps_eq`` are dropped on construction;
+    the rest must pass :func:`_invariant_error` (no weight below -eps_eq).
     """
 
     __slots__ = ("dim", "probs", "unitaries")
 
-    def __init__(self, probs, unitaries, tol: Tolerance = DEFAULT_TOL, *,
-                 _validate=True):
+    def __init__(self, probs, unitaries, tol: Tolerance = DEFAULT_TOL):
         p = np.asarray(probs, dtype=float)
         us = tuple(as_matrix(u, "unitary") for u in unitaries)
         if p.ndim != 1 or len(us) != p.size or p.size == 0:
@@ -45,19 +45,13 @@ class MixedUnitaryDecomposition:
         n = us[0].shape[0]
         if any(u.shape != (n, n) for u in us):
             raise ValidationError("all unitaries must be square of one dimension")
-        keep = p > tol.eps_eq
+        keep = np.abs(p) > tol.eps_eq
         if not np.any(keep):
             raise ValidationError("all weights vanish")
         p, us = p[keep], tuple(u for u, k in zip(us, keep) if k)
-        if _validate:
-            if np.any(p < 0):
-                raise ValidationError("weights must be nonnegative")
-            if abs(p.sum() - 1.0) > max(tol.eps_eq, p.size * 1e-15):
-                raise ValidationError(f"weights sum to {p.sum():.12f}, not 1")
-            for i, u in enumerate(us):
-                d = unitarity_defect(u)
-                if d > tol.eps_eq * max(1.0, np.sqrt(n)):
-                    raise ValidationError(f"term {i} is not unitary: defect {d:.3e}")
+        error = _invariant_error(p, us, tol)
+        if error is not None:
+            raise ValidationError(error)
         p.setflags(write=False)
         for u in us:
             u.setflags(write=False)
@@ -68,28 +62,33 @@ class MixedUnitaryDecomposition:
     def __setattr__(self, *_):
         raise AttributeError("MixedUnitaryDecomposition is immutable")
 
-    @classmethod
-    def unchecked(cls, probs, unitaries) -> "MixedUnitaryDecomposition":
-        return cls(probs, unitaries, _validate=False)
-
     @property
     def n_terms(self) -> int:
         return len(self.probs)
 
-    def to_channel(self, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
-        return KrausChannel([np.sqrt(p) * u for p, u in zip(self.probs, self.unitaries)], tol)
+    def to_channel(self) -> KrausChannel:
+        return KrausChannel([np.sqrt(p) * u for p, u in zip(self.probs, self.unitaries)])
 
     def invariants_ok(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if np.any(self.probs < -tol.eps_eq):
-            return False
-        if abs(self.probs.sum() - 1.0) > max(tol.eps_eq, self.n_terms * 1e-15):
-            return False
-        n = self.dim
-        return all(unitarity_defect(u) <= tol.eps_eq * max(1.0, np.sqrt(n))
-                   for u in self.unitaries)
+        """The rules again, under a ``tol`` perhaps tighter than at construction."""
+        return _invariant_error(self.probs, self.unitaries, tol) is None
 
     def __repr__(self) -> str:
         return f"MixedUnitaryDecomposition(dim={self.dim}, terms={self.n_terms})"
+
+
+def _invariant_error(p: np.ndarray, us, tol: Tolerance) -> Optional[str]:
+    """What breaks the rules (weights >= -eps_eq summing to 1, unitary
+    terms by ``tol.is_close``), or None."""
+    if np.any(p < -tol.eps_eq):
+        return "weights must be nonnegative"
+    if abs(p.sum() - 1.0) > max(tol.eps_eq, p.size * 1e-15):
+        return f"weights sum to {p.sum():.12f}, not 1"
+    for i, u in enumerate(us):
+        d = unitarity_defect(u)
+        if not tol.is_close(d, u.shape[0]):
+            return f"term {i} is not unitary: defect {d:.3e}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -244,13 +243,12 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     return profile.s == r * r - r + 1
 
 
-def _rank_r_decomposition(profile: ChannelProfile, tol: Tolerance,
-                          search_config=None) -> MixedUnitaryDecomposition:
+def _rank_r_decomposition(profile: ChannelProfile,
+                          tol: Tolerance) -> MixedUnitaryDecomposition:
     """An r-term decomposition for a profile that certifies mixed-unitary
     rank r: the minimal list itself if it reads as r unitaries (V = I),
     else the s <= 3 construction or the isometry search."""
-    from .search import (SearchConfig, decomposition_from_isometry, search_isometry,
-                         traceless_image_basis)
+    from .search import decomposition_from_isometry, search_isometry, traceless_image_basis
     try:
         direct = decomposition_from_isometry(profile.minimal, np.eye(profile.r), tol)
     except NumericalError:
@@ -260,9 +258,8 @@ def _rank_r_decomposition(profile: ChannelProfile, tol: Tolerance,
     if profile.s <= 3:
         from .constructive import decompose_low_dim
         return decompose_low_dim(profile, tol)
-    cfg = search_config or SearchConfig()
     basis = traceless_image_basis(complementary(profile, tol), tol)
-    result = search_isometry(basis, profile.r, cfg, channel=profile.minimal, tol=tol)
+    result = search_isometry(basis, profile.r, channel=profile.minimal, tol=tol)
     if result.status != "found" or result.decomposition is None:
         raise NumericalError(
             "isometry search did not realize the certified rank-r decomposition; "
@@ -270,8 +267,8 @@ def _rank_r_decomposition(profile: ChannelProfile, tol: Tolerance,
     return result.decomposition
 
 
-def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
-                       search_config=None) -> GapRankCertificate:
+def certified_gap_rank(phi: KrausChannel, m: int,
+                       tol: Tolerance = DEFAULT_TOL) -> GapRankCertificate:
     """Certified ranks of ``phi (+) identity on M_m``.
 
     Requires the uniqueness certificate (s = r^2 - r + 1 with r >= 2) so
@@ -293,7 +290,7 @@ def certified_gap_rank(phi: KrausChannel, m: int, tol: Tolerance = DEFAULT_TOL,
         raise ValidationError(
             "refusal: hypothesis s = r^2 - r + 1 (unique mixed-unitary "
             "decomposition) fails")
-    base = _rank_r_decomposition(profile, tol, search_config)
+    base = _rank_r_decomposition(profile, tol)
     check = verify_decomposition(profile.minimal, base, tol)
     if not check.ok:
         raise NumericalError(

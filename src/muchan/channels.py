@@ -45,25 +45,23 @@ class KrausChannel:
     """A completely positive trace-preserving map given by Kraus matrices.
 
     ``kraus`` is a nonempty list of m x n matrices A_k with
-    ``sum_k A_k* A_k = I_n`` (checked on construction unless the channel
-    is built through :meth:`unchecked`).  Instances are immutable.
+    ``sum_k A_k* A_k = I_n``, checked on construction by
+    :meth:`Tolerance.is_close`.  Instances are immutable.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out")
 
-    def __init__(self, kraus, tol: Tolerance = DEFAULT_TOL, *, _validate=True):
+    def __init__(self, kraus, tol: Tolerance = DEFAULT_TOL):
         ops = tuple(as_matrix(a, "Kraus operator") for a in kraus)
         if not ops:
             raise ValidationError("Kraus list must be nonempty")
         m, n = ops[0].shape
         if any(a.shape != (m, n) for a in ops):
             raise ValidationError("all Kraus operators must share one shape")
-        if _validate:
-            tp = sum(dagger(a) @ a for a in ops)
-            defect = np.linalg.norm(tp - np.eye(n))
-            if defect > tol.eps_eq * max(1.0, np.sqrt(n)):
-                raise ValidationError(
-                    f"Kraus list is not trace-preserving: ||sum A*A - I|| = {defect:.3e}")
+        defect = np.linalg.norm(sum(dagger(a) @ a for a in ops) - np.eye(n))
+        if not tol.is_close(defect, n):
+            raise ValidationError(
+                f"Kraus list is not trace-preserving: ||sum A*A - I|| = {defect:.3e}")
         for a in ops:
             a.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
@@ -72,11 +70,6 @@ class KrausChannel:
 
     def __setattr__(self, *_):
         raise AttributeError("KrausChannel is immutable")
-
-    @classmethod
-    def unchecked(cls, kraus) -> "KrausChannel":
-        """Build without the trace-preservation check (test fixtures)."""
-        return cls(kraus, _validate=False)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -93,8 +86,7 @@ class KrausChannel:
         if self.dim_in != self.dim_out:
             return False
         s = sum(a @ dagger(a) for a in self.kraus)
-        return bool(np.linalg.norm(s - np.eye(self.dim_out)) <= tol.eps_eq * max(
-            1.0, np.sqrt(self.dim_out)))
+        return tol.is_close(np.linalg.norm(s - np.eye(self.dim_out)), self.dim_out)
 
     def stacked(self) -> np.ndarray:
         """Kraus operators as one (r, m, n) array."""
@@ -116,16 +108,14 @@ class ChoiMatrix:
         if m.shape != (dim_in * dim_out, dim_in * dim_out):
             raise ValidationError(
                 f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.linalg.norm(m - dagger(m)) > tol.eps_eq * scale:
+        if not tol.is_hermitian(m):
             raise ValidationError("Choi matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        wmax = max(float(w[-1]), 0.0)
-        if w[0] < -tol.eps_rank * max(wmax, 1e-300):
+        if not tol.is_psd(w):
             raise ValidationError(
                 f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
         pt = partial_trace_output(m, dim_out, dim_in)
-        if np.linalg.norm(pt - np.eye(dim_in)) > tol.eps_eq * max(1.0, np.sqrt(dim_in)):
+        if not tol.is_close(np.linalg.norm(pt - np.eye(dim_in)), dim_in):
             raise ValidationError(
                 "partial trace over the output factor is not the identity")
         m.setflags(write=False)
@@ -165,12 +155,10 @@ def choi_of(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiMatrix:
 
 
 def _kraus_from_spectrum(w, cols, dim_out: int, dim_in: int, tol: Tolerance, scale=None):
-    """The one Choi-rank rule: keep the columns of one ``eigh`` (w, cols)
-    whose |w| exceeds ``eps_rank`` times the largest, by descending w, each
-    phase-fixed (largest-magnitude entry real positive), times ``scale[i]``
-    when given, and unvec'd."""
-    mags = np.abs(w)
-    r = int(np.count_nonzero(mags > tol.eps_rank * mags.max()))
+    """Keep the ``tol.rank(w)`` columns of one ``eigh`` (w, cols) of largest
+    w, by descending w, each phase-fixed (largest-magnitude entry real
+    positive), times ``scale[i]`` when given, and unvec'd."""
+    r = tol.rank(w)
     ops = []
     for i in np.argsort(w)[::-1][:r]:
         col = cols[:, i]
@@ -185,13 +173,9 @@ def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     """Minimal Kraus representation of a Choi matrix: the operators
     ``unvec(sqrt(l) v)`` of its ``eigh``, counted, ordered and phase-fixed
     by :func:`_kraus_from_spectrum` (|l| are the singular values of J, so
-    the count is ``numerical_rank(J)``); pairwise Frobenius orthogonal."""
+    the count is ``numerical_rank(J)``, J being validated PSD); pairwise
+    Frobenius orthogonal."""
     w, v = np.linalg.eigh(j.matrix)
-    wmax = max(float(w[-1]), 0.0)
-    neg = float(w[0])
-    if neg < -tol.eps_rank * max(wmax, 1e-300):
-        raise ValidationError(
-            f"Choi matrix is not PSD: offending eigenvalue {neg:.6e}")
     scale = np.sqrt(np.maximum(w, 0.0))
     return KrausChannel(_kraus_from_spectrum(w, v, j.dim_out, j.dim_in, tol, scale), tol)
 
@@ -254,8 +238,7 @@ def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
         u, sv, vh = np.linalg.svd(rows, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"operator system SVD failed: {exc}") from exc
-    smax = sv[0] if sv.size else 0.0
-    keep = int(np.count_nonzero(sv > tol.eps_rank * smax)) if smax > 0 else 0
+    keep = tol.rank(sv)
     basis = tuple(unvec(vh[i].conj(), n, n) for i in range(keep))
     if not keep:
         raise ValidationError("operator system is empty; invalid channel")
@@ -329,15 +312,14 @@ def schur_channel(c, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
         raise ValidationError("correlation matrix must be square")
     if np.max(np.abs(np.diag(c) - 1)) > tol.eps_eq:
         raise ValidationError("correlation matrix must have unit diagonal")
-    ch = (c + dagger(c)) / 2
-    if np.linalg.norm(c - ch) > tol.eps_eq * max(1.0, np.linalg.norm(c)):
+    if not tol.is_hermitian(c):
         raise ValidationError("correlation matrix must be Hermitian")
-    w, v = np.linalg.eigh(ch)
-    if w[0] < -tol.eps_rank * max(float(w[-1]), 1e-300):
+    w, v = np.linalg.eigh((c + dagger(c)) / 2)
+    if not tol.is_psd(w):
         raise ValidationError(
             f"correlation matrix is not PSD: eigenvalue {w[0]:.3e}")
-    ops = [np.diag(np.sqrt(max(float(w[i]), 0.0)) * v[:, i])
-           for i in range(n) if w[i] > tol.eps_rank * max(float(w[-1]), 1e-300)]
+    # being PSD, no negative eigenvalue is counted: keep the top tol.rank(w)
+    ops = [np.diag(np.sqrt(w[i]) * v[:, i]) for i in range(n - tol.rank(w), n)]
     return KrausChannel(ops, tol)
 
 

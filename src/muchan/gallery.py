@@ -17,7 +17,6 @@ from .channels import KrausChannel, direct_sum, identity_channel
 from .constructive import ToroidalDecomposition
 from .exceptions import ValidationError
 from .linalg import dagger, haar_unitary
-from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "MubFamily", "OneFactorization", "HermitianBasis", "WernerHolevoPair",
@@ -53,7 +52,7 @@ def weyl_generators(p: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def weyl_channel(p: int, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def weyl_channel(p: int) -> KrausChannel:
     """Uniform mixture of the p unitaries W_a = U^a V^{a^2}, odd prime p.
 
     Choi rank and mixed-unitary rank are both p, the operator system has
@@ -66,15 +65,15 @@ def weyl_channel(p: int, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
     for a in range(p):
         w = np.linalg.matrix_power(u, a) @ np.linalg.matrix_power(v, (a * a) % p)
         ops.append(w / np.sqrt(p))
-    return KrausChannel(ops, tol)
+    return KrausChannel(ops)
 
 
-def gap_channel(p: int, m: int, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def gap_channel(p: int, m: int) -> KrausChannel:
     """weyl_channel(p) (+) identity on M_m: Choi rank p+1, mixed-unitary
     rank 2p."""
     if m < 1:
         raise ValidationError("m must be a positive integer")
-    return direct_sum(weyl_channel(p, tol), identity_channel(m), tol)
+    return direct_sum(weyl_channel(p), identity_channel(m))
 
 
 # ------------------------------------------------- correlation fixtures
@@ -285,7 +284,7 @@ class WernerHolevoPair:
     phi1: KrausChannel   # X -> (Tr(X) I - X^T) / (n-1), anti-symmetric
 
 
-def wh_channels(n: int, tol: Tolerance = DEFAULT_TOL) -> WernerHolevoPair:
+def wh_channels(n: int) -> WernerHolevoPair:
     """Werner-Holevo channels from the Hermitian basis.
 
     Kraus lists are sqrt(2/(n+1)) H[j,k] over j <= k for the symmetric
@@ -297,8 +296,8 @@ def wh_channels(n: int, tol: Tolerance = DEFAULT_TOL) -> WernerHolevoPair:
         raise ValidationError("refusal: Werner-Holevo channels need n >= 2 "
                               "(the anti-symmetric normalization divides by n-1)")
     basis = hermitian_basis(n)
-    phi0 = KrausChannel([np.sqrt(2 / (n + 1)) * h for h in basis.symmetric()], tol)
-    phi1 = KrausChannel([np.sqrt(2 / (n - 1)) * h for h in basis.skew()], tol)
+    phi0 = KrausChannel([np.sqrt(2 / (n + 1)) * h for h in basis.symmetric()])
+    phi1 = KrausChannel([np.sqrt(2 / (n - 1)) * h for h in basis.skew()])
     return WernerHolevoPair(phi0=phi0, phi1=phi1)
 
 
@@ -316,7 +315,7 @@ def _matching_unitaries(fac: OneFactorization, element) -> list:
     return us
 
 
-def wh_antisym_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
+def wh_antisym_decomposition(n: int) -> MixedUnitaryDecomposition:
     """Minimal decomposition of the anti-symmetric channel, even n.
 
     n(n-1)/2 skew-symmetric, pairwise-orthogonal unitaries at uniform
@@ -329,10 +328,10 @@ def wh_antisym_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnita
     basis = hermitian_basis(n)
     us = _matching_unitaries(one_factorization(n), lambda pair: basis[pair[::-1]])  # skew
     count = n * (n - 1) // 2
-    return MixedUnitaryDecomposition([1 / count] * count, us, tol)
+    return MixedUnitaryDecomposition([1 / count] * count, us)
 
 
-def wh_sym_even_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
+def wh_sym_even_decomposition(n: int) -> MixedUnitaryDecomposition:
     """Minimal decomposition of the symmetric channel, even n.
 
     n(n-1)/2 matching-based unitaries plus the n diagonal Fourier-phase
@@ -347,10 +346,10 @@ def wh_sym_even_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnit
     for j in range(1, n + 1):
         us.append(sum(zeta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
     count = n * (n + 1) // 2
-    return MixedUnitaryDecomposition([1 / count] * count, us, tol)
+    return MixedUnitaryDecomposition([1 / count] * count, us)
 
 
-def wh_sym_odd_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
+def wh_sym_odd_decomposition(n: int) -> MixedUnitaryDecomposition:
     """Decomposition of the symmetric channel with n(n+3)/2 terms, odd n.
 
     Works over the complete graph on n+1 vertices where the extra vertex's
@@ -372,10 +371,10 @@ def wh_sym_odd_decomposition(n: int, tol: Tolerance = DEFAULT_TOL) -> MixedUnita
     for j in range(1, n + 1):
         us.append(sum(eta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
         ps.append(1 / (n * (n + 1)))
-    return MixedUnitaryDecomposition(ps, us, tol)
+    return MixedUnitaryDecomposition(ps, us)
 
 
-def wh_sym3_decomposition(tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
+def wh_sym3_decomposition() -> MixedUnitaryDecomposition:
     """The six symmetric, pairwise-orthogonal unitaries decomposing the
     n = 3 symmetric channel at uniform weight 1/6 (its minimal rank)."""
     alpha = 3 / 8 + 1j * np.sqrt(15) / 8
@@ -393,13 +392,12 @@ def wh_sym3_decomposition(tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposi
 
     us = [u1, u2, core(-1, -1, -1), core(+1, -1, +1),
           core(+1, +1, -1), core(-1, +1, +1)]
-    return MixedUnitaryDecomposition([1 / 6] * 6, us, tol)
+    return MixedUnitaryDecomposition([1 / 6] * 6, us)
 
 
 # ------------------------------------------------------ random fixtures
 
-def random_channel(dim_in: int, dim_out: int, rank: int, seed: int,
-                   tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def random_channel(dim_in: int, dim_out: int, rank: int, seed: int) -> KrausChannel:
     """Random channel with the given Kraus rank (Gaussian operators,
     right-normalized to trace preservation)."""
     if rank * dim_out < dim_in:
@@ -413,7 +411,7 @@ def random_channel(dim_in: int, dim_out: int, rank: int, seed: int,
     s = sum(dagger(a) @ a for a in ops)
     w, v = np.linalg.eigh(s)
     corr = v @ np.diag(w ** -0.5) @ dagger(v)
-    return KrausChannel([a @ corr for a in ops], tol)
+    return KrausChannel([a @ corr for a in ops])
 
 
 def random_correlation(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -424,8 +422,7 @@ def random_correlation(dim: int, rank: int, seed: int) -> np.ndarray:
     return g @ dagger(g)
 
 
-def random_unital_rank2(dim: int, seed: int,
-                        tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def random_unital_rank2(dim: int, seed: int) -> KrausChannel:
     """Random unital trace-preserving channel with Choi rank at most 2:
     Kraus {U D_0 V, U D_1 V} with Haar U, V and diagonal D_0, D_1 whose
     squared moduli sum to one entrywise."""
@@ -436,4 +433,4 @@ def random_unital_rank2(dim: int, seed: int,
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, dim)))
     d0 = np.cos(theta) * phases[0]
     d1 = np.sin(theta) * phases[1]
-    return KrausChannel([u @ np.diag(d0) @ v, u @ np.diag(d1) @ v], tol)
+    return KrausChannel([u @ np.diag(d0) @ v, u @ np.diag(d1) @ v])

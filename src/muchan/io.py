@@ -50,6 +50,14 @@ def _entry(e) -> complex:
     return complex(e[0], e[1])
 
 
+def _check_dims(obj: dict, path: Optional[str], **dims):
+    """Each declared ``obj[key]`` must be an int (not a bool) equal to ``dims[key]``."""
+    for key, want in dims.items():
+        got = obj.get(key)
+        if type(got) is not int or got != want:
+            raise _bad(f"declared {key} {got!r} disagrees with the contents ({want})", path)
+
+
 def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     if not isinstance(lit, list) or not lit:
         raise _bad("matrix literal must be a nonempty list of rows", path)
@@ -90,8 +98,7 @@ def channel_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
     if not isinstance(lits, list) or not lits:
         raise _bad("channel file's operators must be a nonempty list", path)
     phi = KrausChannel([matrix_from_literal(o, path) for o in lits], tol)
-    if phi.dim_in != obj.get("dim_in") or phi.dim_out != obj.get("dim_out"):
-        raise _bad("declared dimensions disagree with the operators", path)
+    _check_dims(obj, path, dim_in=phi.dim_in, dim_out=phi.dim_out)
     return phi
 
 
@@ -150,8 +157,7 @@ def _terms_from_obj(obj: dict, key: str, read, cls, tol: Tolerance, path: Option
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _bad(f"malformed {cls.__name__}: {exc}", path) from exc
     d = cls(probs, terms, tol)
-    if d.dim != obj.get("dim"):
-        raise _bad("declared dimension disagrees with the contents", path)
+    _check_dims(obj, path, dim=d.dim)
     return d
 
 
@@ -198,26 +204,26 @@ def load(path: str, tol: Tolerance = DEFAULT_TOL):
     if kind == "toroidal":
         return kind, toroidal_from_obj(obj, tol, path)
     if kind in ("correlation", "matrix"):
-        return kind, matrix_from_literal(obj.get("matrix"), path)
+        m = matrix_from_literal(obj.get("matrix"), path)
+        _check_dims(obj, path, dim=m.shape[0])
+        return kind, m
     raise _bad(f"unknown kind {kind!r}", path)
 
 
-def load_channel(path: str, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+def _load_kind(path: str, tol: Tolerance, what: str, kinds: tuple):
     kind, obj = load(path, tol)
-    if kind != "kraus":
-        raise _bad(f"expected a channel file, found kind {kind!r}", path)
+    if kind not in kinds:
+        raise _bad(f"expected a {what} file, found kind {kind!r}", path)
     return obj
+
+
+def load_channel(path: str, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+    return _load_kind(path, tol, "channel", ("kraus",))
 
 
 def load_decomposition(path: str, tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
-    kind, obj = load(path, tol)
-    if kind != "mixed-unitary":
-        raise _bad(f"expected a decomposition file, found kind {kind!r}", path)
-    return obj
+    return _load_kind(path, tol, "decomposition", ("mixed-unitary",))
 
 
 def load_matrix(path: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    kind, obj = load(path, tol)
-    if kind not in ("correlation", "matrix"):
-        raise _bad(f"expected a matrix file, found kind {kind!r}", path)
-    return obj
+    return _load_kind(path, tol, "matrix", ("correlation", "matrix"))

@@ -5,10 +5,11 @@ Conventions fixed here and inherited by every other module:
 * Matrices are numpy ``complex128`` arrays, row-major.
 * ``vec`` stacks rows (``vec(A)[(j)*cols + k] = A[j, k]``), so
   ``vec(A X B^T) = kron(A, B) @ vec(X)``.  Never mix with column stacking.
-* Numerical rank counts singular values above ``eps_rank`` times the
-  largest one, for Hermitian inputs too (uniform behavior near defective
-  matrices); the Choi rank applies it to the eigenvalue moduli of one
-  ``eigh``, of the Kraus rows' Gram matrix (J itself for Choi input).
+* Numerical rank is :meth:`Tolerance.rank` of the singular values (above
+  ``eps_rank`` times the largest), for Hermitian inputs too (uniform
+  behavior near defective matrices); the Choi rank applies the same rule
+  to the eigenvalues of one ``eigh``, of the Kraus rows' Gram matrix (J
+  itself for Choi input).
 * Random isometries are Haar distributed and reproducible: the RNG is
   numpy's ``default_rng`` (PCG64) and the QR phase ambiguity is fixed by
   making the triangular factor's diagonal real positive.
@@ -60,10 +61,9 @@ def frob_inner(a, b) -> complex:
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``eps_rank`` times the largest.
-
-    Returns 0 for the zero matrix.  Raises :class:`NumericalError` if the
-    SVD does not converge.
+    """``tol.rank`` of the singular values: the number above ``eps_rank``
+    times the largest, 0 for the zero matrix.  Raises
+    :class:`NumericalError` if the SVD does not converge.
     """
     m = as_matrix(m)
     try:
@@ -72,9 +72,7 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
         raise NumericalError(
             f"SVD failed to converge on a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
         ) from exc
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps_rank * s[0]))
+    return tol.rank(s)
 
 
 def haar_isometry(n_rows: int, n_cols: int, seed: int) -> np.ndarray:

@@ -44,6 +44,10 @@ __all__ = [
     "decomposition_from_isometry", "murank_search",
 ]
 
+# First trial step, Armijo shrink factor, objective a success must reach.
+STEP_INIT = 0.1
+ARMIJO_BETA = 0.5
+OBJECTIVE_TOL = 1e-16
 STALL_PATIENCE = 30
 STALL_REL = 1e-9
 POLISH_TOL = 1e-28
@@ -70,19 +74,12 @@ class SearchConfig:
 
     restarts: int = 50
     max_iters: int = 2000
-    step_init: float = 0.1
-    armijo_beta: float = 0.5
     seed: int = 0
-    objective_tol: float = 1e-16
     time_budget: Optional[float] = None
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValidationError("restarts and max_iters must be positive")
-        if not (self.step_init > 0 and 0 < self.armijo_beta < 1):
-            raise ValidationError("need step_init > 0 and armijo_beta in (0, 1)")
-        if not self.objective_tol > 0:
-            raise ValidationError("objective_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class SearchResult:
     isometry: Optional[np.ndarray]
     decomposition: Optional[MixedUnitaryDecomposition]
     restart_log: tuple
-    restart_trace: tuple = ()
+    restart_trace: tuple
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,9 @@ def traceless_image_basis(psi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np
     ``vec(Psi(X)) = M vec(X)`` with ``M[(a, b), (c, d)] = sum_k B_k[a, c]
     conj(B_k[b, d])`` for Psi's Kraus operators B_k.  One SVD of M's columns
     at the off-diagonal units and of its adjacent diagonal-column
-    differences over sqrt(2) gives the basis: m counts singular values
-    above ``eps_rank`` times the largest, and is 0 if that is at most
-    ``eps_rank`` ||M|| (the trace map of a unitary channel).  Every basis
+    differences over sqrt(2) gives the basis: m is ``tol.rank`` of the
+    singular values, and is 0 if the largest is at most ``eps_rank`` ||M||
+    (the trace map of a unitary channel).  Every basis
     element is traceless because Psi preserves trace; m <= min(n^2 - 1, r^2).
     """
     n, r = psi.dim_in, psi.dim_out
@@ -154,7 +151,7 @@ def traceless_image_basis(psi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np
     _, sv, vh = np.linalg.svd(rows, full_matrices=False)
     if not sv.size or sv[0] <= tol.eps_rank * np.linalg.norm(cols):
         return np.zeros((0, r, r), dtype=complex)
-    keep = int(np.count_nonzero(sv > tol.eps_rank * sv[0]))
+    keep = tol.rank(sv)
     basis = vh[:keep].reshape(keep, r, r)
     worst = max((abs(np.trace(b)) for b in basis), default=0.0)
     if worst > max(tol.eps_eq, 1e-8):
@@ -207,7 +204,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     restart that passes the Armijo test moves to the trial point and gets
     its descent direction there; one that fails shrinks its tau.  The
     state arrays are compacted only when a restart stops or is dropped.
-    Once restart i is below ``objective_tol`` (f never increases) the live
+    Once restart i is below ``OBJECTIVE_TOL`` (f never increases) the live
     restarts above i are dropped: the log ends at the first success.
 
     Returns the records and final isometries of restarts ``indices[0]``
@@ -218,18 +215,18 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     v = np.array([haar_isometry(n_terms, basis.shape[1], cfg.seed + i) for i in indices])
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
-    target = min(cfg.objective_tol, POLISH_TOL)
+    target = min(OBJECTIVE_TOL, POLISH_TOL)
     f, d, t = _objective(v, basis)
     delta, g2 = _descent_direction(v, basis, d, t)
     pos = np.arange(b)                       # block position of each live restart
-    tau = np.full(b, cfg.step_init)
+    tau = np.full(b, STEP_INIT)
     stall = np.zeros(b, dtype=int)
     iters = np.zeros(b, dtype=int)
     backtracks = np.zeros(b, dtype=int)
     out_f, out_v = np.zeros(b), np.empty_like(v)
     out_iters, out_evals = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
     out_stop = [""] * b
-    first_ok = b                             # lowest position with f <= objective_tol
+    first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
     exhausted = False
     for rounds in itertools.count():
         # a rejected trial leaves f, g2, stall and iters as they were, so
@@ -237,7 +234,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
                  g2 <= GRAD_FLOOR, backtracks >= MAX_BACKTRACKS)
         done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
-        ok = f <= cfg.objective_tol
+        ok = f <= OBJECTIVE_TOL
         if ok.any():
             first_ok = min(first_ok, int(pos[ok.argmax()]))
         live = ~done & (pos <= first_ok)
@@ -258,8 +255,8 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         trial = _retract(v - tau[:, None, None] * delta)
         fn, dn, tn = _objective(trial, basis)
         acc = fn <= f - 1e-4 * tau * g2
-        tau = np.where(acc, np.minimum(cfg.step_init * 10, tau / cfg.armijo_beta),
-                       tau * cfg.armijo_beta)
+        tau = np.where(acc, np.minimum(STEP_INIT * 10, tau / ARMIJO_BETA),
+                       tau * ARMIJO_BETA)
         backtracks = np.where(acc, 0, backtracks + 1)
         if not acc.any():
             continue
@@ -282,7 +279,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     """Search for an N x r isometry zeroing all conjugated diagonals.
 
     ``status="found"`` requires the best objective to reach
-    ``cfg.objective_tol``; when ``channel``, the minimal Kraus list the
+    ``OBJECTIVE_TOL``; when ``channel``, the minimal Kraus list the
     basis was built from, is supplied, the decomposition read from the best
     isometry (unitarity within ``UNITARITY_SLACK`` = 1e-6) must also pass
     verification (Choi residual within 1e-8), and is returned.  Restarts
@@ -313,7 +310,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
             basis, n_terms, cfg, range(first, min(first + _BLOCK, cfg.restarts)), expired)
         trace += records
         finals += vs
-        if exhausted or records[-1].objective <= cfg.objective_tol:
+        if exhausted or records[-1].objective <= OBJECTIVE_TOL:
             break
     n_done = next((k for k, rec in enumerate(trace) if rec.stop == "budget"), len(trace))
     log = [rec.objective for rec in trace[:n_done]]
@@ -322,7 +319,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
         if f < best_f:
             best_f, best_v = f, v
 
-    status = "found" if best_f <= cfg.objective_tol else (
+    status = "found" if best_f <= OBJECTIVE_TOL else (
         "budget_exhausted" if exhausted else "not_found")
     decomposition = None
     if status == "found" and channel is not None:
@@ -352,8 +349,9 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     count) into C_j = sum_k V(j, k) A_k, with weights p_j = ||C_j||^2 / n.
 
     Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
-    must have unitarity defect ||U*U - I|| at most ``eps_eq`` (unscaled:
-    1e-9 at the default ``tol``; the search passes 1e-6) or
+    must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
+    i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
+    search passes 1e-6), or
     :class:`NumericalError` names j.  The weights are renormalized.  The
     direct (V = I), low-dimension and search decompositions all come from here.
     """
@@ -361,7 +359,7 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     r, n = len(phi_minimal.kraus), phi_minimal.dim_in
     if v.ndim != 2 or v.shape[1] != r:
         raise ValidationError(f"isometry must have {r} columns, got {v.shape}")
-    if np.linalg.norm(dagger(v) @ v - np.eye(r)) > tol.eps_eq * max(1.0, np.sqrt(r)):
+    if not tol.is_close(np.linalg.norm(dagger(v) @ v - np.eye(r)), r):
         raise ValidationError("matrix is not an isometry within tolerance")
     probs, us = [], []
     for j, c in enumerate(np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))):
@@ -370,7 +368,7 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
             continue
         u = c / np.sqrt(p)
         defect = unitarity_defect(u)
-        if defect > tol.eps_eq:
+        if not tol.is_close(defect, 1):
             raise NumericalError(
                 f"remixed operator {j} is not unitary: defect {defect:.3e}")
         probs.append(p)

@@ -3,7 +3,7 @@ import pytest
 
 import muchan.analysis
 import muchan.channels
-from muchan import (MixedUnitaryDecomposition, ValidationError,
+from muchan import (MixedUnitaryDecomposition, Tolerance, ValidationError,
                     certified_gap_rank, dagger, decompositions_equivalent,
                     dephasing_channel, direct_sum, identity_channel,
                     minimize_kraus, operator_system, rank_bounds,
@@ -41,6 +41,14 @@ def test_decomposition_validates_probs_and_unitaries():
 def test_decomposition_drops_zero_weight_terms():
     d = MixedUnitaryDecomposition([1.0, 1e-12], [np.eye(2), np.diag([1, -1])])
     assert d.n_terms == 1
+    d = MixedUnitaryDecomposition([1.0, -1e-12], [np.eye(2), np.diag([1, -1])])
+    assert d.n_terms == 1
+
+
+def test_decomposition_refuses_negative_weight():
+    # a weight below -eps_eq is refused, not dropped with the near-zero ones
+    with pytest.raises(ValidationError, match="nonnegative"):
+        MixedUnitaryDecomposition([1.0, -1e-3], [np.eye(2), np.diag([1, -1])])
 
 
 # -------------------------------------------------------- verify_decomposition
@@ -58,7 +66,11 @@ def test_verify_identity_trivial():
 
 
 def test_verify_rejects_contraction():
-    d = MixedUnitaryDecomposition.unchecked([0.5, 0.5], [np.eye(2), 0.5 * np.eye(2)])
+    # built under a loose tolerance, the 0.99 I term fails the default one:
+    # verify re-checks the decomposition's invariants under its own tol
+    d = MixedUnitaryDecomposition([0.5, 0.5], [np.eye(2), 0.99 * np.eye(2)],
+                                  Tolerance(eps_eq=0.05))
+    assert not d.invariants_ok()
     res = verify_decomposition(dephasing_channel(2), d)
     assert not res.ok
 

@@ -21,7 +21,6 @@ def _eij(n, i, j):
 def test_kraus_channel_rejects_non_tp():
     with pytest.raises(ValidationError):
         KrausChannel([np.eye(2) * 2])
-    KrausChannel.unchecked([np.eye(2) * 2])  # fixture path stays open
 
 
 def test_kraus_channel_rejects_mixed_shapes():

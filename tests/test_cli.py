@@ -127,6 +127,20 @@ def test_analyze_reports_exact_reason(tmp_path, capsys, make, reason):
     assert (obj["exact"] is None) == (reason is None)
 
 
+@pytest.mark.parametrize("argv, r", [((), 2), (("--tol", "1e-6"), 1)],
+                         ids=["default", "tol1e-6"])
+def test_analyze_tol_moves_the_rank_cutoff(tmp_path, capsys, argv, r):
+    # the Z term's Choi eigenvalue sits 1e-8 below the identity's: kept at
+    # the default eps_rank 1e-9, dropped at 1e-6
+    e = 1e-8
+    p = tmp_path / "c.json"
+    io.save(muchan.KrausChannel([np.sqrt(1 - e) * np.eye(2),
+                                 np.sqrt(e) * np.diag([1.0, -1.0])]), str(p))
+    code, obj = run_cli(capsys, "analyze", str(p), *argv)
+    assert code == 0
+    assert (obj["r"], obj["s"], obj["exact"]) == (r, r, r)
+
+
 @pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3)])
 def test_analyze_non_unital(tmp_path, capsys, dim_in, dim_out):
     # a random rank-2 channel is not unital; analyze still prints one JSON
@@ -226,6 +240,15 @@ _MALFORMED = {
     "probs_overflow": ("verify", _decomposition_obj(probs=[10 ** 400])),
     "unitaries_object": ("verify", _decomposition_obj(unitaries={"a": _ID2})),
     "declared_dim": ("verify", _decomposition_obj(dim=7)),
+    "declared_dim_bool": ("verify", _decomposition_obj(dim=True,
+                                                        unitaries=[[[[1.0, 0.0]]]])),
+    "matrix_declared_dim": ("zero-diag", json.dumps(
+        {"format": "muchan/1", "kind": "matrix", "dim": 7,
+         "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]})),
+    "matrix_declared_dim_bool": ("zero-diag", _matrix_text("0").replace(
+        '"dim": 1', '"dim": true')),
+    "channel_declared_dims_bool": ("analyze", _channel_text("1").replace(
+        '"dim_in": 1, "dim_out": 1', '"dim_in": true, "dim_out": true')),
 }
 
 
@@ -247,6 +270,18 @@ def test_malformed_file_is_format_error(tmp_path, capsys, case):
     assert code == 2
     assert out["error"]["code"] == "format"
     assert out["error"]["path"] == str(p)
+
+
+def test_negative_weight_is_refused(tmp_path, capsys):
+    # a weight below -eps_eq is refused, not dropped with the near-zero ones
+    # to leave a one-term decomposition that verifies
+    channel, dec = tmp_path / "id2.json", tmp_path / "d.json"
+    io.save(identity_channel(2), str(channel))
+    x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    dec.write_text(_decomposition_obj(probs=[1.0, -0.001], unitaries=[_ID2, x]))
+    code, out = run_cli(capsys, "verify", str(channel), str(dec))
+    assert code == 2
+    assert out["error"]["code"] == "invalid"
 
 
 def test_toroidal_declared_dim_must_match(tmp_path):

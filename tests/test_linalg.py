@@ -148,6 +148,6 @@ def test_tolerance_validation():
 
 
 def test_tolerance_has_no_search_objective_field():
-    # the search accepts on SearchConfig.objective_tol
+    # the search accepts on the module constant search.OBJECTIVE_TOL
     with pytest.raises(TypeError):
         Tolerance(eps_obj=1e-16)

@@ -272,9 +272,9 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
     if basis.shape[0] == 0:
         return 0.0, v
     f, d, t = _seq_objective(v, basis)
-    step = cfg.step_init
+    step = search_mod.STEP_INIT
     stall = 0
-    target = min(cfg.objective_tol, 1e-28)
+    target = min(search_mod.OBJECTIVE_TOL, 1e-28)
     for _ in range(cfg.max_iters):
         if f <= target:
             break
@@ -291,27 +291,28 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
             if fn <= f - 1e-4 * tau * g2:
                 accepted = True
                 break
-            tau *= cfg.armijo_beta
+            tau *= search_mod.ARMIJO_BETA
         if not accepted:
             break
         stall = stall + 1 if f - fn <= 1e-9 * max(f, 1e-300) else 0
         v, f, d, t = vn, fn, dn, tn
         if stall >= 30:
             break
-        step = min(cfg.step_init * 10, tau / cfg.armijo_beta)
+        step = min(search_mod.STEP_INIT * 10, tau / search_mod.ARMIJO_BETA)
     return f, v
 
 
 @pytest.mark.parametrize("fixture, n_terms", [
     ("gap", 4), ("gap", 5), ("gap", 6), ("c4", 3)])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed):
+def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed, monkeypatch):
     phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
     basis = _basis_of(phi)
+    cfg = SearchConfig(restarts=4, seed=seed)
     # the default tolerance drops restarts after the first success; a
     # tolerance no restart reaches runs all four to their own stop
     for objective_tol in (1e-16, 1e-300):
-        cfg = SearchConfig(restarts=4, seed=seed, objective_tol=objective_tol)
+        monkeypatch.setattr(search_mod, "OBJECTIVE_TOL", objective_tol)
         records, finals, exhausted = _run_block(basis, n_terms, cfg, range(4),
                                                 lambda: False)
         assert not exhausted

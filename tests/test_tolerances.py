@@ -1,0 +1,135 @@
+"""The four numerical rules of :class:`muchan.Tolerance`: their boundaries,
+that every rank decision equals ``tol.rank`` of its own spectrum, and a
+source guard that keeps each rule in one place."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import muchan
+from muchan import (DEFAULT_TOL, KrausChannel, Tolerance, channel_profile,
+                    haar_unitary, minimize_kraus, numerical_rank, schur_channel,
+                    vec)
+
+SRC = Path(muchan.__file__).parent
+
+# ------------------------------------------------------------- boundaries
+# eps = 0.25 keeps every product below exact in binary floating point.
+
+
+def test_rank_does_not_count_a_value_at_the_cutoff():
+    tol = Tolerance(eps_rank=0.25)
+    assert tol.rank([4.0, 1.0]) == 1
+    assert tol.rank([4.0, np.nextafter(1.0, 2.0)]) == 2
+    assert tol.rank([-4.0, 2.0, -1.0]) == 2  # magnitudes are counted
+
+
+def test_rank_of_nothing_is_zero():
+    assert DEFAULT_TOL.rank([0.0, 0.0, 0.0]) == 0
+    assert DEFAULT_TOL.rank(np.zeros(0)) == 0
+
+
+def test_is_psd_boundary():
+    tol = Tolerance(eps_rank=0.25)
+    assert tol.is_psd([-1.0, 2.0, 4.0])
+    assert not tol.is_psd([np.nextafter(-1.0, -2.0), 2.0, 4.0])
+    assert tol.is_psd([0.0, 0.0])
+    assert not tol.is_psd([-1e-200, 0.0])  # the largest is floored at 1e-300
+
+
+@pytest.mark.parametrize("n, scale", [(1, 1.0), (4, 2.0)])
+def test_is_close_boundary(n, scale):
+    tol = Tolerance(eps_eq=0.25)
+    assert tol.is_close(0.25 * scale, n)
+    assert not tol.is_close(np.nextafter(0.25 * scale, 1.0), n)
+
+
+def test_is_hermitian_is_relative_above_unit_norm():
+    m = np.array([[0.0, 0.1], [0.0, 0.0]])  # ||m - m*|| = 0.1 sqrt(2), ||m|| = 0.1
+    assert Tolerance(eps_eq=0.15).is_hermitian(m)
+    assert not Tolerance(eps_eq=0.14).is_hermitian(m)
+    assert Tolerance(eps_eq=1.5).is_hermitian(1000 * m)
+    assert not Tolerance(eps_eq=1.4).is_hermitian(1000 * m)
+    assert DEFAULT_TOL.is_hermitian(np.array([[2.0, 1j], [-1j, 0.0]]))
+
+
+# ---------------------------------------------- rank decisions = tol.rank
+# The second tolerance moves both cutoffs, as ``--tol 1e-6`` does: with
+# eps_eq left at 1e-9 a term dropped between the two rank cutoffs fails
+# the trace-preservation check of the shortened list.
+
+_TOLS = [DEFAULT_TOL, Tolerance(eps_rank=1e-6, eps_eq=1e-6)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(_TOLS), st.integers(2, 3),
+       st.floats(min_value=-12.0, max_value=-2.0), st.integers(0, 2 ** 16))
+def test_every_rank_decision_is_tol_rank(tol, n, log_e, seed):
+    e = 10.0 ** log_e
+    rng = np.random.default_rng(seed)
+
+    m = np.outer(rng.standard_normal(n), rng.standard_normal(n)) \
+        + e * rng.standard_normal((n, n))
+    assert numerical_rank(m, tol) == tol.rank(np.linalg.svd(m, compute_uv=False))
+
+    # two trace-orthogonal scaled unitaries, one of weight e
+    w = haar_unitary(n, seed)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    phi = KrausChannel([np.sqrt(1 - e) * w, np.sqrt(e) * w @ clock])
+    h = phi.stacked().reshape(len(phi), -1)
+    assert len(minimize_kraus(phi, tol)) == tol.rank(np.linalg.eigh(h.conj() @ h.T)[0])
+
+    profile = channel_profile(phi, tol)
+    a = profile.minimal.kraus
+    rows = np.array([vec(x.conj().T @ y).conj() for y in a for x in a])
+    assert profile.s == tol.rank(np.linalg.svd(rows, full_matrices=False)[1])
+
+    # a correlation matrix with eigenvalues 1 + |rho|, (1,) 1 - |rho|
+    c = np.eye(n, dtype=complex)
+    c[0, 1] = (1 - e) * np.exp(2j * np.pi * rng.uniform())
+    c[1, 0] = np.conj(c[0, 1])
+    assert len(schur_channel(c, tol)) == tol.rank(np.linalg.eigh(c)[0])
+
+
+# ------------------------------------------------------------ source guard
+
+def _uses(tree, name):
+    """(enclosing function, line) of every ``.name`` read and ``name=``
+    keyword in ``tree``."""
+    found = []
+
+    def walk(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == name) or (
+                isinstance(node, ast.keyword) and node.arg == name):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, func)
+
+    walk(tree, None)
+    return found
+
+
+def test_eps_rank_is_read_only_by_the_rules():
+    # every rank and PSD decision goes through Tolerance; the other reads
+    # are the zero-image guard against ||M||, the search's slack tolerance
+    # and the CLI's --tol
+    allowed = {("search.py", "traceless_image_basis"), ("search.py", "search_isometry"),
+               ("cli.py", "_tol")}
+    seen = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        for func, line in _uses(ast.parse(path.read_text()), "eps_rank"):
+            seen.append((path.name, func, line))
+    assert {(f, fn) for f, fn, _ in seen} <= allowed, seen
+    assert sum(fn == "traceless_image_basis" for _, fn, _ in seen) == 1
+
+
+def test_closeness_scale_lives_in_tolerances():
+    holders = [p.name for p in sorted(SRC.glob("*.py"))
+               if "max(1.0, np.sqrt(" in p.read_text()]
+    assert holders == ["tolerances.py"]

@@ -9,7 +9,11 @@ vanishing diagonal for every traceless X.  The search minimizes
 over the Stiefel manifold {V : V* V = I_r}, where B_1..B_m is an
 orthonormal basis of the image of the traceless subspace under Psi, by
 Riemannian gradient descent (Wirtinger gradient, tangent projection,
-QR retraction, Armijo backtracking) from Haar-random starts.
+QR retraction) from Haar-random starts.  The first trial step after each
+accepted step is the alternating Barzilai-Borwein step (Barzilai &
+Borwein, IMA J. Numer. Anal. 8 (1988) 141; on the Stiefel manifold, Wen &
+Yin, Math. Program. 142 (2013) 397), and a monotone Armijo test with
+backtracking guards it, so f never increases.
 
 The restarts of one search run in lockstep along a leading batch axis:
 every round makes one Armijo trial for each live restart with stacked
@@ -44,7 +48,9 @@ __all__ = [
     "decomposition_from_isometry", "murank_search",
 ]
 
-# First trial step, Armijo shrink factor, objective a success must reach.
+# First trial step of a restart (and the fallback when a Barzilai-Borwein
+# ratio is not finite and positive), Armijo shrink factor, objective a
+# success must reach.
 STEP_INIT = 0.1
 ARMIJO_BETA = 0.5
 OBJECTIVE_TOL = 1e-16
@@ -70,6 +76,8 @@ class SearchConfig:
     restarts run as one lockstep batch (in blocks of at most ``_BLOCK``),
     and each restart's iterates match those of the same restart run
     alone, so the result does not depend on how restarts are grouped.
+    ``seed`` must be non-negative, and ``time_budget`` (seconds, checked
+    before every round) a non-negative number or None.
     """
 
     restarts: int = 50
@@ -80,6 +88,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValidationError("restarts and max_iters must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        # written so that NaN fails too: ``now > nan`` would never expire
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValidationError(
+                f"time_budget must be a non-negative number, got {self.time_budget}")
 
 
 @dataclass(frozen=True)
@@ -195,14 +209,31 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return q * ph[..., None, :]
 
 
+def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
+    """Alternating Barzilai-Borwein steps for a stack of accepted moves.
+
+    ``s`` and ``y`` are the ambient differences of the iterates and of the
+    Riemannian gradients; after an odd number of accepted steps the step is
+    <s, s> / |Re<s, y>|, after an even number |Re<s, y>| / <y, y>.  A ratio
+    that is not finite and positive falls back to ``STEP_INIT``.
+    """
+    ss = np.sum(np.abs(s) ** 2, axis=(-2, -1))
+    yy = np.sum(np.abs(y) ** 2, axis=(-2, -1))
+    sy = np.abs(np.sum((s.conj() * y).real, axis=(-2, -1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(iters % 2 == 1, ss / sy, sy / yy)
+    return np.where(np.isfinite(step) & (step > 0), step, STEP_INIT)
+
+
 def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
                indices: range, expired):
     """Run restarts ``indices`` in lockstep along a leading batch axis.
 
     Each round makes one Armijo trial for every live restart, with its own
     step tau: the trial point retract(V - tau Delta) and its objective.  A
-    restart that passes the Armijo test moves to the trial point and gets
-    its descent direction there; one that fails shrinks its tau.  The
+    restart that passes the Armijo test moves to the trial point, gets its
+    descent direction there and takes :func:`_bb_step` of the move as its
+    next tau; one that fails shrinks its tau by ``ARMIJO_BETA``.  The
     state arrays are compacted only when a restart stops or is dropped.
     Once restart i is below ``OBJECTIVE_TOL`` (f never increases) the live
     restarts above i are dropped: the log ends at the first success.
@@ -255,8 +286,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         trial = _retract(v - tau[:, None, None] * delta)
         fn, dn, tn = _objective(trial, basis)
         acc = fn <= f - 1e-4 * tau * g2
-        tau = np.where(acc, np.minimum(STEP_INIT * 10, tau / ARMIJO_BETA),
-                       tau * ARMIJO_BETA)
+        tau[~acc] *= ARMIJO_BETA
         backtracks = np.where(acc, 0, backtracks + 1)
         if not acc.any():
             continue
@@ -264,8 +294,10 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
         iters += acc
         f = np.where(acc, fn, f)
-        v[acc] = trial[acc]
-        delta[acc], g2[acc] = _descent_direction(v[acc], basis, dn[acc], tn[acc])
+        moved = trial[acc]
+        delta_new, g2[acc] = _descent_direction(moved, basis, dn[acc], tn[acc])
+        tau[acc] = _bb_step(moved - v[acc], delta_new - delta[acc], iters[acc])
+        v[acc], delta[acc] = moved, delta_new
     records = [RestartRecord(index=i, seed=cfg.seed + i, iterations=int(out_iters[p]),
                              evaluations=int(out_evals[p]), stop=out_stop[p],
                              objective=float(out_f[p]))

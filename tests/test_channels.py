@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muchan import (ChoiMatrix, KrausChannel, Tolerance, ValidationError, apply, choi_of,
                     complementary, dagger, dephasing_channel, direct_sum,
-                    frob_inner, identity_channel, minimal_kraus, minimize_kraus,
+                    frob_inner, haar_isometry, identity_channel, minimal_kraus, minimize_kraus,
                     numerical_rank, operator_system, schur_channel, vec)
 from muchan.channels import partial_trace_output
 from muchan.gallery import (corr_C4, random_channel, random_correlation,
@@ -262,6 +263,35 @@ def test_complementary_freedom_isometry_alignment():
         resid = max(np.linalg.norm(apply(psi_b, x) - w @ apply(psi_a, x) @ dagger(w))
                     for x in basis)
         assert resid <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
+       st.integers(0, 2 ** 32))
+def test_complementary_covariant_under_isometric_remixing(n, m, k, extra, seed):
+    # B_j = sum_i V(j, i) A_i for a Haar isometry V (N x r, N = r + extra)
+    # has complementary V Psi(.) V*.  ``complementary`` minimizes a longer
+    # list first, to W A for an r x r unitary W, and then gives W Psi(.) W*.
+    k = min(max(k, -(-n // m)), n * m)
+    a = minimize_kraus(random_channel(n, m, k, seed=seed))
+    r = len(a)
+    v = haar_isometry(r + extra, r, seed)
+    b = KrausChannel(list(np.tensordot(v, a.stacked(), axes=(1, 0))))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    psi_x, scale = apply(complementary(a), x), np.linalg.norm(x)
+    # the complementary of the list b as it stands: C_i[j, :] = B_j[i, :]
+    as_listed = KrausChannel(b.stacked().transpose(1, 0, 2))
+    assert np.linalg.norm(apply(as_listed, x) - v @ psi_x @ dagger(v)) <= 1e-10 * scale
+    if extra == 0:
+        assert minimize_kraus(b) is b  # already minimal, kept as given: W = V
+        w = v
+    else:
+        w = minimize_kraus(b).stacked().reshape(r, -1) @ np.linalg.pinv(
+            a.stacked().reshape(r, -1))
+        assert np.linalg.norm(dagger(w) @ w - np.eye(r)) <= 1e-9
+    got = apply(complementary(b), x)
+    assert np.linalg.norm(got - w @ psi_x @ dagger(w)) <= 1e-10 * scale
 
 
 # --------------------------------------------------------- operator_system

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import muchan
 import muchan.cli
-from muchan import io
+from muchan import KrausChannel, MixedUnitaryDecomposition, io
 from muchan.cli import main
 from muchan.channels import identity_channel
 from muchan.gallery import (corr_B3, gap_channel, toroidal_CtensorI2, weyl_channel,
@@ -49,6 +49,66 @@ def test_decomposition_roundtrip(tmp_path):
     assert loaded.n_terms == 6
     for a, b in zip(d.unitaries, loaded.unitaries):
         assert np.array_equal(a, b)
+
+
+# signed zeros, subnormals (the largest and the smallest), the smallest
+# normal, 1e-300 and its neighbours; a channel or decomposition entry has
+# modulus at most 1, so entries near 1e+300 are written in a matrix file
+_TINY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 1e-300, float(np.nextafter(1e-300, 1)),
+                     -float(np.nextafter(1e-300, 0))]),
+    st.floats(-1e-100, 1e-100))
+_ANY = st.one_of(
+    st.sampled_from([1e300, float(np.nextafter(1e300, np.inf)), -float(np.nextafter(1e300, 0)),
+                     1.7976931348623157e308]),
+    _TINY, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _matrix(draw, n, floats):
+    return np.array([[complex(draw(floats), draw(floats)) for _ in range(n)]
+                     for _ in range(n)])
+
+
+def _bits(arrays):
+    return [np.asarray(a, dtype=complex).tobytes() for a in arrays]
+
+
+def _saved_and_loaded(thing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "thing.json")
+        io.save(thing, path)
+        return io.load(path)[1]
+
+
+@st.composite
+def _phase_matrices(draw, n):
+    """A diagonal of unit phases (full-precision floats), off-diagonals tiny."""
+    m = _matrix(draw, n, _TINY)
+    for i in range(n):
+        m[i, i] = np.exp(1j * draw(st.floats(-4, 4)))
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 3), st.data())
+def test_channel_and_decomposition_floats_round_trip_bit_for_bit(n, data):
+    u = data.draw(_phase_matrices(n))
+    phi = KrausChannel([u, _matrix(data.draw, n, _TINY)])
+    assert _bits(_saved_and_loaded(phi).kraus) == _bits(phi.kraus)
+
+    p = data.draw(st.floats(1e-8, 1 - 1e-8))
+    d = MixedUnitaryDecomposition([p, 1 - p], [u, data.draw(_phase_matrices(n))])
+    loaded = _saved_and_loaded(d)
+    assert loaded.probs.tobytes() == d.probs.tobytes()
+    assert _bits(loaded.unitaries) == _bits(d.unitaries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 3), st.data())
+def test_matrix_floats_round_trip_bit_for_bit(n, data):
+    m = _matrix(data.draw, n, _ANY)
+    assert _bits([_saved_and_loaded(m)]) == _bits([m])
 
 
 @pytest.mark.parametrize("thing", [weyl_channel(3), wh_sym3_decomposition()],
@@ -439,6 +499,16 @@ def test_search_gap_at_six(tmp_path, capsys):
     assert code == 0
     assert obj["status"] == "found"
     assert len(obj["decomposition"]["unitaries"]) == 6
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--seed", "-1"), ("--time-budget", "nan"), ("--time-budget", "-1")])
+def test_search_bad_config_exits_2(tmp_path, capsys, option, value):
+    p = tmp_path / "c.json"
+    io.save(weyl_channel(3), str(p))
+    code, obj = run_cli(capsys, "search", str(p), "--N", "3", option, value)
+    assert code == 2
+    assert obj["error"]["code"] == "invalid"
 
 
 def test_search_scan(tmp_path, capsys):

@@ -236,6 +236,32 @@ def test_restart_trace_records():
     assert all(rec.objective > 1e-16 for rec in trace[:-1])
 
 
+@pytest.mark.parametrize("kwargs", [dict(seed=-1), dict(time_budget=float("nan")),
+                                    dict(time_budget=-1.0), dict(restarts=0)])
+def test_search_config_refuses_bad_values(kwargs):
+    # a NaN budget would never expire: ``now > nan`` is never true
+    with pytest.raises(ValidationError):
+        SearchConfig(**kwargs)
+
+
+def test_search_config_accepts_edge_values():
+    assert SearchConfig(seed=0, time_budget=0.0).time_budget == 0.0
+    assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
+
+
+def test_seed0_scan_lockstep_rounds():
+    # a search runs as many lockstep rounds as its slowest restart has
+    # evaluations.  The bound is a third of the 5114 rounds these five
+    # searches took with a doubling/halving step; the Barzilai-Borwein
+    # first step takes 574.
+    total = 0
+    for phi in (gap_channel(3, 1), schur_channel(corr_C4())):
+        rep = murank_search(phi, SearchConfig(restarts=25, seed=0))
+        total += sum(max(rec.evaluations for rec in res.restart_trace)
+                     for res in rep.results)
+    assert total <= 1700
+
+
 def test_restart_trace_max_iters():
     phi = gap_channel(3, 1)
     res = search_isometry(_basis_of(phi), 6, SearchConfig(restarts=2, seed=0, max_iters=3))
@@ -244,8 +270,10 @@ def test_restart_trace_max_iters():
 
 
 # ------------------------------------------- sequential reference restarts
-# The single-restart gradient descent the lockstep driver replaced, kept
-# verbatim as an oracle: every restart of the batch must end exactly here.
+# One restart on its own: gradient descent whose first trial after each
+# accepted step is the alternating Barzilai-Borwein step, with monotone
+# Armijo backtracking.  Every restart of the lockstep batch must end
+# exactly here.
 
 def _seq_objective(v, basis):
     t = np.matmul(v[None, :, :], basis)
@@ -253,11 +281,14 @@ def _seq_objective(v, basis):
     return float(np.sum(np.abs(d) ** 2)), d, t
 
 
-def _seq_euclidean_gradient(v, basis, d, t):
+def _seq_direction(v, basis, d, t):
     g = np.einsum("kj,kjq->jq", d.conj(), t)
     th = np.matmul(v[None, :, :], basis.conj().transpose(0, 2, 1))
     g += np.einsum("kj,kjq->jq", d, th)
-    return 2 * g
+    g = 2 * g
+    a = dagger(v) @ g
+    delta = g - v @ (a + dagger(a)) / 2
+    return delta, float(np.sum(np.abs(delta) ** 2))
 
 
 def _seq_retract(v):
@@ -269,36 +300,34 @@ def _seq_retract(v):
 
 def _seq_run_restart(basis, n_terms, r, cfg, index):
     v = haar_isometry(n_terms, r, cfg.seed + index)
-    if basis.shape[0] == 0:
-        return 0.0, v
     f, d, t = _seq_objective(v, basis)
-    step = search_mod.STEP_INIT
+    delta, g2 = _seq_direction(v, basis, d, t)
+    tau = search_mod.STEP_INIT
     stall = 0
     target = min(search_mod.OBJECTIVE_TOL, 1e-28)
-    for _ in range(cfg.max_iters):
-        if f <= target:
+    for it in range(1, cfg.max_iters + 1):
+        if f <= target or g2 <= 1e-30:
             break
-        g = _seq_euclidean_gradient(v, basis, d, t)
-        a = dagger(v) @ g
-        delta = g - v @ (a + dagger(a)) / 2
-        g2 = float(np.sum(np.abs(delta) ** 2))
-        if g2 <= 1e-30:
-            break
-        tau, accepted = step, False
         for _ in range(40):
             vn = _seq_retract(v - tau * delta)
             fn, dn, tn = _seq_objective(vn, basis)
             if fn <= f - 1e-4 * tau * g2:
-                accepted = True
                 break
             tau *= search_mod.ARMIJO_BETA
-        if not accepted:
+        else:
             break
         stall = stall + 1 if f - fn <= 1e-9 * max(f, 1e-300) else 0
-        v, f, d, t = vn, fn, dn, tn
+        delta_n, g2 = _seq_direction(vn, basis, dn, tn)
+        s, y = vn - v, delta_n - delta
+        ss, yy = np.sum(np.abs(s) ** 2), np.sum(np.abs(y) ** 2)
+        sy = abs(np.sum((s.conj() * y).real))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = ss / sy if it % 2 == 1 else sy / yy
+        if not (np.isfinite(tau) and tau > 0):
+            tau = search_mod.STEP_INIT
+        v, f, delta = vn, fn, delta_n
         if stall >= 30:
             break
-        step = min(search_mod.STEP_INIT * 10, tau / search_mod.ARMIJO_BETA)
     return f, v
 
 

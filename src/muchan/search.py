@@ -9,11 +9,13 @@ vanishing diagonal for every traceless X.  The search minimizes
 over the Stiefel manifold {V : V* V = I_r}, where B_1..B_m is an
 orthonormal basis of the image of the traceless subspace under Psi, by
 Riemannian gradient descent (Wirtinger gradient, tangent projection,
-QR retraction) from Haar-random starts.  The first trial step after each
-accepted step is the alternating Barzilai-Borwein step (Barzilai &
-Borwein, IMA J. Numer. Anal. 8 (1988) 141; on the Stiefel manifold, Wen &
-Yin, Math. Program. 142 (2013) 397), and a monotone Armijo test with
-backtracking guards it, so f never increases.
+QR retraction) from Haar-random starts; the diagonals of all V B_k V* are
+one product of the rows vec(v_j v_j*) with the flattened basis.  The first
+trial step after each accepted step is the alternating Barzilai-Borwein
+step (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141; on the Stiefel
+manifold, Wen & Yin, Math. Program. 142 (2013) 397), and a monotone Armijo
+test with backtracking guards it, so f never increases.  A restart gives
+up once f - tau |grad f|^2 rounds to f: no smaller step can show a decrease.
 
 The restarts of one search run in lockstep along a leading batch axis:
 every round makes one Armijo trial for each live restart with stacked
@@ -29,6 +31,7 @@ all restarts plateaued above the objective tolerance.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -76,8 +79,9 @@ class SearchConfig:
     restarts run as one lockstep batch (in blocks of at most ``_BLOCK``),
     and each restart's iterates match those of the same restart run
     alone, so the result does not depend on how restarts are grouped.
-    ``seed`` must be non-negative, and ``time_budget`` (seconds, checked
-    before every round) a non-negative number or None.
+    ``restarts`` and ``max_iters`` must be positive integers, ``seed`` a
+    non-negative one (bool is refused), and ``time_budget`` (seconds,
+    checked before every round) a non-negative real number or None.
     """
 
     restarts: int = 50
@@ -86,14 +90,18 @@ class SearchConfig:
     time_budget: Optional[float] = None
 
     def __post_init__(self):
+        counts = (self.restarts, self.max_iters, self.seed)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in counts):
+            raise ValidationError(f"restarts, max_iters and seed must be integers, got {counts}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValidationError("restarts and max_iters must be positive")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         # written so that NaN fails too: ``now > nan`` would never expire
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValidationError(
-                f"time_budget must be a non-negative number, got {self.time_budget}")
+        budget = self.time_budget
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, numbers.Real)
+                                   or not budget >= 0):
+            raise ValidationError(f"time_budget must be a non-negative number, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,10 @@ class RestartRecord:
     ``stop`` is one of ``STOP_REASONS``: the polish target was reached,
     the objective stalled (30 iterations under 1e-9 relative decrease),
     ``max_iters`` ran out, the Riemannian gradient vanished (squared norm
-    <= 1e-30), 40 Armijo backtracks failed, or the time budget cut it
-    off.  When several hold at once the first in ``STOP_REASONS`` is
-    reported.
+    <= 1e-30), the Armijo backtracking gave up (after 40 rejected trials,
+    or once a rejected trial's f - tau g2 rounds to f), or the time budget
+    cut it off.  When several hold at once the first in ``STOP_REASONS``
+    is reported.
     """
 
     index: int
@@ -178,24 +187,23 @@ def _h(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _objective(v: np.ndarray, basis: np.ndarray):
-    """f, d, t for an isometry or a stack of them, ``v`` of shape (..., N, r)."""
-    # t[..., k, j, :] = row j of (V B_k); d[..., k, j] = (V B_k V*)(j, j)
-    t = np.matmul(v[..., None, :, :], basis)
-    d = np.einsum("...kjq,...jq->...kj", t, v.conj())
-    return np.sum(np.abs(d) ** 2, axis=(-2, -1)), d, t
+def _objective(v: np.ndarray, bf: np.ndarray):
+    """f and d[..., j, k] = (V B_k V*)(j, j) = vec(v_j v_j*) . vec(B_k) for V
+    of shape (..., N, r) with rows v_j; ``bf`` is the basis as (m, r*r)."""
+    w = (v[..., :, None] * v.conj()[..., None, :]).reshape(*v.shape[:-1], -1)
+    d = w @ bf.T
+    return np.sum(np.abs(d) ** 2, axis=(-2, -1)), d
 
 
-def _euclidean_gradient(v, basis, d, t):
-    g = np.einsum("...kj,...kjq->...jq", d.conj(), t)
-    th = np.matmul(v[..., None, :, :], _h(basis))
-    g += np.einsum("...kj,...kjq->...jq", d, th)
-    return 2 * g
+def _euclidean_gradient(v, bf, d):
+    """g_j = 2 v_j^T (C_j + C_j*) with C_j = unvec(conj(d_j) @ bf), any basis."""
+    c = (d.conj() @ bf).reshape(*v.shape, v.shape[-1])
+    return 2 * np.einsum("...ja,...jaq->...jq", v, c + _h(c))
 
 
-def _descent_direction(v, basis, d, t):
+def _descent_direction(v, bf, d):
     """Riemannian gradient at each V (tangent projection) and its squared norm."""
-    g = _euclidean_gradient(v, basis, d, t)
+    g = _euclidean_gradient(v, bf, d)
     a = _h(v) @ g
     delta = g - v @ (a + _h(a)) / 2
     return delta, np.sum(np.abs(delta) ** 2, axis=(-2, -1))
@@ -233,7 +241,9 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     step tau: the trial point retract(V - tau Delta) and its objective.  A
     restart that passes the Armijo test moves to the trial point, gets its
     descent direction there and takes :func:`_bb_step` of the move as its
-    next tau; one that fails shrinks its tau by ``ARMIJO_BETA``.  The
+    next tau; one that fails shrinks its tau by ``ARMIJO_BETA`` and stops
+    (``armijo``) once f - tau g2 rounds to f: no smaller step can show a
+    decrease when even the first-order one is below f's rounding.  The
     state arrays are compacted only when a restart stops or is dropped.
     Once restart i is below ``OBJECTIVE_TOL`` (f never increases) the live
     restarts above i are dropped: the log ends at the first success.
@@ -242,28 +252,26 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     up to the first success (or all of them), and whether the time budget
     ran out.
     """
-    b = len(indices)
-    v = np.array([haar_isometry(n_terms, basis.shape[1], cfg.seed + i) for i in indices])
+    b, r = len(indices), basis.shape[1]
+    bf = basis.reshape(len(basis), r * r)
+    v = np.array([haar_isometry(n_terms, r, cfg.seed + i) for i in indices])
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
     target = min(OBJECTIVE_TOL, POLISH_TOL)
-    f, d, t = _objective(v, basis)
-    delta, g2 = _descent_direction(v, basis, d, t)
+    f, d = _objective(v, bf)
+    delta, g2 = _descent_direction(v, bf, d)
     pos = np.arange(b)                       # block position of each live restart
     tau = np.full(b, STEP_INIT)
-    stall = np.zeros(b, dtype=int)
-    iters = np.zeros(b, dtype=int)
-    backtracks = np.zeros(b, dtype=int)
-    out_f, out_v = np.zeros(b), np.empty_like(v)
-    out_iters, out_evals = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
-    out_stop = [""] * b
+    stall, iters, backtracks = (np.zeros(b, dtype=int) for _ in range(3))
+    out_v, records = np.empty_like(v), [None] * b
     first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
     exhausted = False
     for rounds in itertools.count():
         # a rejected trial leaves f, g2, stall and iters as they were, so
         # one test serves the start and every round; in STOP_REASONS order
         tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
-                 g2 <= GRAD_FLOOR, backtracks >= MAX_BACKTRACKS)
+                 g2 <= GRAD_FLOOR,
+                 (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
         done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
         ok = f <= OBJECTIVE_TOL
         if ok.any():
@@ -274,17 +282,18 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
             done |= live
             live[:] = False
         for k in np.flatnonzero(done):
-            p = pos[k]
-            out_f[p], out_v[p], out_iters[p], out_evals[p] = f[k], v[k], iters[k], rounds + 1
-            out_stop[p] = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]),
-                               "budget")
+            p, i = pos[k], indices[pos[k]]
+            out_v[p] = v[k]
+            stop = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]), "budget")
+            records[p] = RestartRecord(index=i, seed=cfg.seed + i, iterations=int(iters[k]),
+                                       evaluations=rounds + 1, stop=stop, objective=float(f[k]))
         if not live.any():
             break
         if not live.all():
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
         trial = _retract(v - tau[:, None, None] * delta)
-        fn, dn, tn = _objective(trial, basis)
+        fn, dn = _objective(trial, bf)
         acc = fn <= f - 1e-4 * tau * g2
         tau[~acc] *= ARMIJO_BETA
         backtracks = np.where(acc, 0, backtracks + 1)
@@ -295,13 +304,10 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         iters += acc
         f = np.where(acc, fn, f)
         moved = trial[acc]
-        delta_new, g2[acc] = _descent_direction(moved, basis, dn[acc], tn[acc])
+        delta_new, g2[acc] = _descent_direction(moved, bf, dn[acc])
         tau[acc] = _bb_step(moved - v[acc], delta_new - delta[acc], iters[acc])
         v[acc], delta[acc] = moved, delta_new
-    records = [RestartRecord(index=i, seed=cfg.seed + i, iterations=int(out_iters[p]),
-                             evaluations=int(out_evals[p]), stop=out_stop[p],
-                             objective=float(out_f[p]))
-               for p, i in enumerate(indices[:first_ok + 1])]
+    records = records[:first_ok + 1]
     return records, list(out_v[:len(records)]), exhausted
 
 
@@ -332,8 +338,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     def expired():
         return deadline is not None and time.monotonic() > deadline
 
-    trace, finals = [], []
-    exhausted = False
+    trace, finals, exhausted = [], [], False
     for first in range(0, cfg.restarts, _BLOCK):
         if expired():
             exhausted = True
@@ -346,10 +351,7 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
             break
     n_done = next((k for k, rec in enumerate(trace) if rec.stop == "budget"), len(trace))
     log = [rec.objective for rec in trace[:n_done]]
-    best_f, best_v = np.inf, None
-    for f, v in zip(log, finals):
-        if f < best_f:
-            best_f, best_v = f, v
+    best_f, best_v = min(zip(log, finals), key=lambda fv: fv[0], default=(np.inf, None))
 
     status = "found" if best_f <= OBJECTIVE_TOL else (
         "budget_exhausted" if exhausted else "not_found")
@@ -366,11 +368,9 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
                 decomposition = None
         if decomposition is None:
             status = "not_found"
-    return SearchResult(status=status, n_terms=n_terms,
-                        objective=float(best_f),
+    return SearchResult(status=status, n_terms=n_terms, objective=float(best_f),
                         isometry=best_v if status == "found" else None,
-                        decomposition=decomposition,
-                        restart_log=tuple(log),
+                        decomposition=decomposition, restart_log=tuple(log),
                         restart_trace=tuple(trace))
 
 
@@ -383,9 +383,9 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
     must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
     i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
-    search passes 1e-6), or
-    :class:`NumericalError` names j.  The weights are renormalized.  The
-    direct (V = I), low-dimension and search decompositions all come from here.
+    search passes 1e-6), or :class:`NumericalError` names j.  The weights are
+    renormalized.  The direct (V = I), low-dimension and search
+    decompositions all come from here.
     """
     v = np.asarray(v, dtype=complex)
     r, n = len(phi_minimal.kraus), phi_minimal.dim_in

@@ -1,11 +1,11 @@
 """Constructive decomposition algorithms.
 
 * ``zero_diagonal_unitary``: for traceless Z, a unitary U with U Z U*
-  having (numerically) vanishing diagonal, by deflation.  Each step needs
-  a unit v with v* Z v = 0; it comes from the diagonal alone (the
-  diagonal of a traceless matrix averages to 0), by a chain of
-  closed-form 2x2 rotations whose targets, the running means of the
-  diagonal, always lie between the two diagonal entries being mixed.
+  having (numerically) vanishing diagonal (Fillmore, Amer. Math. Monthly
+  76 (1969) 167), by one sweep of closed-form 2x2 plane rotations.  Each
+  rotation moves a diagonal entry to a running mean of the diagonal,
+  which always lies between the two diagonal entries being mixed; the
+  diagonal of a traceless matrix averages to 0.
 * ``decompose_low_dim``: channels whose operator system has dimension at
   most 3 are mixed unitary with rank equal to their Choi rank; the proof
   is run as an algorithm.
@@ -13,6 +13,9 @@
   correlation matrices into unimodular rank-one factors.
 """
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -71,90 +74,31 @@ class ToroidalDecomposition:
         return f"ToroidalDecomposition(dim={self.dim}, terms={self.n_terms})"
 
 
-def _solve_bracketed_2x2(m: np.ndarray) -> np.ndarray:
-    """Unit v = (cos t, e^{i phi} sin t) with v* M v = 0, assuming 0 lies on
-    the segment between the diagonal entries of the 2x2 matrix M."""
-    z0, z1 = m[0, 0], m[1, 1]
-    scale = max(abs(z0), abs(z1), np.abs(m).max(), 1e-300)
-    if abs(z0) <= 1e-14 * scale:
-        return np.array([1.0, 0.0], dtype=complex)
-    if abs(z1) <= 1e-14 * scale:
-        return np.array([0.0, 1.0], dtype=complex)
+def _solve_bracketed_2x2(z0: complex, a: complex, b: complex, z1: complex):
+    """Unit x = (cos t, e^{i phi} sin t) with x* M x = 0 for the 2x2 matrix
+    M = [[z0, a], [b, z1]], assuming z0 != 0 and z1 = -mu z0 with mu > 0."""
     mu = abs(z1) / abs(z0)
     psi = z0 / abs(z0)
-    ap, bp = m[0, 1] / psi, m[1, 0] / psi
-    num = -(ap.imag + bp.imag)
-    den = ap.real - bp.real
-    phi = 0.0 if (abs(num) < 1e-300 and abs(den) < 1e-300) else float(np.arctan2(num, den))
-    w = np.exp(1j * phi) * ap + np.exp(-1j * phi) * bp
-    g0 = w.real / abs(z0)
-    t = float(np.arctan((g0 + np.sqrt(g0 * g0 + 4 * mu)) / (2 * mu)))
-    return np.array([np.cos(t), np.exp(1j * phi) * np.sin(t)], dtype=complex)
-
-
-def _opposite_through_zero(z0: complex, z1: complex, rel: float) -> bool:
-    p = z0 * np.conj(z1)
-    scale = abs(z0) * abs(z1)
-    return scale > 0 and p.real < 0 and abs(p.imag) <= rel * scale
-
-
-def _null_rayleigh_vector(z: np.ndarray) -> np.ndarray:
-    """A unit vector v with v* Z v = 0 for traceless Z.
-
-    Fast paths: a vanishing diagonal entry, then a coordinate pair whose
-    diagonal entries bracket 0.  Otherwise a running-mean chain: start at
-    w = e_0 with w* Z w = d_0 and, for k = 1..n-1, compress Z onto the
-    orthonormal pair (w, e_k).  That 2x2 compression has diagonal
-    (mean(d_0..d_{k-1}), d_k), and mean(d_0..d_k) lies on the segment
-    between them, so a closed-form 2x2 step moves w to a unit vector in
-    span(w, e_k) with w* Z w = mean(d_0..d_k).  After n-1 steps the value
-    is Tr(Z)/n = 0.  Only the diagonal of Z decides the targets.
-    """
-    n = z.shape[0]
-    nrm = float(np.linalg.norm(z))
-    d = np.diag(z)
-    for i in range(n):
-        if abs(d[i]) <= 1e-14 * nrm:
-            e = np.zeros(n, dtype=complex)
-            e[i] = 1
-            return e
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _opposite_through_zero(d[i], d[j], 1e-12):
-                x = _solve_bracketed_2x2(z[np.ix_([i, j], [i, j])])
-                v = np.zeros(n, dtype=complex)
-                v[i], v[j] = x
-                return v
-    w = np.zeros(n, dtype=complex)
-    w[0] = 1
-    mean = d[0]
-    for k in range(1, n):
-        # the diagonal of B - mean(d_0..d_k) I is (-step, k * step)
-        step = (d[k] - mean) / (k + 1)
-        b = np.array([[-step, np.conj(w) @ z[:, k]], [z[k] @ w, k * step]])
-        x = _solve_bracketed_2x2(b)
-        w = x[0] * w
-        w[k] = x[1]
-        mean += step
-    return w
-
-
-def _first_column_unitary(v: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is the given unit vector."""
-    n = v.size
-    m = np.eye(n, dtype=complex)
-    m[:, 0] = v
-    q, _ = np.linalg.qr(m)
-    q[:, 0] *= np.conj(q[:, 0]) @ v
-    return q
+    ap, bp = a / psi, b / psi
+    phase = cmath.exp(1j * math.atan2(-(ap.imag + bp.imag), ap.real - bp.real))
+    g0 = (phase * ap + bp / phase).real / abs(z0)
+    if g0 < 0:  # phase and -phase both make g0 real; g0 >= 0 avoids cancellation
+        phase, g0 = -phase, -g0
+    t = math.atan((g0 + math.sqrt(g0 * g0 + 4 * mu)) / (2 * mu))
+    return math.cos(t), phase * math.sin(t)
 
 
 def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary U such that U Z U* has vanishing diagonal, for traceless Z.
 
-    Deflation: find a unit vector v with v* Z v = 0, rotate it to the
-    first coordinate, and recurse on the trailing block (still traceless).
-    The identity is returned whenever the diagonal already vanishes.
+    One sweep of 2x2 plane rotations on M = W* Z W, starting from W = I.
+    For i = 0..n-2 and k = i+1..n-1 the rotation in plane (i, k) moves
+    M[i,i] to the mean of the diagonal entries i..k of the trailing block
+    as it stood before row i; that mean lies between M[i,i] (the mean of
+    entries i..k-1) and M[k,k], so a closed-form 2x2 solve gives the
+    rotation.  After row i, M[i,i] is the trailing block's mean, 0, and
+    the block below stays traceless.  U = W*; it is the identity when the
+    diagonal already vanishes.
     Z is first scaled by the power of two that brings its largest real or
     imaginary part into [1/2, 1): the scaling is exact, leaves U
     unchanged, and keeps norms from underflowing or overflowing, so the
@@ -171,29 +115,26 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if abs(np.trace(z)) > max(tol.eps_eq * nrm, 1e-12):
         raise ValidationError(
             f"matrix is not traceless: |Tr| = {np.ldexp(abs(np.trace(z)), e):.3e}")
-    u = _zero_diag_recurse(z)
+    # rows 0..n-1 hold M, rows n..2n-1 hold W: a column rotation acts on both
+    mw = np.vstack([z, np.eye(n, dtype=complex)])
+    for i in range(n - 1):
+        for k in range(i + 1, n):
+            step = complex(mw[k, k] - mw[i, i]) / (k - i + 1)
+            if step == 0:
+                continue
+            x0, x1 = _solve_bracketed_2x2(-step, complex(mw[i, k]), complex(mw[k, i]),
+                                          (k - i) * step)
+            g = np.array([[x0, -x1.conjugate()], [x1, x0]])
+            p = slice(i, k + 1, k - i)  # indices i and k, as a view
+            mw[:, p] = mw[:, p] @ g
+            mw[p] = g.conj().T @ mw[p]
+    u = dagger(mw[n:])
     resid = float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
     if resid > 1e-8 * nrm:
         raise NumericalError(
             "zero-diagonal construction missed tolerance: residual "
             f"{resid / nrm:.3e} relative to the Frobenius norm")
     return u
-
-
-def _zero_diag_recurse(z: np.ndarray) -> np.ndarray:
-    n = z.shape[0]
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    nrm = float(np.linalg.norm(z))
-    if nrm == 0 or np.max(np.abs(np.diag(z))) <= 1e-16 * nrm:
-        return np.eye(n, dtype=complex)
-    v = _null_rayleigh_vector(z)
-    q = _first_column_unitary(v)
-    z1 = dagger(q) @ z @ q
-    sub = _zero_diag_recurse(z1[1:, 1:])
-    u = np.eye(n, dtype=complex)
-    u[1:, 1:] = sub
-    return u @ dagger(q)
 
 
 def _traceless_hermitian_directions(basis, n: int, k: int):

@@ -87,10 +87,17 @@ def haar_isometry(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n_rows, n_cols))
          + 1j * rng.standard_normal((n_rows, n_cols))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    return _phased_q(z)
+
+
+def _phased_q(a: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of each matrix in ``a`` (shape (..., m, k),
+    m >= k), with the phases of R's diagonal absorbed into Q's columns; a
+    zero diagonal entry leaves its column as it is."""
+    q, r = np.linalg.qr(a)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
+    return q * ph[..., None, :]
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

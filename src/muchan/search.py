@@ -42,7 +42,7 @@ from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
                        rank_bounds, verify_decomposition)
 from .channels import KrausChannel, channel_profile, complementary
 from .exceptions import NumericalError, ValidationError
-from .linalg import dagger, haar_isometry, unitarity_defect
+from .linalg import _phased_q, dagger, haar_isometry, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -209,14 +209,6 @@ def _descent_direction(v, bf, d):
     return delta, np.sum(np.abs(delta) ** 2, axis=(-2, -1))
 
 
-def _retract(v: np.ndarray) -> np.ndarray:
-    """QR retraction with the phases of R's diagonal absorbed, per matrix."""
-    q, r = np.linalg.qr(v)
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-    return q * ph[..., None, :]
-
-
 def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Alternating Barzilai-Borwein steps for a stack of accepted moves.
 
@@ -292,7 +284,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         if not live.all():
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
-        trial = _retract(v - tau[:, None, None] * delta)
+        trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
         fn, dn = _objective(trial, bf)
         acc = fn <= f - 1e-4 * tau * g2
         tau[~acc] *= ARMIJO_BETA

@@ -577,6 +577,15 @@ def test_zero_diag_rejects_nonzero_trace(tmp_path, capsys):
     assert obj["error"]["code"] == "invalid"
 
 
+def test_zero_diag_rejects_non_square(tmp_path, capsys):
+    p = tmp_path / "z.json"
+    with open(p, "w") as fh:
+        json.dump(io.matrix_obj(np.zeros((2, 3))), fh)
+    code, obj = run_cli(capsys, "zero-diag", str(p))
+    assert code == 2
+    assert obj["error"]["code"] == "invalid"
+
+
 def test_zero_diag_has_no_seed_option(tmp_path, capsys):
     p = tmp_path / "z.json"
     with open(p, "w") as fh:

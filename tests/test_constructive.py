@@ -40,10 +40,38 @@ def test_zero_diag_sign_matrix():
 
 
 def test_zero_diag_accepts_already_vanishing():
-    z = np.array([[0, 2 + 1j], [3, 0]], dtype=complex)
-    u = zero_diagonal_unitary(z)
-    assert _diag_residual(u, z) <= 1e-12
-    assert np.linalg.norm(u - np.eye(2)) <= 1e-12  # identity is admissible
+    for n in (2, 5, 8):
+        z = _random_traceless(n, n)
+        z -= np.diag(np.diag(z))
+        u = zero_diagonal_unitary(z)
+        assert np.array_equal(u, np.eye(n))  # every rotation step is exactly 0
+
+
+def test_zero_diag_zero_step_mid_sweep():
+    # M[0,0] = M[1,1] makes the (0, 1) step exactly 0; the sweep goes on
+    rng = np.random.default_rng(4)
+    off = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    z = np.diag([1.0, 1.0, -2.0]) + off - np.diag(np.diag(off))
+    _assert_zero_diag(zero_diagonal_unitary(z), z)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-10])
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_zero_diag_small_diagonal_large_coupling(d, a):
+    # the 2x2 solve's root must not cancel when the coupling dwarfs the
+    # diagonal; the cancelling form of the root leaves 5e-12 (d = 1e-6)
+    # and 7e-11 (d = 1e-10) relative at a = -1
+    z = np.array([[d, a], [a, -d]], dtype=complex)
+    assert _diag_residual(zero_diagonal_unitary(z), z) <= 1e-14 * np.linalg.norm(z)
+
+
+def test_zero_diag_one_by_one():
+    assert np.array_equal(zero_diagonal_unitary(np.zeros((1, 1))), np.eye(1))
+
+
+def test_zero_diag_rejects_non_square():
+    with pytest.raises(ValidationError):
+        zero_diagonal_unitary(np.zeros((2, 3)))
 
 
 def test_zero_diag_random_6x6():
@@ -56,7 +84,7 @@ def test_zero_diag_random_6x6():
 
 def test_zero_diag_normal_matrix_without_bracketing_pair():
     # cube-roots-of-unity diagonal: no pair of diagonal entries straddles
-    # zero, so the running-mean chain must engage
+    # zero, so no single rotation reaches 0; the running means get there
     z = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
     u = zero_diagonal_unitary(z)
     assert _diag_residual(u, z) <= 1e-10
@@ -81,7 +109,7 @@ def _collinear_normal(n, seed):
 
 
 def _roots_of_unity_plus_upper(scale):
-    # non-normal, and no pair of diagonal entries brackets 0
+    # non-normal, with large off-diagonal entries over a roots-of-unity diagonal
     rng = np.random.default_rng(3)
     upper = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)
     return np.diag(np.exp(2j * np.pi * np.arange(3) / 3)) + scale * upper

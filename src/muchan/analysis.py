@@ -11,13 +11,20 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channels import (ChannelProfile, KrausChannel, apply, channel_profile,
-                       complementary, direct_sum, identity_channel, minimize_kraus)
+                       direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix, dagger, dirsum, frob_inner, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # Memory budget of one chunk of products (_max_commutator, verify_decomposition).
 _CHUNK_BYTES = 256 * 1024
+# Simultaneous diagonalization (Schur witnesses, _rank_r_decomposition):
+_CLUSTER_GAP = 1e-8  # eigenvalues closer than this * max(1, |w|) form one cluster
+_DIAGONAL_FLOOR = 1e-13  # a cluster off-diagonal (Frobenius) below this is not refined
+_HERMITIAN_PART_FLOOR = 1e-12  # parts (M +- M*)/2 of norm at most this are dropped
+# Relation-vector entries at most this are SVD rounding, read as 0: exact structure
+# (a list of scaled unitaries) gives an exact remixing matrix.
+_RELATION_FLOOR = 1e-12
 
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
@@ -245,26 +252,27 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
 
 def _rank_r_decomposition(profile: ChannelProfile,
                           tol: Tolerance) -> MixedUnitaryDecomposition:
-    """An r-term decomposition for a profile that certifies mixed-unitary
-    rank r: the minimal list itself if it reads as r unitaries (V = I),
-    else the s <= 3 construction or the isometry search."""
-    from .search import decomposition_from_isometry, search_isometry, traceless_image_basis
-    try:
-        direct = decomposition_from_isometry(profile.minimal, np.eye(profile.r), tol)
-    except NumericalError:
-        direct = None
-    if direct is not None and direct.n_terms == profile.r:
-        return direct
-    if profile.s <= 3:
-        from .constructive import decompose_low_dim
-        return decompose_low_dim(profile, tol)
-    basis = traceless_image_basis(complementary(profile, tol), tol)
-    result = search_isometry(basis, profile.r, channel=profile.minimal, tol=tol)
-    if result.status != "found" or result.decomposition is None:
-        raise NumericalError(
-            "isometry search did not realize the certified rank-r decomposition; "
-            f"best objective {result.objective:.3e}")
-    return result.decomposition
+    """The unique r-term decomposition of a profile with s = r^2 - r + 1.
+
+    {Q : sum_jk Q[k, j] A_k* A_j in C I}, the complement of the traceless
+    image of the complementary channel, has dimension r; for a mixed-unitary
+    channel the projectors V* E_jj V of the remixing matrix V span it
+    (sqrt(p_j) U_j = sum_k V(j, k) A_k).  Its vec(Q^T) are spanned by vec(I_r)
+    and the profile's left singular vectors past s (U is square: s <= n^2
+    gives r <= n).  Diagonalizing the family by E gives V = E*; rows phased
+    (largest entry real positive) and sorted by that entry's column, so a
+    minimal list of scaled unitaries comes back as itself.
+    """
+    from .search import decomposition_from_isometry
+    r = profile.r
+    q = np.concatenate([profile.system.left[:, profile.s:].T, np.eye(r).reshape(1, -1)])
+    q[np.abs(q) <= _RELATION_FLOOR] = 0
+    family = _hermitian_parts(q.reshape(-1, r, r).transpose(0, 2, 1))
+    v = dagger(_simultaneously_diagonalize(family, np.random.default_rng(0)))
+    k = np.argmax(np.abs(v), axis=1)
+    top = v[np.arange(r), k]
+    v = (v * (top.conj() / np.abs(top))[:, None])[np.argsort(k, kind="stable")]
+    return decomposition_from_isometry(profile.minimal, v, tol)
 
 
 def certified_gap_rank(phi: KrausChannel, m: int,
@@ -273,9 +281,11 @@ def certified_gap_rank(phi: KrausChannel, m: int,
 
     Requires the uniqueness certificate (s = r^2 - r + 1 with r >= 2) so
     the direct sum provably has Choi rank r + 1 and mixed-unitary rank 2r.
-    The returned 2r-term decomposition pairs each U_k with +1 and -1
-    blocks at weight p_k / 2 and is verified before being returned; the
-    direct sum's Choi rank is the size of its minimal Kraus list.
+    The r-term decomposition comes in closed form from the profile
+    (:func:`_rank_r_decomposition`, no search).  The returned 2r-term one
+    pairs each U_k with +1 and -1 blocks at weight p_k / 2 and is verified
+    before being returned; the direct sum's Choi rank is the size of its
+    minimal Kraus list.
     """
     if m < 1:
         raise ValidationError("block dimension m must be a positive integer")
@@ -296,11 +306,8 @@ def certified_gap_rank(phi: KrausChannel, m: int,
         raise NumericalError(
             f"rank-r decomposition failed verification: residual {check.choi_residual:.3e}")
     eye = np.eye(m, dtype=complex)
-    probs, us = [], []
-    for p, u in zip(base.probs, base.unitaries):
-        probs += [p / 2, p / 2]
-        us += [dirsum(u, eye), dirsum(u, -eye)]
-    d2 = MixedUnitaryDecomposition(probs, us, tol)
+    d2 = MixedUnitaryDecomposition(np.repeat(base.probs / 2, 2), [
+        dirsum(u, b) for u in base.unitaries for b in (eye, -eye)], tol)
     summed = direct_sum(profile.minimal, identity_channel(m), tol)
     check2 = verify_decomposition(summed, d2, tol)
     if not check2.ok:
@@ -337,14 +344,11 @@ def decompositions_equivalent(d1: MixedUnitaryDecomposition,
     return bool(np.all(np.abs(group_weight - d1.probs) <= max(tol.eps_eq, 1e-12)))
 
 
-def _cluster_indices(w: np.ndarray, gap: float):
-    clusters = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] < gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+def _cluster_indices(w: np.ndarray) -> list:
+    """Index runs of ascending ``w`` split where a step is at least the gap."""
+    gap = _CLUSTER_GAP * max(1.0, float(np.abs(w).max()))
+    ends = [0, *(np.flatnonzero(np.diff(w) >= gap) + 1).tolist(), w.size]
+    return [list(range(a, b)) for a, b in zip(ends, ends[1:])]
 
 
 def _simultaneously_diagonalize(mats, rng, depth=0) -> np.ndarray:
@@ -358,17 +362,22 @@ def _simultaneously_diagonalize(mats, rng, depth=0) -> np.ndarray:
     c = rng.standard_normal(len(mats))
     t = sum(ci * m for ci, m in zip(c, mats))
     t = (t + dagger(t)) / 2
-    w, u = np.linalg.eigh(t)
-    scale = max(1.0, float(np.abs(w).max()))
-    v = np.array(u)
-    for cluster in _cluster_indices(w, 1e-8 * scale):
+    w, v = np.linalg.eigh(t)
+    for cluster in _cluster_indices(w):
         if len(cluster) > 1:
-            cols = u[:, cluster]
+            cols = v[:, cluster]  # a copy: refining the block writes into v
             sub = [dagger(cols) @ m @ cols for m in mats]
-            if max(np.linalg.norm(s - np.diag(np.diag(s))) for s in sub) < 1e-13:
+            if max(np.linalg.norm(s - np.diag(np.diag(s))) for s in sub) < _DIAGONAL_FLOOR:
                 continue
             v[:, cluster] = cols @ _simultaneously_diagonalize(sub, rng, depth + 1)
     return v
+
+
+def _hermitian_parts(mats) -> list:
+    """(M + M*)/2 and (M - M*)/2i of each M above the floor: same complex span."""
+    m, mh = np.asarray(mats), np.conj(np.swapaxes(mats, 1, 2))
+    parts = np.stack([(m + mh) / 2, (m - mh) / 2j], axis=1).reshape(-1, *m.shape[1:])
+    return list(parts[np.linalg.norm(parts, axis=(1, 2)) > _HERMITIAN_PART_FLOOR])
 
 
 def _max_commutator(basis) -> float:
@@ -428,32 +437,18 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     if not witnesses:
         return SchurEquivalence(equivalent=True, witnesses=None,
                                 max_commutator=max_comm)
-    herms = []
-    for b in basis:
-        for h in ((b + dagger(b)) / 2, (b - dagger(b)) / 2j):
-            if np.linalg.norm(h) > 1e-12:
-                herms.append(h)
-    rng = np.random.default_rng(0)
-    v = _simultaneously_diagonalize(herms, rng)
+    v = _simultaneously_diagonalize(_hermitian_parts(basis), np.random.default_rng(0))
+    units = [np.diag(e) for e in np.eye(n, dtype=complex)]
+    images = [apply(phi, v @ d @ dagger(v)) for d in units]
     ws = []
-    for k in range(n):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1
-        p_k = apply(phi, v @ d @ dagger(v))
-        evals, evecs = np.linalg.eigh(p_k)
-        w = evecs[:, -1]
+    for image in images:
+        w = np.linalg.eigh(image)[1][:, -1]
         i0 = int(np.argmax(np.abs(w)))
-        w = w * (np.conj(w[i0]) / abs(w[i0]))
-        ws.append(w)
-    u0 = np.array([np.conj(w) for w in ws])
-    uu, _, vvh = np.linalg.svd(u0)
+        ws.append(np.conj(w * (np.conj(w[i0]) / abs(w[i0]))))
+    uu, _, vvh = np.linalg.svd(np.array(ws))
     u = uu @ vvh
-    resid = 0.0
-    for k in range(n):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1
-        out = u @ apply(phi, v @ d @ dagger(v)) @ dagger(u)
-        resid = max(resid, float(np.linalg.norm(out - d)))
+    resid = max(float(np.linalg.norm(u @ image @ dagger(u) - d))
+                for image, d in zip(images, units))
     if resid > max(100 * tol.eps_eq * n, 1e-7):
         raise NumericalError(
             f"Schur-equivalence witnesses missed tolerance: residual {resid:.3e} "

@@ -133,13 +133,18 @@ class ChoiMatrix:
         return f"ChoiMatrix({self.dim_in}->{self.dim_out})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSystemBasis:
-    """Orthonormal basis of the operator system span{A_k* A_j} of a channel."""
+    """Orthonormal basis of the operator system span{A_k* A_j} of a minimal
+    Kraus list A_1..A_r, from one SVD R = U S Vh of the r^2 x n^2 rows
+    conj(vec(A_k* A_j)), row (j, k) at j r + k.  ``left`` is U, r^2 x
+    min(r^2, n^2); when r <= n it is square, and its columns q past s span
+    the relations sum_jk q[j r + k] A_k* A_j = 0."""
 
     dim: int
     basis: tuple
     s: int
+    left: np.ndarray
 
 
 def partial_trace_output(j: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
@@ -247,7 +252,7 @@ def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
     proj = sum(frob_inner(b, eye) * b for b in basis)
     if np.linalg.norm(proj - eye) > max(tol.eps_eq, 1e-7):
         raise ValidationError("identity not contained in the operator system span")
-    return OperatorSystemBasis(dim=n, basis=basis, s=keep)
+    return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u)
 
 
 @dataclass(frozen=True, eq=False)

@@ -376,7 +376,7 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
     i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
     search passes 1e-6), or :class:`NumericalError` names j.  The weights are
-    renormalized.  The direct (V = I), low-dimension and search
+    renormalized.  The closed-form rank-r, low-dimension and search
     decompositions all come from here.
     """
     v = np.asarray(v, dtype=complex)

@@ -3,10 +3,13 @@ import pytest
 
 import muchan.analysis
 import muchan.channels
-from muchan import (MixedUnitaryDecomposition, Tolerance, ValidationError,
-                    certified_gap_rank, dagger, decompositions_equivalent,
-                    dephasing_channel, direct_sum, identity_channel,
-                    minimize_kraus, operator_system, rank_bounds,
+import muchan.constructive
+import muchan.search
+from muchan import (KrausChannel, MixedUnitaryDecomposition, Tolerance,
+                    ValidationError, certified_gap_rank, channel_profile, dagger,
+                    decompositions_equivalent, dephasing_channel, direct_sum,
+                    haar_unitary, identity_channel, minimize_kraus,
+                    operator_system, rank_bounds,
                     schur_channel, schur_equivalence_check,
                     uniqueness_certificate, verify_decomposition)
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
@@ -189,6 +192,45 @@ def test_certified_gap_rank_mub2():
     assert (cert.choi_rank, cert.mu_rank) == (3, 4)
     summed = direct_sum(minimize_kraus(phi), identity_channel(1))
     assert verify_decomposition(summed, cert.decomposition).ok
+
+
+def _no_search_or_low_dim(count_calls):
+    return [count_calls(muchan.search, "search_isometry"),
+            count_calls(muchan.constructive, "decompose_low_dim")]
+
+
+def _critical_mixture(n, r, seed):
+    """r Haar unitaries at random weights, their scaled list remixed by a
+    Haar r x r unitary (so the minimal list is not the unitaries), or None
+    when the draw misses s = r^2 - r + 1."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0, r)
+    d = MixedUnitaryDecomposition(p / p.sum(), [haar_unitary(n, seed * 10 + k)
+                                                for k in range(r)])
+    scaled = np.array([np.sqrt(q) * u for q, u in zip(d.probs, d.unitaries)])
+    phi = KrausChannel(list(np.tensordot(haar_unitary(r, seed), scaled, axes=(1, 0))))
+    return (phi, d) if channel_profile(phi).s == r * r - r + 1 else None
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(3, 7) for r in range(2, n + 1)])
+def test_certified_gap_rank_random_critical_mixture(n, r, count_calls):
+    calls = _no_search_or_low_dim(count_calls)
+    drawn = [c for c in (_critical_mixture(n, r, 100 * n + r + i) for i in range(3)) if c]
+    assert drawn  # s = r^2 - r + 1 is generic for r <= n
+    for phi, d in drawn:
+        cert = certified_gap_rank(phi, 1)
+        assert (cert.choi_rank, cert.mu_rank) == (r + 1, 2 * r)
+        base = cert.base_decomposition
+        assert decompositions_equivalent(d, base) and decompositions_equivalent(base, d)
+    assert calls == [[], []]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_certified_gap_rank_weyl_never_searches(p, count_calls):
+    calls = _no_search_or_low_dim(count_calls)
+    cert = certified_gap_rank(weyl_channel(p), 1)
+    assert (cert.choi_rank, cert.mu_rank) == (p + 1, 2 * p)
+    assert calls == [[], []]
 
 
 # --------------------------------------------------- decomposition equivalence

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from muchan import (ValidationError, choi_of, dagger, frob_inner, kron,
-                    numerical_rank, operator_system, verify_decomposition)
+import muchan.constructive
+import muchan.search
+from muchan import (ValidationError, certified_gap_rank, choi_of, dagger,
+                    direct_sum, frob_inner, identity_channel, kron, numerical_rank,
+                    operator_system, schur_channel, verify_decomposition)
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, hermitian_basis,
                             mub_correlation, mub_family, one_factorization,
                             toroidal_CtensorI2, weyl_channel, weyl_generators,
@@ -147,21 +150,18 @@ def test_mub_rejects_composite():
         mub_correlation(6)
 
 
-def test_mub3_gap_certificate():
-    from muchan import certified_gap_rank, schur_channel
-    cert = certified_gap_rank(schur_channel(mub_correlation(3).matrix), 1)
-    assert (cert.choi_rank, cert.mu_rank) == (4, 6)
-
-
-def test_mub5_gap_certificate():
-    # the paper's headline ranks (d + 1, 2d) at d = 5, on C^25
-    from muchan import certified_gap_rank, direct_sum, identity_channel, schur_channel
-    phi = schur_channel(mub_correlation(5).matrix)
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_mub_gap_certificate(d, count_calls):
+    # the paper's headline ranks (d + 1, 2d), on C^(d^2), in closed form
+    calls = [count_calls(muchan.search, "search_isometry"),
+             count_calls(muchan.constructive, "decompose_low_dim")]
+    phi = schur_channel(mub_correlation(d).matrix)
     cert = certified_gap_rank(phi, 1)
-    assert (cert.choi_rank, cert.mu_rank) == (6, 10)
-    assert cert.decomposition.n_terms == 10
+    assert (cert.choi_rank, cert.mu_rank) == (d + 1, 2 * d)
+    assert cert.decomposition.n_terms == 2 * d
     res = verify_decomposition(direct_sum(phi, identity_channel(1)), cert.decomposition)
     assert res.ok and res.choi_residual <= 1e-10
+    assert calls == [[], []]
 
 
 # ------------------------------------------------- Hermitian basis, matchings

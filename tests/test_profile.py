@@ -128,12 +128,12 @@ def test_decompose_low_dim_counts(count_calls):
 
 
 def test_certified_gap_rank_counts_low_dim(count_calls):
-    # profile, complementary's list, the direct sum's Choi rank; the reader
-    # for the direct attempt (V = I) and for the low-dimension path
+    # profile and the direct sum's Choi rank; one reader call for the
+    # closed-form rank-r decomposition, no complementary channel
     c = _counters(count_calls)
     certified_gap_rank(random_unital_rank2(3, seed=2), 1)
-    assert _counts(c) == {"minimize": 3, "system": 1, "complementary": 1,
-                          "choi": 0, "choi_kraus": 0, "reader": 2}
+    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 0,
+                          "choi": 0, "choi_kraus": 0, "reader": 1}
 
 
 def test_certified_gap_rank_counts_weyl(count_calls):

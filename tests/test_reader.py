@@ -1,5 +1,5 @@
 """decomposition_from_isometry is the one reader of decompositions: the
-direct (V = I), low-dimension and search paths all go through it."""
+closed-form rank-r, low-dimension and search paths all go through it."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ import muchan.constructive
 from muchan import (KrausChannel, MixedUnitaryDecomposition, NumericalError,
                     Tolerance, channel_profile, decompose_low_dim,
                     decomposition_from_isometry, decompositions_equivalent,
-                    minimize_kraus, schur_channel)
+                    minimize_kraus, schur_channel, verify_decomposition)
 from muchan.analysis import _rank_r_decomposition
 from muchan.constructive import _phase_fix_first_entry
 from muchan.gallery import random_correlation, random_unital_rank2, weyl_channel
@@ -19,8 +19,8 @@ from muchan.tolerances import DEFAULT_TOL
 # ------------------------------------------------- oracles: the old readers
 
 def _proportional_unitary_decomposition(phi, tol):
-    """The direct path's former reader: the minimal list itself, if every
-    operator is a multiple of a unitary; else None."""
+    """The former V = I reader of certified_gap_rank: the minimal list
+    itself, if every operator is a multiple of a unitary; else None."""
     n = phi.dim_in
     probs, us = [], []
     for a in phi.kraus:
@@ -74,23 +74,38 @@ def _assert_close(d, ref):
     assert np.max(np.abs(np.array(d.unitaries) - np.array(ref.unitaries))) <= 1e-14
 
 
-_CHANNELS = ([(f"weyl{p}", lambda p=p: weyl_channel(p)) for p in (3, 5, 7, 11)]
-             + [(f"rank2_{s}", lambda s=s: random_unital_rank2(3, s)) for s in range(5)]
-             + [(f"corr{s}", lambda s=s: schur_channel(random_correlation(3, 2 + s % 2, s)))
+_CHANNELS = ([(f"weyl{p}", "rank_r", lambda p=p: weyl_channel(p)) for p in (3, 5, 7, 11)]
+             + [(f"rank2_{s}", "rank_r", lambda s=s: random_unital_rank2(3, s))
+                for s in range(5)]
+             + [(f"corr{s}", "low_dim",
+                 lambda s=s: schur_channel(random_correlation(3, 2 + s % 2, s)))
                 for s in range(25)])
 
 
-@pytest.mark.parametrize("make", [m for _, m in _CHANNELS], ids=[i for i, _ in _CHANNELS])
-def test_reader_matches_old_readers(make, zero_diag_unitaries):
+@pytest.mark.parametrize("path, make", [(p, m) for _, p, m in _CHANNELS],
+                         ids=[i for i, _, _ in _CHANNELS])
+def test_reader_matches_old_readers(path, make, zero_diag_unitaries):
     profile = channel_profile(make())
-    d = _rank_r_decomposition(profile, DEFAULT_TOL)
-    ref = _proportional_unitary_decomposition(profile.minimal, DEFAULT_TOL)
-    if ref is None:  # not a list of unitaries: the low-dimension path
+    if path == "low_dim":
+        # s <= 3: decompose_low_dim reads its zero-diagonal unitary bit for
+        # bit as the old loop did
+        d = decompose_low_dim(profile)
         assert len(zero_diag_unitaries) == 1
-        ref = _old_low_dim_loop(profile.minimal, zero_diag_unitaries[0], DEFAULT_TOL)
+        _assert_close(d, _old_low_dim_loop(profile.minimal, zero_diag_unitaries[0],
+                                           DEFAULT_TOL))
+        return
+    # s = r^2 - r + 1: the closed form gives the old paths' decomposition
+    # (weyl: the V = I reader, rank 2: the low-dimension construction)
+    d = _rank_r_decomposition(profile, DEFAULT_TOL)
+    assert zero_diag_unitaries == []
+    check = verify_decomposition(profile.minimal, d)
+    assert d.n_terms == profile.r and check.ok and check.choi_residual <= 1e-14
+    ref = _proportional_unitary_decomposition(profile.minimal, DEFAULT_TOL)
+    if ref is not None:  # a list of scaled unitaries comes back as itself
+        _assert_close(d, ref)
     else:
-        assert zero_diag_unitaries == []
-    _assert_close(d, ref)
+        ref = decompose_low_dim(profile)
+    assert decompositions_equivalent(d, ref) and decompositions_equivalent(ref, d)
 
 
 # ------------------------------------------- round trip from a decomposition

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import muchan
-from muchan import (DEFAULT_TOL, KrausChannel, Tolerance, channel_profile,
-                    haar_unitary, minimize_kraus, numerical_rank, schur_channel,
-                    vec)
+import muchan.analysis
+from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, NumericalError,
+                    OperatorSystemBasis, Tolerance, channel_profile, dagger,
+                    decomposition_from_isometry, haar_unitary, minimize_kraus,
+                    numerical_rank, schur_channel, vec)
+from muchan.gallery import weyl_channel
 
 SRC = Path(muchan.__file__).parent
 
@@ -53,6 +56,64 @@ def test_is_hermitian_is_relative_above_unit_norm():
     assert Tolerance(eps_eq=1.5).is_hermitian(1000 * m)
     assert not Tolerance(eps_eq=1.4).is_hermitian(1000 * m)
     assert DEFAULT_TOL.is_hermitian(np.array([[2.0, 1j], [-1j, 0.0]]))
+
+
+# ------------------------------------- simultaneous-diagonalization constants
+
+def test_cluster_gap_boundary():
+    gap = muchan.analysis._CLUSTER_GAP
+    runs = muchan.analysis._cluster_indices
+    assert [len(c) for c in runs(np.array([0.0, gap]))] == [1, 1]
+    assert [len(c) for c in runs(np.array([0.0, np.nextafter(gap, 0.0)]))] == [2]
+    wide = gap * 4.0  # relative to the largest |w| above 1
+    assert [len(c) for c in runs(np.array([-4.0, 0.0, wide]))] == [1, 1, 1]
+    assert [len(c) for c in runs(np.array([-4.0, 0.0, np.nextafter(wide, 0.0)]))] == [1, 2]
+
+
+def test_hermitian_part_floor_boundary():
+    floor = muchan.analysis._HERMITIAN_PART_FLOOR
+    parts = muchan.analysis._hermitian_parts
+    above = np.nextafter(floor, 1.0)
+    assert parts([np.diag([floor, 0.0])]) == []
+    assert len(parts([np.diag([above, 0.0])])) == 1
+    assert parts([1j * np.diag([floor, 0.0])]) == []
+    (h,) = parts([1j * np.diag([above, 0.0])])  # the anti-Hermitian part, as a Hermitian
+    assert np.array_equal(h, np.diag([above, 0.0]))
+
+
+@pytest.mark.parametrize("scale, separates", [(0.7, True), (1.0, False)])
+def test_diagonal_floor_boundary(scale, separates):
+    # yX, yZ: a random combination has eigenvalues +-y|c|, one cluster, in
+    # whose eigenbasis the larger of the two off-diagonal norms lies in
+    # [y, y sqrt 2].  Below the floor the cluster is taken as a repeated
+    # joint eigenvalue; at it, refining a family that does not commute fails.
+    y = scale * muchan.analysis._DIAGONAL_FLOOR
+    family = [y * np.array([[0, 1], [1, 0]]), y * np.array([[1, 0], [0, -1]])]
+    rng = np.random.default_rng(0)
+    if separates:
+        v = muchan.analysis._simultaneously_diagonalize(family, rng)
+        assert np.allclose(dagger(v) @ v, np.eye(2))
+    else:
+        with pytest.raises(NumericalError, match="did not separate"):
+            muchan.analysis._simultaneously_diagonalize(family, rng)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_relation_floor_boundary(above):
+    # weyl(3)'s relations are the traceless diagonal Q, so the entry for
+    # (j, k) = (0, 1) is 0 up to rounding.  Put it at the floor and it reads
+    # as 0, giving back the Weyl unitaries exactly; just above it stays and
+    # moves the remixing matrix off the permutation.
+    p = channel_profile(weyl_channel(3))
+    left = np.array(p.system.left)
+    floor = muchan.analysis._RELATION_FLOOR
+    left[1, p.s:] = np.nextafter(floor, 1.0) if above else floor
+    system = OperatorSystemBasis(p.system.dim, p.system.basis, p.s, left)
+    d = muchan.analysis._rank_r_decomposition(
+        ChannelProfile(p.minimal, system, p.tol), p.tol)
+    exact = decomposition_from_isometry(p.minimal, np.eye(3), p.tol).unitaries
+    assert all(np.array_equal(u, a) for u, a in zip(d.unitaries, exact)) != above
+    assert max(np.abs(u - a).max() for u, a in zip(d.unitaries, exact)) <= 1e-11
 
 
 # ---------------------------------------------- rank decisions = tol.rank

@@ -25,6 +25,9 @@ _HERMITIAN_PART_FLOOR = 1e-12  # parts (M +- M*)/2 of norm at most this are drop
 # Relation-vector entries at most this are SVD rounding, read as 0: exact structure
 # (a list of scaled unitaries) gives an exact remixing matrix.
 _RELATION_FLOOR = 1e-12
+# Weights may sum to 1 within max(eps_eq, this per term): the rounding of a
+# sum of that many floats.
+_WEIGHT_SUM_SLACK = 1e-15
 
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
@@ -89,13 +92,19 @@ def _invariant_error(p: np.ndarray, us, tol: Tolerance) -> Optional[str]:
     terms by ``tol.is_close``), or None."""
     if np.any(p < -tol.eps_eq):
         return "weights must be nonnegative"
-    if abs(p.sum() - 1.0) > max(tol.eps_eq, p.size * 1e-15):
+    if abs(p.sum() - 1.0) > max(tol.eps_eq, p.size * _WEIGHT_SUM_SLACK):
         return f"weights sum to {p.sum():.12f}, not 1"
-    for i, u in enumerate(us):
-        d = unitarity_defect(u)
-        if not tol.is_close(d, u.shape[0]):
-            return f"term {i} is not unitary: defect {d:.3e}"
-    return None
+    defects = unitarity_defect(np.array(us))
+    i = _first_not_close(defects, us[0].shape[0], tol)
+    return None if i is None else f"term {i} is not unitary: defect {defects[i]:.3e}"
+
+
+def _first_not_close(defects: np.ndarray, n: int, tol: Tolerance) -> Optional[int]:
+    """Index of the first defect that fails ``tol.is_close`` at n, or None.
+    The rule is monotone in the defect, so one test of the largest decides."""
+    if not defects.size or tol.is_close(defects.max(), n):
+        return None
+    return next(i for i, d in enumerate(defects) if not tol.is_close(d, n))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .linalg import (as_matrix, dagger, dirsum, frob_inner, numerical_rank,
-                     unvec, vec)
+from .linalg import as_matrix, dagger, dirsum, numerical_rank, unitarity_defect, unvec, vec
 from .tolerances import DEFAULT_TOL, Tolerance
+
+# The identity's distance from the kept operator-system span is refused above
+# max(eps_eq, this).  Directions dropped at eps_rank carry a part of the
+# identity of about their relative singular value, which the floor leaves room for.
+_IDENTITY_SPAN_FLOOR = 1e-7
 
 __all__ = [
     "KrausChannel", "ChoiMatrix", "OperatorSystemBasis", "ChannelProfile",
@@ -58,7 +62,7 @@ class KrausChannel:
         m, n = ops[0].shape
         if any(a.shape != (m, n) for a in ops):
             raise ValidationError("all Kraus operators must share one shape")
-        defect = np.linalg.norm(sum(dagger(a) @ a for a in ops) - np.eye(n))
+        defect = _stack_defect(np.array(ops))
         if not tol.is_close(defect, n):
             raise ValidationError(
                 f"Kraus list is not trace-preserving: ||sum A*A - I|| = {defect:.3e}")
@@ -85,12 +89,19 @@ class KrausChannel:
         """Whether Phi(I) = I (requires square dimensions)."""
         if self.dim_in != self.dim_out:
             return False
-        s = sum(a @ dagger(a) for a in self.kraus)
-        return tol.is_close(np.linalg.norm(s - np.eye(self.dim_out)), self.dim_out)
+        return tol.is_close(_stack_defect(self.stacked().conj().transpose(0, 2, 1)),
+                            self.dim_out)
 
     def stacked(self) -> np.ndarray:
         """Kraus operators as one (r, m, n) array."""
         return np.array(self.kraus)
+
+
+def _stack_defect(ops: np.ndarray) -> float:
+    """||sum_k A_k* A_k - I|| for a stack (r, m, n): the unitarity defect of
+    the A_k stacked vertically, one product.  Of a Kraus list, the
+    trace-preservation defect; of its adjoints, the unital defect."""
+    return unitarity_defect(ops.reshape(-1, ops.shape[-1]))
 
 
 class ChoiMatrix:
@@ -237,21 +248,22 @@ def operator_system(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> Operator
 def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
     """:func:`operator_system` of a Kraus list already known to be minimal."""
     r, n = len(phi.kraus), phi.dim_in
-    rows = np.array([vec(dagger(phi.kraus[k]) @ phi.kraus[j]).conj()
-                     for j in range(r) for k in range(r)])
+    a = phi.stacked()
+    # [j, k] = A_k* A_j, all r^2 products in one batched matmul
+    rows = (a.conj().transpose(0, 2, 1)[None] @ a[:, None]).conj().reshape(r * r, n * n)
     try:
         u, sv, vh = np.linalg.svd(rows, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"operator system SVD failed: {exc}") from exc
     keep = tol.rank(sv)
-    basis = tuple(unvec(vh[i].conj(), n, n) for i in range(keep))
     if not keep:
         raise ValidationError("operator system is empty; invalid channel")
+    b = vh[:keep].conj()  # vec of the basis, one row each
     # identity must lie in the span (trace preservation)
-    eye = np.eye(n, dtype=complex) / np.sqrt(n)
-    proj = sum(frob_inner(b, eye) * b for b in basis)
-    if np.linalg.norm(proj - eye) > max(tol.eps_eq, 1e-7):
+    eye = vec(np.eye(n)) / np.sqrt(n)
+    if np.linalg.norm((b.conj() @ eye) @ b - eye) > max(tol.eps_eq, _IDENTITY_SPAN_FLOOR):
         raise ValidationError("identity not contained in the operator system span")
+    basis = tuple(b.reshape(keep, n, n))
     return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u)
 
 

@@ -2,7 +2,9 @@
 
 All files are UTF-8 JSON carrying ``"format": "muchan/1"``.  Matrices are
 nested arrays, row-major, each entry a two-element array [re, im]; floats
-round-trip exactly (shortest repr).
+round-trip exactly (shortest repr).  A well-formed literal is read and
+written in one numpy pass; only a malformed one is walked entry by entry,
+to name the entry at fault.
 """
 from __future__ import annotations
 
@@ -29,8 +31,27 @@ FORMAT = "muchan/1"
 
 
 def matrix_to_literal(a) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    """Nested lists of [re, im] pairs of Python floats, one per entry of ``a``
+    (a matrix, a vector or a stack of either)."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
+
+
+vector_to_literal = matrix_to_literal
+
+
+def _from_pairs(lit, ndim: int) -> Optional[np.ndarray]:
+    """The complex array of a literal of ``ndim`` axes whose entries are all
+    [re, im] pairs of ints or floats (not bools), or None for any other
+    literal, which the per-entry reader then names."""
+    try:
+        obj = np.array(lit, dtype=object)
+        if (obj.ndim != ndim + 1 or obj.shape[-1] != 2
+                or not set(map(type, obj.ravel())) <= {int, float}):
+            return None
+        return obj.astype(float).view(complex)[..., 0]
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _bad(msg: str, path: Optional[str] = None) -> FileFormatError:
@@ -61,6 +82,9 @@ def _check_dims(obj: dict, path: Optional[str], **dims):
 def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     if not isinstance(lit, list) or not lit:
         raise _bad("matrix literal must be a nonempty list of rows", path)
+    m = _from_pairs(lit, 2)
+    if m is not None:
+        return m
     try:
         m = np.array([[_entry(e) for e in row] for row in lit], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -70,12 +94,10 @@ def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     return m
 
 
-def vector_to_literal(v) -> list:
-    v = np.asarray(v, dtype=complex)
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
 def vector_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
+    v = _from_pairs(lit, 1)
+    if v is not None:
+        return v
     try:
         return np.array([_entry(e) for e in lit], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -88,7 +110,7 @@ def channel_to_obj(phi: KrausChannel) -> dict:
         "kind": "kraus",
         "dim_in": phi.dim_in,
         "dim_out": phi.dim_out,
-        "operators": [matrix_to_literal(a) for a in phi.kraus],
+        "operators": matrix_to_literal(phi.stacked()),
     }
 
 
@@ -119,8 +141,8 @@ def decomposition_to_obj(d: MixedUnitaryDecomposition) -> dict:
         "format": FORMAT,
         "kind": "mixed-unitary",
         "dim": d.dim,
-        "probs": [float(p) for p in d.probs],
-        "unitaries": [matrix_to_literal(u) for u in d.unitaries],
+        "probs": d.probs.tolist(),
+        "unitaries": matrix_to_literal(d.unitaries),
     }
 
 
@@ -135,8 +157,8 @@ def toroidal_to_obj(t: ToroidalDecomposition) -> dict:
         "format": FORMAT,
         "kind": "toroidal",
         "dim": t.dim,
-        "probs": [float(p) for p in t.probs],
-        "vectors": [vector_to_literal(v) for v in t.vectors],
+        "probs": t.probs.tolist(),
+        "vectors": vector_to_literal(t.vectors),
     }
 
 

@@ -33,7 +33,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -128,8 +128,11 @@ def dirsum(a, b) -> np.ndarray:
     return out
 
 
-def unitarity_defect(u) -> float:
+def unitarity_defect(u):
+    """Frobenius norm of U*U - I: a float for one matrix, an array of the
+    leading shape for a stack (..., m, n), from one batched product."""
     u = np.asarray(u)
-    n = u.shape[1]
-    return float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
+    g = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
+    d = np.linalg.norm(g, axis=(-2, -1))
+    return float(d) if d.ndim == 0 else d
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
+from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _first_not_close,
                        rank_bounds, verify_decomposition)
 from .channels import KrausChannel, channel_profile, complementary
 from .exceptions import NumericalError, ValidationError
@@ -385,20 +385,19 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
         raise ValidationError(f"isometry must have {r} columns, got {v.shape}")
     if not tol.is_close(np.linalg.norm(dagger(v) @ v - np.eye(r)), r):
         raise ValidationError("matrix is not an isometry within tolerance")
-    probs, us = [], []
-    for j, c in enumerate(np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))):
-        p = float(np.linalg.norm(c) ** 2 / n)
-        if p <= tol.eps_eq:
-            continue
-        u = c / np.sqrt(p)
-        defect = unitarity_defect(u)
-        if not tol.is_close(defect, 1):
-            raise NumericalError(
-                f"remixed operator {j} is not unitary: defect {defect:.3e}")
-        probs.append(p)
-        us.append(u)
-    total = sum(probs)
-    return MixedUnitaryDecomposition([p / total for p in probs], us, tol)
+    cs = np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))
+    # weights term by term and summed left to right: a batched norm or np.sum
+    # rounds differently, and saved decompositions are kept bit for bit
+    p = np.array([np.linalg.norm(c) ** 2 / n for c in cs])
+    kept = np.flatnonzero(p > tol.eps_eq)
+    p = p[kept]
+    us = cs[kept] / np.sqrt(p)[:, None, None]
+    defects = unitarity_defect(us)
+    i = _first_not_close(defects, 1, tol)
+    if i is not None:
+        raise NumericalError(
+            f"remixed operator {kept[i]} is not unitary: defect {defects[i]:.3e}")
+    return MixedUnitaryDecomposition(p / sum(p.tolist()), us, tol)
 
 
 def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),

@@ -111,6 +111,125 @@ def test_matrix_floats_round_trip_bit_for_bit(n, data):
     assert _bits([_saved_and_loaded(m)]) == _bits([m])
 
 
+# ------------------------------------------- one-pass reader vs the old loop
+# The per-entry reader below is the former io.matrix_from_literal and
+# io.vector_from_literal; the one-pass reader must give the same array, bit
+# for bit, or the same FileFormatError message.
+
+def _old_entry(e) -> complex:
+    if type(e) is not list or len(e) != 2 or not (
+            type(e[0]) in (int, float) and type(e[1]) in (int, float)):
+        raise TypeError(f"entry {e!r} is not a [re, im] pair of numbers")
+    return complex(e[0], e[1])
+
+
+def _old_matrix_from_literal(lit, path=None):
+    if not isinstance(lit, list) or not lit:
+        raise muchan.FileFormatError("matrix literal must be a nonempty list of rows", path)
+    try:
+        m = np.array([[_old_entry(e) for e in row] for row in lit], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise muchan.FileFormatError(f"malformed matrix literal: {exc}", path) from exc
+    if m.ndim != 2:
+        raise muchan.FileFormatError("matrix literal rows have inconsistent lengths", path)
+    return m
+
+
+def _old_vector_from_literal(lit, path=None):
+    try:
+        return np.array([_old_entry(e) for e in lit], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise muchan.FileFormatError(f"malformed vector literal: {exc}", path) from exc
+
+
+def _outcome(read, lit):
+    try:
+        m = read(lit, "f.json")
+    except muchan.FileFormatError as exc:
+        return "error", str(exc), exc.path
+    return "array", m.dtype, m.shape, m.tobytes()
+
+
+_READERS = {"matrix": (io.matrix_from_literal, _old_matrix_from_literal),
+            "vector": (io.vector_from_literal, _old_vector_from_literal)}
+
+# ints of any size, both zeros, subnormals, the float extremes, 2**63
+_LITERAL_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 2 ** 63, -2 ** 63, 2 ** 63 - 1,
+                     2 ** 64 + 1, 10 ** 300]),
+    st.integers(-2 ** 80, 2 ** 80), st.floats())
+_PAIRS = st.lists(_LITERAL_NUMBERS, min_size=2, max_size=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_reader_matches_per_entry_loop(rows, cols, data):
+    matrix = data.draw(st.lists(st.lists(_PAIRS, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+    vector = data.draw(st.lists(_PAIRS, max_size=5))
+    for kind, lit in (("matrix", matrix), ("vector", vector)):
+        new, old = _READERS[kind]
+        got = _outcome(new, lit)
+        assert got[0] == "array"
+        assert got == _outcome(old, lit)
+
+
+_MALFORMED_LITERALS = {
+    "matrix": {
+        "bool": [[[True, 0.0]]],
+        "bool_imag": [[[1.0, False]]],
+        "string": [[["1", 0]]],
+        "none": [[[None, 0]]],
+        "nested_list": [[[[1.0], 0.0]]],
+        "nested_pairs": [[[[1.0, 0.0], [0.0, 1.0]]]],
+        "object": [[{"0": 1}]],
+        "ragged_rows": [[[1, 0], [0, 0]], [[1, 0]]],
+        "one_element": [[[1.0]]],
+        "three_elements": [[[1.0, 0.0, 7.0]]],
+        "four_elements": [[[1.0, 0.0, 7.0, 8.0]]],
+        "huge_int": [[[10 ** 400, 0]]],
+        "empty_row": [[[1.0, 0.0]], []],
+        "number_row": [[[1.0, 0.0]], 5],
+        "string_row": [["ab"]],
+        "number_entry": [[5]],
+        "empty": [],
+        "object_table": {"a": 1},
+        "null": None,
+    },
+    "vector": {
+        "bool": [[True, 0.0]],
+        "bool_imag": [[1.0, False]],
+        "string": [["1", 0]],
+        "none": [[None, 0]],
+        "nested_list": [[[1.0], 0.0]],
+        "nested_pairs": [[[1.0, 0.0], [0.0, 1.0]]],
+        "object": [{"0": 1}],
+        "ragged": [[1, 0], [0]],
+        "one_element": [[1.0]],
+        "three_elements": [[1.0, 0.0, 7.0]],
+        "four_elements": [[1.0, 0.0, 7.0, 8.0]],
+        "huge_int": [[10 ** 400, 0]],
+        "empty_entry": [[1.0, 0.0], []],
+        "number_entry": [[1.0, 0.0], 5],
+        "string_entry": ["ab"],
+        "string_table": "12",
+        "number_table": 5,
+        "null": None,
+    },
+}
+
+
+@pytest.mark.parametrize("kind, case", [(k, c) for k in sorted(_MALFORMED_LITERALS)
+                                        for c in sorted(_MALFORMED_LITERALS[k])])
+def test_reader_names_the_bad_entry_as_before(kind, case):
+    lit = _MALFORMED_LITERALS[kind][case]
+    new, old = _READERS[kind]
+    want = _outcome(old, lit)
+    assert want[0] == "error"
+    assert _outcome(new, lit) == want
+
+
 @pytest.mark.parametrize("thing", [weyl_channel(3), wh_sym3_decomposition()],
                          ids=["channel", "decomposition"])
 def test_save_writes_dumps_text(tmp_path, thing):
@@ -199,6 +318,25 @@ def test_analyze_tol_moves_the_rank_cutoff(tmp_path, capsys, argv, r):
     code, obj = run_cli(capsys, "analyze", str(p), *argv)
     assert code == 0
     assert (obj["r"], obj["s"], obj["exact"]) == (r, r, r)
+
+
+def test_parser_is_reused_without_carrying_options(tmp_path, capsys):
+    # one parser serves every main call in a process: an option given to
+    # one call must not leak into the next, nor a usage error break it
+    e = 1e-8
+    p = tmp_path / "c.json"
+    io.save(muchan.KrausChannel([np.sqrt(1 - e) * np.eye(2),
+                                 np.sqrt(e) * np.diag([1.0, -1.0])]), str(p))
+    code, obj = run_cli(capsys, "analyze", str(p), "--no-such-option")
+    assert code == 2 and obj["error"]["code"] == "usage"
+    code, obj = run_cli(capsys, "analyze", str(p), "--tol", "1e-6")
+    assert code == 0 and obj["r"] == 1
+    code, obj = run_cli(capsys, "analyze", str(p))
+    assert code == 0 and obj["r"] == 2  # the default tolerance again
+    code, obj = run_cli(capsys, "search", str(p), "--N", "2", "--scan")
+    assert code == 2 and obj["error"]["code"] == "usage"
+    assert "not allowed with argument" in obj["error"]["message"]
+    assert muchan.cli._parser() is muchan.cli._parser()
 
 
 @pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3)])

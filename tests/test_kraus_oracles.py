@@ -1,14 +1,23 @@
 """Property tests of the Kraus-list paths against the Choi-matrix code they
 replace.  The reference functions below are copies of the old paths: the
 Choi eigendecomposition for minimization, the Choi residual for
-verification and the basis-matrix loop for the traceless image."""
+verification, the basis-matrix loop for the traceless image and the
+per-operator sums of the trace-preservation, unital and unitarity checks."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from muchan import (KrausChannel, MixedUnitaryDecomposition, choi_of, complementary,
-                    haar_isometry, haar_unitary, minimal_kraus, minimize_kraus,
-                    traceless_image_basis, verify_decomposition, vec)
-from muchan.gallery import random_channel
+from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, NumericalError,
+                    ValidationError, certified_gap_rank, choi_of, complementary,
+                    dagger, decomposition_from_isometry, haar_isometry, haar_unitary,
+                    minimal_kraus, minimize_kraus, schur_channel, traceless_image_basis,
+                    verify_decomposition, vec)
+from muchan.channels import _stack_defect
+from muchan.gallery import (corr_B3, corr_C4, gap_channel, random_channel,
+                            random_unital_rank2, weyl_channel, wh_antisym_decomposition,
+                            wh_channels, wh_sym3_decomposition, wh_sym_even_decomposition,
+                            wh_sym_odd_decomposition)
+from muchan.linalg import unitarity_defect
 
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -124,3 +133,101 @@ def test_traceless_image_basis_matches_loop(phi, through_complementary):
     if psi.dim_in == 1:
         assert len(got) == 0
     assert np.linalg.norm(_projector(got) - _projector(want)) <= 1e-12
+
+
+# ------------------------------------- stacked TP, unital and unitarity checks
+
+def _old_tp_defect(ops):
+    return float(np.linalg.norm(sum(dagger(a) @ a for a in ops) - np.eye(ops[0].shape[1])))
+
+
+def _old_unital_defect(ops):
+    return float(np.linalg.norm(sum(a @ dagger(a) for a in ops) - np.eye(ops[0].shape[0])))
+
+
+def _old_unitarity_defect(u):
+    return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[1])))
+
+
+_GALLERY_CHANNELS = {
+    **{f"weyl{p}": (lambda p=p: weyl_channel(p)) for p in (3, 5, 7, 11)},
+    **{f"gap{p}": (lambda p=p: gap_channel(p, 1)) for p in (3, 5)},
+    **{f"unital_rank2_{s}": (lambda s=s: random_unital_rank2(3, s)) for s in range(3)},
+    **{f"wh0_{n}": (lambda n=n: wh_channels(n).phi0) for n in (3, 4, 5)},
+    **{f"wh1_{n}": (lambda n=n: wh_channels(n).phi1) for n in (3, 4, 5)},
+    "schur_C4": lambda: schur_channel(corr_C4()),
+    "schur_B3": lambda: schur_channel(corr_B3()),
+    "random_3to2": lambda: random_channel(3, 2, 4, seed=0),
+    "random_3to3": lambda: random_channel(3, 3, 2, seed=1),  # not unital
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY_CHANNELS))
+def test_stacked_channel_checks_match_operator_sums(name):
+    phi = _GALLERY_CHANNELS[name]()
+    a = phi.stacked()
+    assert abs(_stack_defect(a) - _old_tp_defect(phi.kraus)) <= 1e-15
+    unital = _old_unital_defect(phi.kraus)
+    assert abs(_stack_defect(a.conj().transpose(0, 2, 1)) - unital) <= 1e-15
+    square = phi.dim_in == phi.dim_out
+    assert phi.is_unital() == (square and DEFAULT_TOL.is_close(unital, phi.dim_out))
+    scaled = [1.001 * x for x in phi.kraus]
+    with pytest.raises(ValidationError) as refused:
+        KrausChannel(scaled)
+    assert str(refused.value) == ("Kraus list is not trace-preserving: "
+                                  f"||sum A*A - I|| = {_old_tp_defect(scaled):.3e}")
+
+
+_GALLERY_DECOMPOSITIONS = {
+    "wh_sym3": lambda: wh_sym3_decomposition(),
+    "wh_sym_even4": lambda: wh_sym_even_decomposition(4),
+    "wh_sym_odd5": lambda: wh_sym_odd_decomposition(5),
+    "wh_antisym4": lambda: wh_antisym_decomposition(4),
+    **{f"gap_weyl{p}": (lambda p=p: certified_gap_rank(weyl_channel(p), 1).decomposition)
+       for p in (3, 5, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY_DECOMPOSITIONS))
+def test_stacked_unitarity_matches_per_term_defects(name):
+    d = _GALLERY_DECOMPOSITIONS[name]()
+    old = [_old_unitarity_defect(u) for u in d.unitaries]
+    assert np.max(np.abs(unitarity_defect(np.array(d.unitaries)) - old)) <= 1e-15
+    for i in (0, d.n_terms // 2, d.n_terms - 1):
+        us = list(d.unitaries)
+        us[i] = 1.001 * us[i]
+        with pytest.raises(ValidationError) as refused:
+            MixedUnitaryDecomposition(d.probs, us)
+        assert str(refused.value) == (
+            f"term {i} is not unitary: defect {_old_unitarity_defect(us[i]):.3e}")
+
+
+def _old_reader_refusal(phi, v, tol=DEFAULT_TOL):
+    """The message of the former per-term unitarity loop of
+    decomposition_from_isometry, or None."""
+    for j, c in enumerate(np.tensordot(v, phi.stacked(), axes=(1, 0))):
+        p = float(np.linalg.norm(c) ** 2 / phi.dim_in)
+        if p <= tol.eps_eq:
+            continue
+        defect = _old_unitarity_defect(c / np.sqrt(p))
+        if not tol.is_close(defect, 1):
+            return f"remixed operator {j} is not unitary: defect {defect:.3e}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_names_the_remixed_operator_as_before(seed):
+    # rows: A_0 kept as it is, a zero row (weight 0, dropped), then two rows
+    # mixing A_1 and A_2 by a Haar 2 x 2 unitary: the first mixed row
+    # (index 2 of the remix) is the first that is not unitary
+    phi = weyl_channel(3)
+    v = np.zeros((4, 3), dtype=complex)
+    v[0, 0] = 1
+    v[2:, 1:] = haar_unitary(2, seed)
+    want = _old_reader_refusal(phi, v)
+    assert want is not None and want.startswith("remixed operator 2 ")
+    with pytest.raises(NumericalError) as refused:
+        decomposition_from_isometry(phi, v)
+    assert str(refused.value) == want
+    assert _old_reader_refusal(phi, np.eye(3)) is None
+    assert decomposition_from_isometry(phi, np.eye(3)).n_terms == 3

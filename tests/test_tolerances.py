@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import muchan
 import muchan.analysis
-from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, NumericalError,
-                    OperatorSystemBasis, Tolerance, channel_profile, dagger,
-                    decomposition_from_isometry, haar_unitary, minimize_kraus,
-                    numerical_rank, schur_channel, vec)
+import muchan.channels
+from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, MixedUnitaryDecomposition,
+                    NumericalError, OperatorSystemBasis, Tolerance, ValidationError,
+                    channel_profile, dagger, decomposition_from_isometry, haar_unitary,
+                    minimize_kraus, numerical_rank, schur_channel, vec)
 from muchan.gallery import weyl_channel
 
 SRC = Path(muchan.__file__).parent
@@ -114,6 +115,57 @@ def test_relation_floor_boundary(above):
     exact = decomposition_from_isometry(p.minimal, np.eye(3), p.tol).unitaries
     assert all(np.array_equal(u, a) for u, a in zip(d.unitaries, exact)) != above
     assert max(np.abs(u - a).max() for u, a in zip(d.unitaries, exact)) <= 1e-11
+
+
+# ------------------------------------------------ validation floors and slack
+
+@pytest.mark.parametrize("scale, contained", [(0.7, True), (0.99, True), (1.01, False),
+                                              (1.5, False)])
+def test_identity_span_floor_boundary(scale, contained):
+    # diag(cos t), diag(sin t) at t = (0, x, 1): the operator system is the
+    # diagonal matrices, with Gram matrix cos^2(t_a - t_b) in the diagonal
+    # coordinates.  eps_rank = 1e-3 drops its smallest direction (relative
+    # size about x / 2), which carries a part of the identity linear in x;
+    # eps_eq = 1e-12 leaves the floor to decide.
+    floor = muchan.channels._IDENTITY_SPAN_FLOOR
+
+    def distance(x):  # the identity's part on the dropped eigenvector
+        t = np.array([0.0, x, 1.0])
+        w, v = np.linalg.eigh(np.cos(t[:, None] - t[None, :]) ** 2)
+        return abs(v[:, 0].sum()) / np.sqrt(3)
+
+    x = scale * floor / distance(1e-6) * 1e-6
+    assert distance(x) == pytest.approx(scale * floor, rel=1e-6)
+    t = np.array([0.0, x, 1.0])
+    tol = Tolerance(eps_rank=1e-3, eps_eq=1e-12)
+    phi = KrausChannel([np.diag(np.cos(t)), np.diag(np.sin(t))], tol)
+    if contained:
+        assert muchan.channels._operator_system(phi, tol).s == 2
+    else:
+        with pytest.raises(ValidationError, match="identity not contained"):
+            muchan.channels._operator_system(phi, tol)
+
+
+@pytest.mark.parametrize("terms", [2, 4])
+def test_weight_sum_slack_boundary(terms):
+    # weights 1/terms, the last raised by k units of 2^-52, sum to exactly
+    # 1 + k 2^-52; at eps_eq = 1e-16 the slack of terms * 1e-15 decides.
+    # The unitaries are exact (defect 0).
+    slack = muchan.analysis._WEIGHT_SUM_SLACK
+    us = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1]),
+          np.array([[0, 1], [-1, 0]])][:terms]
+    k = int(terms * slack / 2.0 ** -52)
+
+    def probs(k):
+        p = np.full(terms, 1.0 / terms)
+        p[-1] += k * 2.0 ** -52
+        return p
+
+    assert abs(probs(k).sum() - 1.0) <= terms * slack < abs(probs(k + 1).sum() - 1.0)
+    tol = Tolerance(eps_eq=1e-16)
+    assert MixedUnitaryDecomposition(probs(k), us, tol).n_terms == terms
+    with pytest.raises(ValidationError, match="weights sum to"):
+        MixedUnitaryDecomposition(probs(k + 1), us, tol)
 
 
 # ---------------------------------------------- rank decisions = tol.rank

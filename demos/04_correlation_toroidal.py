@@ -9,9 +9,8 @@ gives ranks 4 x 2 -> 6: toroidal rank is not multiplicative.
 """
 import numpy as np
 
-from muchan import (SearchConfig, complementary, kron, numerical_rank,
-                    schur_channel, search_isometry,
-                    toroidal_decompose_small, traceless_image_basis)
+from muchan import (SearchConfig, kron, numerical_rank, schur_channel,
+                    search_isometry, toroidal_decompose_small)
 from muchan.constructive import toroidal_from_decomposition
 from muchan.gallery import corr_B3, corr_C4, mub_correlation, toroidal_CtensorI2
 
@@ -27,8 +26,7 @@ for p, v in zip(t.probs, t.vectors):
 c = corr_C4()
 print("\nC = B (+) [1]:  rank", numerical_rank(c), "-- but toroidal rank 4:")
 phi = schur_channel(c)
-basis = traceless_image_basis(complementary(phi))
-res = search_isometry(basis, 4, SearchConfig(restarts=40, seed=0), channel=phi)
+res = search_isometry(phi, 4, SearchConfig(restarts=40, seed=0))
 print("  search at N=4:", res.status)
 tc = toroidal_from_decomposition(res.decomposition)
 print("  reconstruction residual:", f"{np.linalg.norm(tc.matrix() - c):.2e}")

@@ -28,6 +28,8 @@ _RELATION_FLOOR = 1e-12
 # Weights may sum to 1 within max(eps_eq, this per term): the rounding of a
 # sum of that many floats.
 _WEIGHT_SUM_SLACK = 1e-15
+_GROUP_WEIGHT_SLACK = 1e-12  # regrouped weights match within max(eps_eq, this)
+_SCHUR_WITNESS_FLOOR = 1e-7  # witness residual allowed beside 100 eps_eq n
 
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
@@ -338,7 +340,7 @@ def decompositions_equivalent(d1: MixedUnitaryDecomposition,
     d2's terms are partitioned by greedy best overlap: V_j belongs to the
     group of the U_k maximizing |Tr(U_k* V_j)| (ties to the lower index),
     and must match it to |Tr| = n within n*eps_eq; each group's weights
-    must sum to the matching p_k.
+    must sum to the matching p_k within max(eps_eq, ``_GROUP_WEIGHT_SLACK``).
     """
     if d1.dim != d2.dim:
         raise ValidationError("decompositions have different dimensions")
@@ -350,7 +352,7 @@ def decompositions_equivalent(d1: MixedUnitaryDecomposition,
         if overlaps[k] < n * (1.0 - tol.eps_eq):
             return False
         group_weight[k] += d2.probs[j]
-    return bool(np.all(np.abs(group_weight - d1.probs) <= max(tol.eps_eq, 1e-12)))
+    return bool(np.all(np.abs(group_weight - d1.probs) <= max(tol.eps_eq, _GROUP_WEIGHT_SLACK)))
 
 
 def _cluster_indices(w: np.ndarray) -> list:
@@ -431,7 +433,8 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     ``U Phi(V D V*) U* = D`` for every diagonal D are constructed by
     simultaneous diagonalization of the family (random combinations drawn
     from a generator seeded with 0) followed by alignment of the rank-one
-    images Phi(V E_kk V*); a witness that misses its residual bound raises
+    images Phi(V E_kk V*); a witness that misses its residual bound,
+    max(100 eps_eq n, ``_SCHUR_WITNESS_FLOOR``), raises
     :class:`NumericalError` rather than being silently accepted.
     """
     profile = channel_profile(phi, tol)
@@ -458,7 +461,7 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     u = uu @ vvh
     resid = max(float(np.linalg.norm(u @ image @ dagger(u) - d))
                 for image, d in zip(images, units))
-    if resid > max(100 * tol.eps_eq * n, 1e-7):
+    if resid > max(100 * tol.eps_eq * n, _SCHUR_WITNESS_FLOOR):
         raise NumericalError(
             f"Schur-equivalence witnesses missed tolerance: residual {resid:.3e} "
             "despite a passing commutation test")

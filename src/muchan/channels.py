@@ -148,7 +148,8 @@ class ChoiMatrix:
 class OperatorSystemBasis:
     """Orthonormal basis of the operator system span{A_k* A_j} of a minimal
     Kraus list A_1..A_r, from one SVD R = U S Vh of the r^2 x n^2 rows
-    conj(vec(A_k* A_j)), row (j, k) at j r + k.  ``left`` is U, r^2 x
+    conj(vec(A_k* A_j)), row (j, k) at j r + k; ``basis`` unvecs the first
+    s rows of conj(Vh) and ``singular`` is S.  ``left`` is U, r^2 x
     min(r^2, n^2); when r <= n it is square, and its columns q past s span
     the relations sum_jk q[j r + k] A_k* A_j = 0."""
 
@@ -156,6 +157,7 @@ class OperatorSystemBasis:
     basis: tuple
     s: int
     left: np.ndarray
+    singular: np.ndarray
 
 
 def partial_trace_output(j: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
@@ -264,7 +266,7 @@ def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
     if np.linalg.norm((b.conj() @ eye) @ b - eye) > max(tol.eps_eq, _IDENTITY_SPAN_FLOOR):
         raise ValidationError("identity not contained in the operator system span")
     basis = tuple(b.reshape(keep, n, n))
-    return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u)
+    return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u, singular=sv)
 
 
 @dataclass(frozen=True, eq=False)

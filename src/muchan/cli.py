@@ -25,10 +25,10 @@ import numpy as np
 
 from . import gallery, io
 from .analysis import rank_bounds, schur_equivalence_check, verify_decomposition
-from .channels import channel_profile, complementary, minimize_kraus
+from .channels import channel_profile, minimize_kraus
 from .constructive import zero_diagonal_unitary
 from .exceptions import FileFormatError, MuchanError, NumericalError, ValidationError
-from .search import SearchConfig, murank_search, search_isometry, traceless_image_basis
+from .search import SearchConfig, murank_search, search_isometry
 from .tolerances import Tolerance
 
 EXIT_OK = 0
@@ -157,9 +157,7 @@ def _cmd_search(args) -> int:
             else io.to_obj(scan.decomposition)
         _emit(report)
         return EXIT_OK if scan.n_found is not None else EXIT_NOT_FOUND
-    profile = channel_profile(phi, tol)
-    basis = traceless_image_basis(complementary(profile, tol), tol)
-    res = search_isometry(basis, args.N, cfg, channel=profile.minimal, tol=tol)
+    res = search_isometry(phi, args.N, cfg, tol)
     report.update(_result_obj(res))
     _emit(report)
     return EXIT_OK if res.status == "found" else EXIT_NOT_FOUND

@@ -6,16 +6,17 @@ vanishing diagonal for every traceless X.  The search minimizes
 
     f(V) = sum_k sum_j |(V B_k V*)(j, j)|^2
 
-over the Stiefel manifold {V : V* V = I_r}, where B_1..B_m is an
-orthonormal basis of the image of the traceless subspace under Psi, by
-Riemannian gradient descent (Wirtinger gradient, tangent projection,
-QR retraction) from Haar-random starts; the diagonals of all V B_k V* are
-one product of the rows vec(v_j v_j*) with the flattened basis.  The first
-trial step after each accepted step is the alternating Barzilai-Borwein
-step (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141; on the Stiefel
-manifold, Wen & Yin, Math. Program. 142 (2013) 397), and a monotone Armijo
-test with backtracking guards it, so f never increases.  A restart gives
-up once f - tau |grad f|^2 rounds to f: no smaller step can show a decrease.
+over the Stiefel manifold {V : V* V = I_r}, where B_1..B_{s-1} is an
+orthonormal basis of the image of the traceless subspace under Psi, read
+off the profile's SVD, by Riemannian gradient descent (Wirtinger
+gradient, tangent projection, QR retraction) from Haar-random starts;
+the diagonals of all V B_k V* are one product of the rows vec(v_j v_j*)
+with the flattened basis.  The first trial step after each accepted step
+is the alternating Barzilai-Borwein step (Barzilai & Borwein, IMA J.
+Numer. Anal. 8 (1988) 141; on the Stiefel manifold, Wen & Yin, Math.
+Program. 142 (2013) 397), and a monotone Armijo test with backtracking
+guards it, so f never increases.  A restart gives up once
+f - tau |grad f|^2 rounds to f: no smaller step can show a decrease.
 
 The restarts of one search run in lockstep along a leading batch axis:
 every round makes one Armijo trial for each live restart with stacked
@@ -25,8 +26,9 @@ restart run on its own.  Because f never increases, once restart i is
 below the objective tolerance every restart above i is dropped, and the
 log ends at the first success as if the restarts ran one after another.
 
-A failed search is never a certificate: ``not_found`` only reports that
-all restarts plateaued above the objective tolerance.
+``found`` always carries a verified decomposition.  A failed search is
+never a certificate: ``not_found`` only reports that all restarts
+plateaued above the objective tolerance.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _first_not_close,
                        rank_bounds, verify_decomposition)
-from .channels import KrausChannel, channel_profile, complementary
+from .channels import KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
 from .linalg import _phased_q, dagger, haar_isometry, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -64,6 +66,7 @@ GRAD_FLOOR = 1e-30
 MAX_BACKTRACKS = 40
 UNITARITY_SLACK = 1e-6
 DECOMP_RESIDUAL = 1e-8
+_TRACELESS_FLOOR = 1e-8  # image-basis |Tr| allowed beside eps_eq: rounding, dropped directions
 # Stop reasons, in the order they are tested (see RestartRecord).
 STOP_REASONS = ("target", "stall", "max_iters", "grad", "armijo", "budget")
 # Restarts per lockstep block.  It bounds the batch arrays' memory; results
@@ -153,31 +156,24 @@ class MurankReport:
     results: tuple  # per-N SearchResult, in scan order
 
 
-def traceless_image_basis(psi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {Psi(X) : Tr X = 0} as an (m, r, r) array.
+def traceless_image_basis(phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of {Psi(X) : Tr X = 0}, Psi the complementary
+    channel of ``phi`` (a channel or its profile), as an (s - 1, r, r) array.
 
-    ``vec(Psi(X)) = M vec(X)`` with ``M[(a, b), (c, d)] = sum_k B_k[a, c]
-    conj(B_k[b, d])`` for Psi's Kraus operators B_k.  One SVD of M's columns
-    at the off-diagonal units and of its adjacent diagonal-column
-    differences over sqrt(2) gives the basis: m is ``tol.rank`` of the
-    singular values, and is 0 if the largest is at most ``eps_rank`` ||M||
-    (the trace map of a unitary channel).  Every basis
-    element is traceless because Psi preserves trace; m <= min(n^2 - 1, r^2).
+    From the profile's SVD R = U S Vh of the rows conj(vec(A_k* A_j)),
+    vec Psi(X) = conj(R) vec(X^T) = conj(U_s) z with z_i = sigma_i Tr(B_i X)
+    for the operator-system basis B_i.  The identity lies in their span, so
+    X is traceless iff z is orthogonal to d_i = Tr(B_i) / sigma_i: the image
+    is conj(U_s) times columns 1..s-1 of the QR of [d, I_s].  An element's
+    |Tr| above max(eps_eq, ``_TRACELESS_FLOOR``) raises NumericalError.
     """
-    n, r = psi.dim_in, psi.dim_out
-    kr = psi.stacked()
-    # cols[c * n + d] is M's column at E_cd
-    cols = np.einsum("kac,kbd->cdab", kr, kr.conj()).reshape(n * n, r * r)
-    diag = np.arange(n) * (n + 1)
-    off = np.setdiff1d(np.arange(n * n), diag)
-    rows = np.concatenate([cols[off], (cols[diag[:-1]] - cols[diag[1:]]) / np.sqrt(2)])
-    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    if not sv.size or sv[0] <= tol.eps_rank * np.linalg.norm(cols):
-        return np.zeros((0, r, r), dtype=complex)
-    keep = tol.rank(sv)
-    basis = vh[:keep].reshape(keep, r, r)
-    worst = max((abs(np.trace(b)) for b in basis), default=0.0)
-    if worst > max(tol.eps_eq, 1e-8):
+    profile = channel_profile(phi, tol)
+    system, r, s = profile.system, profile.r, profile.s
+    d = np.trace(np.array(system.basis), axis1=1, axis2=2) / system.singular[:s]
+    q = np.linalg.qr(np.column_stack([d, np.eye(s)]))[0][:, 1:]
+    basis = (q.T @ system.left[:, :s].T.conj()).reshape(s - 1, r, r)
+    worst = np.abs(np.trace(basis, axis1=1, axis2=2)).max(initial=0.0)
+    if worst > max(tol.eps_eq, _TRACELESS_FLOOR):
         raise NumericalError(f"image basis not traceless: |Tr| = {worst:.3e}")
     return basis
 
@@ -303,28 +299,28 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     return records, list(out_v[:len(records)]), exhausted
 
 
-def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchConfig(),
-                    channel: Optional[KrausChannel] = None,
+def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
                     tol: Tolerance = DEFAULT_TOL) -> SearchResult:
-    """Search for an N x r isometry zeroing all conjugated diagonals.
+    """Search for an N x r isometry zeroing all conjugated diagonals of the
+    traceless image of ``phi`` (a channel or its profile).
 
-    ``status="found"`` requires the best objective to reach
-    ``OBJECTIVE_TOL``; when ``channel``, the minimal Kraus list the
-    basis was built from, is supplied, the decomposition read from the best
-    isometry (unitarity within ``UNITARITY_SLACK`` = 1e-6) must also pass
-    verification (Choi residual within 1e-8), and is returned.  Restarts
-    run in index-ordered lockstep blocks of at most ``_BLOCK``; the next
-    block starts only while nothing has succeeded.  The restart log holds
-    each finished restart's final objective up to the first success; when
-    the time budget runs out (checked before every round) it holds the
-    longest index-ordered prefix of finished restarts.
+    ``n_terms`` must be an integer (bool is refused) of at least the Choi
+    rank r.  ``status="found"`` requires the best objective to reach
+    ``OBJECTIVE_TOL`` and the decomposition read from the best isometry
+    (unitarity within ``UNITARITY_SLACK`` = 1e-6) to pass verification
+    (Choi residual within ``DECOMP_RESIDUAL`` = 1e-8); it is returned with
+    the isometry.  Restarts run in index-ordered lockstep blocks of at most
+    ``_BLOCK``; the next block starts only while nothing has succeeded.
+    The restart log holds each finished restart's final objective up to
+    the first success; when the time budget runs out (checked before every
+    round) it holds the longest index-ordered prefix of finished restarts.
     """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-        raise ValidationError("basis must be an (m, r, r) array")
-    r = basis.shape[1]
-    if n_terms < r:
-        raise ValidationError(f"candidate size N={n_terms} is below the rank r={r}")
+    if isinstance(n_terms, bool) or not isinstance(n_terms, numbers.Integral):
+        raise ValidationError(f"candidate size N must be an integer, got {n_terms!r}")
+    profile = channel_profile(phi, tol)
+    if n_terms < profile.r:
+        raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
+    basis = traceless_image_basis(profile, tol)
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     def expired():
@@ -348,18 +344,15 @@ def search_isometry(basis: np.ndarray, n_terms: int, cfg: SearchConfig = SearchC
     status = "found" if best_f <= OBJECTIVE_TOL else (
         "budget_exhausted" if exhausted else "not_found")
     decomposition = None
-    if status == "found" and channel is not None:
+    if status == "found":
         try:
-            decomposition = decomposition_from_isometry(channel, best_v, Tolerance(
+            decomposition = decomposition_from_isometry(profile.minimal, best_v, Tolerance(
                 eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK)))
         except NumericalError:
             pass
-        if decomposition is not None:
-            check = verify_decomposition(channel, decomposition, tol)
-            if check.choi_residual > DECOMP_RESIDUAL:
-                decomposition = None
-        if decomposition is None:
-            status = "not_found"
+        if decomposition is None or verify_decomposition(
+                profile.minimal, decomposition, tol).choi_residual > DECOMP_RESIDUAL:
+            status, decomposition = "not_found", None
     return SearchResult(status=status, n_terms=n_terms, objective=float(best_f),
                         isometry=best_v if status == "found" else None,
                         decomposition=decomposition, restart_log=tuple(log),
@@ -411,11 +404,10 @@ def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),
     """
     profile = channel_profile(phi, tol)
     bounds = rank_bounds(profile, tol)
-    basis = traceless_image_basis(complementary(profile, tol), tol)
     start = bounds.exact if bounds.exact is not None else bounds.lower
     results = []
     for n_candidate in range(start, bounds.upper + 1):
-        res = search_isometry(basis, n_candidate, cfg, channel=profile.minimal, tol=tol)
+        res = search_isometry(profile, n_candidate, cfg, tol)
         results.append(res)
         if res.status == "found":
             return MurankReport(n_found=n_candidate, decomposition=res.decomposition,

@@ -11,7 +11,7 @@ from muchan import (SearchConfig, certified_gap_rank, choi_of, complementary,
                     identity_channel, kron, minimize_kraus, murank_search,
                     numerical_rank, operator_system, rank_bounds,
                     schur_channel, schur_equivalence_check, search_isometry,
-                    toroidal_decompose_small, traceless_image_basis,
+                    toroidal_decompose_small,
                     verify_decomposition, zero_diagonal_unitary)
 from muchan.analysis import MixedUnitaryDecomposition
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
@@ -91,8 +91,7 @@ def test_criterion_4_correlation_fixtures():
     c4 = corr_C4()
     assert numerical_rank(c4) == 3
     phi = schur_channel(c4)
-    basis = traceless_image_basis(complementary(phi))
-    res = search_isometry(basis, 4, SearchConfig(restarts=40, seed=0), channel=phi)
+    res = search_isometry(phi, 4, SearchConfig(restarts=40, seed=0))
     assert res.status == "found"
     check = verify_decomposition(minimize_kraus(phi), res.decomposition)
     assert check.choi_residual <= 1e-8

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, NumericalError,
-                    ValidationError, certified_gap_rank, choi_of, complementary,
-                    dagger, decomposition_from_isometry, haar_isometry, haar_unitary,
-                    minimal_kraus, minimize_kraus, schur_channel, traceless_image_basis,
-                    verify_decomposition, vec)
+                    ValidationError, certified_gap_rank, channel_profile, choi_of,
+                    complementary, dagger, decomposition_from_isometry, haar_isometry,
+                    haar_unitary, minimal_kraus, minimize_kraus, schur_channel,
+                    traceless_image_basis, verify_decomposition, vec)
 from muchan.channels import _stack_defect
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, random_channel,
                             random_unital_rank2, weyl_channel, wh_antisym_decomposition,
@@ -124,13 +124,16 @@ def test_verify_residual_matches_choi_path(d, shift, seed):
 # ----------------------------------------------------- traceless_image_basis
 
 @_SETTINGS
-@given(_channels(), st.booleans())
-def test_traceless_image_basis_matches_loop(phi, through_complementary):
-    # random channels are not unital; n = 1 gives the empty basis
-    psi = complementary(phi) if through_complementary else phi
-    got, want = traceless_image_basis(psi), _old_traceless_image_basis(psi)
+@given(_channels())
+def test_traceless_image_basis_matches_loop(phi):
+    # the closed form from phi's profile against the loop over the
+    # complementary channel; random channels are not unital, n = 1 gives
+    # the empty basis
+    got = traceless_image_basis(phi)
+    want = _old_traceless_image_basis(complementary(phi))
     assert got.shape == want.shape
-    if psi.dim_in == 1:
+    assert len(got) == channel_profile(phi).s - 1
+    if phi.dim_in == 1:
         assert len(got) == 0
     assert np.linalg.norm(_projector(got) - _projector(want)) <= 1e-12
 

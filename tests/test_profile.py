@@ -98,6 +98,7 @@ def test_certified_gap_rank_accepts_profile():
 # never builds a Choi matrix: choi_of and minimal_kraus are for Choi input.
 # complementary makes one minimize_kraus call on its n-term list.  Every
 # decomposition computed from a channel is read by decomposition_from_isometry.
+# The search reads its traceless image off the profile's SVD.
 
 def _counters(count_calls):
     return {"minimize": count_calls(muchan.channels, "minimize_kraus"),
@@ -112,12 +113,17 @@ def _counts(counters):
     return {k: len(v) for k, v in counters.items()}
 
 
-def test_murank_search_counts(count_calls):
-    # profile, complementary's list; the reader takes the minimal list as is
+def test_murank_search_counts(count_calls, monkeypatch):
+    # one profile: one minimize_kraus and one SVD (the operator system's),
+    # which also gives the search basis; the reader takes the minimal list
     c = _counters(count_calls)
-    murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
-    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    rep = murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
+    assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
+    assert len(svds) == 1
+    assert [res.n_terms for res in rep.results] == [4, 5, 6]  # one profile, three sizes
 
 
 def test_decompose_low_dim_counts(count_calls):

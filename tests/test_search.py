@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muchan import (SearchConfig, ValidationError, complementary, dagger,
+from muchan import (KrausChannel, SearchConfig, ValidationError, dagger,
                     decomposition_from_isometry, dephasing_channel,
                     identity_channel, minimize_kraus, murank_search,
                     search_isometry, traceless_image_basis,
@@ -9,12 +9,15 @@ from muchan import (SearchConfig, ValidationError, complementary, dagger,
 from muchan import search as search_mod
 from muchan import haar_isometry, schur_channel
 from muchan.gallery import corr_C4, gap_channel, weyl_channel
-from muchan.search import (STOP_REASONS, _euclidean_gradient, _objective,
-                           _run_block)
+from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _euclidean_gradient,
+                           _objective, _run_block)
 
 
-def _basis_of(phi):
-    return traceless_image_basis(complementary(minimize_kraus(phi)))
+def _assert_verified(phi, res):
+    """A ``found`` result carries a decomposition of ``phi`` that verifies."""
+    assert res.status == "found"
+    check = verify_decomposition(minimize_kraus(phi), res.decomposition)
+    assert check.choi_residual <= DECOMP_RESIDUAL
 
 
 def _flat(basis):
@@ -25,7 +28,7 @@ def _flat(basis):
 # ------------------------------------------------------ traceless_image_basis
 
 def test_image_basis_dephasing():
-    basis = _basis_of(dephasing_channel(2))
+    basis = traceless_image_basis(dephasing_channel(2))
     assert basis.shape[0] == 1
     b = basis[0]
     target = np.diag([1, -1]) / np.sqrt(2)
@@ -33,7 +36,7 @@ def test_image_basis_dephasing():
 
 
 def test_image_basis_unitary_channel_empty():
-    basis = _basis_of(identity_channel(3))
+    basis = traceless_image_basis(identity_channel(3))
     assert basis.shape[0] == 0
 
 
@@ -41,17 +44,18 @@ def test_image_basis_unitary_channel_empty():
 def test_image_basis_haar_unitary_channel_empty(seed):
     # Psi is the trace map up to roundoff: its traceless image is zero, not
     # the roundoff left in it, and the scan finds N = 1
-    from muchan import KrausChannel, haar_unitary
+    from muchan import haar_unitary
     phi = KrausChannel([haar_unitary(3, seed)])
-    assert _basis_of(phi).shape == (0, 1, 1)
+    assert traceless_image_basis(phi).shape == (0, 1, 1)
     rep = murank_search(phi, SearchConfig(restarts=2))
     assert rep.n_found == 1
     assert verify_decomposition(phi, rep.decomposition).choi_residual <= 1e-12
+    _assert_verified(phi, rep.results[-1])
 
 
 def test_image_basis_weyl3():
     # rank oracle: the traceless Hermitian inputs map onto an (s-1)-dim space
-    basis = _basis_of(weyl_channel(3))
+    basis = traceless_image_basis(weyl_channel(3))
     assert basis.shape[0] == 6
     for b in basis:
         assert abs(np.trace(b)) <= 1e-10
@@ -60,7 +64,7 @@ def test_image_basis_weyl3():
 # -------------------------------------------------------------- the objective
 
 def test_objective_zero_at_hadamard_for_dephasing():
-    basis = _basis_of(dephasing_channel(2))
+    basis = traceless_image_basis(dephasing_channel(2))
     v = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     f, _ = _objective(v, _flat(basis))
     assert f <= 1e-28
@@ -95,7 +99,7 @@ def test_gradient_matches_finite_differences():
 
 def test_objective_invariant_under_basis_reorthonormalization():
     from muchan import haar_isometry
-    basis = _basis_of(weyl_channel(3))
+    basis = traceless_image_basis(weyl_channel(3))
     m, r = basis.shape[0], basis.shape[1]
     rng = np.random.default_rng(3)
     # rotate the basis by a random unitary mixing (same span, orthonormal)
@@ -132,9 +136,9 @@ def _random_traceless_basis(rng, m, r):
 
 def test_flat_kernel_matches_t_reference():
     rng = np.random.default_rng(5)
-    gallery = [_basis_of(phi) for phi in (gap_channel(3, 1), schur_channel(corr_C4()),
-                                          weyl_channel(3), weyl_channel(5),
-                                          dephasing_channel(3))]
+    gallery = [traceless_image_basis(phi)
+               for phi in (gap_channel(3, 1), schur_channel(corr_C4()), weyl_channel(3),
+                           weyl_channel(5), dephasing_channel(3))]
     randoms = [_random_traceless_basis(rng, int(rng.integers(1, 8)), r)
                for r in (2, 3, 4, 5) for _ in range(3)]
     for basis in gallery + randoms:
@@ -153,27 +157,31 @@ def test_flat_kernel_matches_t_reference():
 
 def test_search_dephasing_n2():
     phi = dephasing_channel(2)
-    res = search_isometry(_basis_of(phi), 2, SearchConfig(restarts=5, seed=0),
-                          channel=phi)
+    res = search_isometry(phi, 2, SearchConfig(restarts=5, seed=0))
     assert res.status == "found"
     assert res.objective <= 1e-16
     d = res.decomposition
     assert d.n_terms == 2
     for u in d.unitaries:
         assert np.linalg.norm(u - np.diag(np.diag(u))) <= 1e-6
-    assert verify_decomposition(phi, d).choi_residual <= 1e-8
+    _assert_verified(phi, res)
 
 
 def test_search_rejects_small_n():
-    basis = _basis_of(weyl_channel(3))
-    with pytest.raises(ValidationError):
-        search_isometry(basis, 2, SearchConfig(restarts=1))
+    with pytest.raises(ValidationError, match="below the rank r=3"):
+        search_isometry(weyl_channel(3), 2, SearchConfig(restarts=1))
+
+
+@pytest.mark.parametrize("value", [4.5, 4.0, "4", True, None])
+def test_search_refuses_non_integer_n(value):
+    # as SearchConfig does: ValidationError, not a TypeError from numpy
+    with pytest.raises(ValidationError, match="candidate size N must be an integer"):
+        search_isometry(weyl_channel(3), value, SearchConfig(restarts=1))
 
 
 def test_search_n_below_true_rank_not_found():
     phi = gap_channel(3, 1)
-    res = search_isometry(_basis_of(phi), 4, SearchConfig(restarts=6, seed=0),
-                          channel=phi)
+    res = search_isometry(phi, 4, SearchConfig(restarts=6, seed=0))
     assert res.status == "not_found"
     assert res.objective > 1e-6
     assert len(res.restart_log) == 6
@@ -181,48 +189,57 @@ def test_search_n_below_true_rank_not_found():
 
 def test_search_finds_gap_decomposition_at_6():
     phi = gap_channel(3, 1)
-    res = search_isometry(_basis_of(phi), 6, SearchConfig(restarts=20, seed=0),
-                          channel=phi)
+    res = search_isometry(phi, 6, SearchConfig(restarts=20, seed=0))
     assert res.status == "found"
     assert np.linalg.norm(dagger(res.isometry) @ res.isometry - np.eye(4)) <= 1e-9
-    assert verify_decomposition(minimize_kraus(phi), res.decomposition).choi_residual <= 1e-8
+    _assert_verified(phi, res)
+
+
+def test_search_takes_a_non_minimal_kraus_list():
+    # weyl(3) with every operator split into two halves: six operators of
+    # Choi rank 3.  The search minimizes the list itself, and the isometry
+    # remixes the three minimal operators.
+    phi = KrausChannel([a / np.sqrt(2) for a in weyl_channel(3).kraus for _ in range(2)])
+    assert len(phi) == 6
+    res = search_isometry(phi, 3, SearchConfig(restarts=10, seed=0))
+    assert res.isometry.shape == (3, 3) and res.decomposition.n_terms == 3
+    _assert_verified(phi, res)
 
 
 def test_search_time_budget_exhaustion():
     phi = gap_channel(3, 1)
-    res = search_isometry(_basis_of(phi), 5,
-                          SearchConfig(restarts=50, seed=0, time_budget=0.0),
-                          channel=phi)
+    res = search_isometry(phi, 5,
+                          SearchConfig(restarts=50, seed=0, time_budget=0.0))
     assert res.status == "budget_exhausted"
     assert res.restart_log == ()
 
 
 def test_search_deterministic_and_block_size_invariant(monkeypatch):
     phi = gap_channel(3, 1)
-    basis = _basis_of(phi)
-    a = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
-    b = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
+    a = search_isometry(phi, 6, SearchConfig(restarts=8, seed=4))
+    b = search_isometry(phi, 6, SearchConfig(restarts=8, seed=4))
     monkeypatch.setattr(search_mod, "_BLOCK", 1)  # one restart after another
-    c = search_isometry(basis, 6, SearchConfig(restarts=8, seed=4), channel=phi)
+    c = search_isometry(phi, 6, SearchConfig(restarts=8, seed=4))
     assert a.restart_log == b.restart_log == c.restart_log
     assert a.objective == b.objective == c.objective
     assert np.array_equal(a.isometry, c.isometry)
+    _assert_verified(phi, a)
 
 
 @pytest.mark.parametrize("n_terms, status", [(5, "not_found"), (6, "found")])
 def test_search_bitwise_independent_of_block_size(monkeypatch, n_terms, status):
     phi = gap_channel(3, 1)
-    basis = _basis_of(phi)
     cfg = SearchConfig(restarts=7, seed=2)
-    ref = search_isometry(basis, n_terms, cfg, channel=phi)
+    ref = search_isometry(phi, n_terms, cfg)
     monkeypatch.setattr(search_mod, "_BLOCK", 3)
-    small = search_isometry(basis, n_terms, cfg, channel=phi)
+    small = search_isometry(phi, n_terms, cfg)
     assert ref.status == small.status == status
     assert ref.restart_log == small.restart_log
     assert ref.restart_trace == small.restart_trace
     assert ref.objective == small.objective
     if status == "found":
         assert np.array_equal(ref.isometry, small.isometry)
+        _assert_verified(phi, ref)
     else:
         assert len(ref.restart_log) == 7
 
@@ -242,20 +259,17 @@ def test_search_budget_log_is_prefix_of_unbudgeted_log(monkeypatch):
     # the clock advances one second per reading, so a budget allows a fixed
     # number of deadline checks (one per round and one before each block)
     phi = gap_channel(3, 1)
-    basis = _basis_of(phi)
-    full = search_isometry(basis, 5, SearchConfig(restarts=12, seed=0), channel=phi)
+    full = search_isometry(phi, 5, SearchConfig(restarts=12, seed=0))
     monkeypatch.setattr(search_mod, "_BLOCK", 3)
     clock = _CountingClock()
     monkeypatch.setattr(search_mod, "time", clock)
-    search_isometry(basis, 5, SearchConfig(restarts=12, seed=0, time_budget=1e9),
-                    channel=phi)
+    search_isometry(phi, 5, SearchConfig(restarts=12, seed=0, time_budget=1e9))
     checks = clock.now
     lengths = []
     for share in (0.0, 0.25, 0.5, 0.75):
         clock.now = 0.0
-        cut = search_isometry(basis, 5, SearchConfig(restarts=12, seed=0,
-                                                     time_budget=share * checks + 0.5),
-                              channel=phi)
+        cut = search_isometry(phi, 5, SearchConfig(restarts=12, seed=0,
+                                                     time_budget=share * checks + 0.5))
         assert cut.status == "budget_exhausted"
         k = len(cut.restart_log)
         assert cut.restart_log == full.restart_log[:k]
@@ -267,10 +281,8 @@ def test_search_budget_log_is_prefix_of_unbudgeted_log(monkeypatch):
 
 def test_restart_trace_records():
     phi = gap_channel(3, 1)
-    basis = _basis_of(phi)
     for n_terms in (5, 6):
-        res = search_isometry(basis, n_terms, SearchConfig(restarts=5, seed=3),
-                              channel=phi)
+        res = search_isometry(phi, n_terms, SearchConfig(restarts=5, seed=3))
         trace = res.restart_trace
         assert [rec.objective for rec in trace] == list(res.restart_log)
         assert [rec.index for rec in trace] == list(range(len(trace)))
@@ -278,8 +290,9 @@ def test_restart_trace_records():
         for rec in trace:
             assert rec.stop in STOP_REASONS and rec.stop != "budget"
             assert 1 <= rec.evaluations and rec.iterations < rec.evaluations
-    assert res.status == "found" and trace[-1].stop == "target"
+    assert trace[-1].stop == "target"
     assert all(rec.objective > 1e-16 for rec in trace[:-1])
+    _assert_verified(phi, res)
 
 
 @pytest.mark.parametrize("kwargs", [dict(seed=-1), dict(time_budget=float("nan")),
@@ -326,10 +339,20 @@ def test_search_config_refuses_non_number_time_budget(value):
         SearchConfig(time_budget=value)
 
 
+_SCAN_CHANNELS = {"gap": lambda: gap_channel(3, 1), "c4": lambda: schur_channel(corr_C4())}
+
+
 @pytest.fixture(scope="module")
 def seed0_scans():
-    return {name: murank_search(phi, SearchConfig(restarts=25, seed=0))
-            for name, phi in (("gap", gap_channel(3, 1)), ("c4", schur_channel(corr_C4())))}
+    return {name: murank_search(make(), SearchConfig(restarts=25, seed=0))
+            for name, make in _SCAN_CHANNELS.items()}
+
+
+def test_seed0_scan_found_results_verify(seed0_scans):
+    for name, rep in seed0_scans.items():
+        assert [res.status for res in rep.results][-1] == "found"
+        _assert_verified(_SCAN_CHANNELS[name](), rep.results[-1])
+        assert rep.decomposition is rep.results[-1].decomposition
 
 
 def test_seed0_scan_lockstep_rounds(seed0_scans):
@@ -362,7 +385,7 @@ def test_seed0_plateaus_unchanged_by_rounding_floor_stop(seed0_scans, name, n_te
 
 def test_restart_trace_max_iters():
     phi = gap_channel(3, 1)
-    res = search_isometry(_basis_of(phi), 6, SearchConfig(restarts=2, seed=0, max_iters=3))
+    res = search_isometry(phi, 6, SearchConfig(restarts=2, seed=0, max_iters=3))
     assert [rec.stop for rec in res.restart_trace] == ["max_iters"] * 2
     assert [rec.iterations for rec in res.restart_trace] == [3, 3]
 
@@ -437,7 +460,7 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed, monkeypatch):
     phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
-    basis = _basis_of(phi)
+    basis = traceless_image_basis(phi)
     cfg = SearchConfig(restarts=4, seed=seed)
     # the default tolerance drops restarts after the first success; a
     # tolerance no restart reaches runs all four to their own stop
@@ -492,12 +515,14 @@ def test_murank_dephasing4():
     assert verify_decomposition(phi, d).choi_residual <= 1e-12
     rep = murank_search(phi, SearchConfig(restarts=20, seed=0))
     assert rep.n_found == 4
-    assert verify_decomposition(phi, rep.decomposition).choi_residual <= 1e-8
+    _assert_verified(phi, rep.results[-1])
 
 
 def test_murank_weyl3_starts_at_certified_rank():
-    rep = murank_search(weyl_channel(3), SearchConfig(restarts=10, seed=0))
+    phi = weyl_channel(3)
+    rep = murank_search(phi, SearchConfig(restarts=10, seed=0))
     assert rep.n_found == 3
+    _assert_verified(phi, rep.results[-1])
     assert rep.bounds.exact == 3
     assert len(rep.results) == 1  # the scan started at the certified value
 
@@ -508,5 +533,4 @@ def test_murank_symmetric_werner_holevo_n3():
     rep = murank_search(phi0, SearchConfig(restarts=20, seed=0))
     assert rep.bounds.lower == 6
     assert rep.n_found == 6  # the minimal rank, matching the explicit six-pack
-    assert verify_decomposition(minimize_kraus(phi0),
-                                rep.decomposition).choi_residual <= 1e-8
+    _assert_verified(phi0, rep.results[-1])

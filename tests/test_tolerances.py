@@ -2,6 +2,7 @@
 that every rank decision equals ``tol.rank`` of its own spectrum, and a
 source guard that keeps each rule in one place."""
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 import muchan
 import muchan.analysis
 import muchan.channels
+import muchan.search
 from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, MixedUnitaryDecomposition,
-                    NumericalError, OperatorSystemBasis, Tolerance, ValidationError,
-                    channel_profile, dagger, decomposition_from_isometry, haar_unitary,
-                    minimize_kraus, numerical_rank, schur_channel, vec)
-from muchan.gallery import weyl_channel
+                    NumericalError, Tolerance, ValidationError, channel_profile, dagger,
+                    decomposition_from_isometry, decompositions_equivalent,
+                    dephasing_channel, haar_unitary, minimize_kraus, numerical_rank,
+                    schur_channel, schur_equivalence_check, traceless_image_basis, vec)
+from muchan.gallery import gap_channel, weyl_channel
 
 SRC = Path(muchan.__file__).parent
 
@@ -109,7 +112,7 @@ def test_relation_floor_boundary(above):
     left = np.array(p.system.left)
     floor = muchan.analysis._RELATION_FLOOR
     left[1, p.s:] = np.nextafter(floor, 1.0) if above else floor
-    system = OperatorSystemBasis(p.system.dim, p.system.basis, p.s, left)
+    system = dataclasses.replace(p.system, left=left)
     d = muchan.analysis._rank_r_decomposition(
         ChannelProfile(p.minimal, system, p.tol), p.tol)
     exact = decomposition_from_isometry(p.minimal, np.eye(3), p.tol).unitaries
@@ -166,6 +169,66 @@ def test_weight_sum_slack_boundary(terms):
     assert MixedUnitaryDecomposition(probs(k), us, tol).n_terms == terms
     with pytest.raises(ValidationError, match="weights sum to"):
         MixedUnitaryDecomposition(probs(k + 1), us, tol)
+
+
+@pytest.mark.parametrize("scale, traceless", [(0.9, True), (1.1, False)])
+def test_traceless_floor_is_the_bound_applied(scale, traceless):
+    # Moving the profile's left singular vectors by eps at row (0, 0), a
+    # diagonal entry, adds eps * sum_i q[i, l] to the trace of image element
+    # l; eps is set so the largest |Tr| is scale * the floor, which decides
+    # at the default eps_eq = 1e-9.
+    floor = muchan.search._TRACELESS_FLOOR
+    p = channel_profile(gap_channel(3, 1))
+
+    def moved(eps):
+        left = np.array(p.system.left)
+        left[0] += eps
+        return ChannelProfile(p.minimal, dataclasses.replace(p.system, left=left), p.tol)
+
+    def worst(eps):
+        basis = muchan.search.traceless_image_basis(moved(eps))
+        return np.abs(np.trace(basis, axis1=1, axis2=2)).max()
+
+    eps = scale * floor / worst(1e-10) * 1e-10
+    if traceless:
+        assert worst(eps) == pytest.approx(scale * floor, rel=1e-6)
+    else:
+        with pytest.raises(NumericalError, match=f"not traceless: [|]Tr[|] = {scale * floor:.3e}"):
+            traceless_image_basis(moved(eps))
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_group_weight_slack_boundary(above):
+    # d2 moves weight k units of 2^-53 from X to I: each group is off by
+    # exactly k 2^-53 and the weights still sum to 1.  At eps_eq = 1e-16
+    # the slack decides; the unitaries are exact, so every overlap is n.
+    slack = muchan.analysis._GROUP_WEIGHT_SLACK
+    k = int(slack / 2.0 ** -53) + above
+    us = [np.eye(2), np.array([[0, 1], [1, 0]])]
+    tol = Tolerance(eps_eq=1e-16)
+    d1 = MixedUnitaryDecomposition([0.5, 0.5], us, tol)
+    d2 = MixedUnitaryDecomposition([0.5 + k * 2.0 ** -53, 0.5 - k * 2.0 ** -53], us, tol)
+    assert (k * 2.0 ** -53 > slack) == above
+    assert decompositions_equivalent(d1, d2, tol) != above
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_schur_witness_floor_is_the_bound_applied(scale, passes, monkeypatch):
+    # The dephasing channel's witnesses are exact (residual 0).  Shifting
+    # every image Phi(V D V*) by delta I leaves its eigenvectors, and so the
+    # witnesses, as they are and gives residual ||delta I_3|| = delta sqrt 3.
+    # At eps_eq = 1e-12, 100 eps_eq n = 3e-10 is below the floor, which decides.
+    floor = muchan.analysis._SCHUR_WITNESS_FLOOR
+    delta = scale * floor / np.sqrt(3)
+    apply = muchan.analysis.apply
+    monkeypatch.setattr(muchan.analysis, "apply",
+                        lambda phi, x: apply(phi, x) + delta * np.eye(3))
+    tol = Tolerance(eps_eq=1e-12)
+    if passes:
+        assert schur_equivalence_check(dephasing_channel(3), tol).equivalent
+    else:
+        with pytest.raises(NumericalError, match="witnesses missed tolerance"):
+            schur_equivalence_check(dephasing_channel(3), tol)
 
 
 # ---------------------------------------------- rank decisions = tol.rank
@@ -228,10 +291,8 @@ def _uses(tree, name):
 
 def test_eps_rank_is_read_only_by_the_rules():
     # every rank and PSD decision goes through Tolerance; the other reads
-    # are the zero-image guard against ||M||, the search's slack tolerance
-    # and the CLI's --tol
-    allowed = {("search.py", "traceless_image_basis"), ("search.py", "search_isometry"),
-               ("cli.py", "_tol")}
+    # are the search's slack tolerance and the CLI's --tol
+    allowed = {("search.py", "search_isometry"), ("cli.py", "_tol")}
     seen = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "tolerances.py":
@@ -239,7 +300,6 @@ def test_eps_rank_is_read_only_by_the_rules():
         for func, line in _uses(ast.parse(path.read_text()), "eps_rank"):
             seen.append((path.name, func, line))
     assert {(f, fn) for f, fn, _ in seen} <= allowed, seen
-    assert sum(fn == "traceless_image_basis" for _, fn, _ in seen) == 1
 
 
 def test_closeness_scale_lives_in_tolerances():

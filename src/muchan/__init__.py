@@ -16,15 +16,15 @@ from .channels import (ChannelProfile, ChoiMatrix, KrausChannel,
                        operator_system, schur_channel)
 from .analysis import (GapRankCertificate, MixedUnitaryDecomposition,
                        RankBoundsReport, SchurEquivalence, VerificationResult,
-                       certified_gap_rank, decompositions_equivalent,
-                       rank_bounds, schur_equivalence_check,
-                       uniqueness_certificate, verify_decomposition)
+                       certified_gap_rank, decomposition_from_isometry,
+                       decompositions_equivalent, rank_bounds,
+                       schur_equivalence_check, uniqueness_certificate,
+                       verify_decomposition)
 from .constructive import (ToroidalDecomposition, decompose_low_dim,
                            toroidal_decompose_small,
                            toroidal_from_decomposition, zero_diagonal_unitary)
 from .search import (MurankReport, RestartRecord, SearchConfig, SearchResult,
-                     decomposition_from_isometry, murank_search,
-                     search_isometry, traceless_image_basis)
+                     murank_search, search_isometry, traceless_image_basis)
 from . import gallery, io
 
 __version__ = "0.1.0"
@@ -42,10 +42,11 @@ __all__ = [
     "GapRankCertificate", "SchurEquivalence", "verify_decomposition",
     "rank_bounds", "uniqueness_certificate", "certified_gap_rank",
     "decompositions_equivalent", "schur_equivalence_check",
+    "decomposition_from_isometry",
     "ToroidalDecomposition", "zero_diagonal_unitary", "decompose_low_dim",
     "toroidal_decompose_small", "toroidal_from_decomposition",
     "SearchConfig", "SearchResult", "RestartRecord", "MurankReport",
     "traceless_image_basis",
-    "search_isometry", "decomposition_from_isometry", "murank_search",
+    "search_isometry", "murank_search",
     "gallery", "io",
 ]

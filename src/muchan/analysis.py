@@ -1,7 +1,9 @@
-"""Mixed-unitary rank analysis: decomposition verification, rank bounds,
-uniqueness certificates, the direct-sum gap construction, decomposition
-equivalence, and Schur-equivalence testing.  Every entry point that reads
-r and s takes a channel or its :class:`~muchan.channels.ChannelProfile`.
+"""Mixed-unitary rank analysis: decompositions and their one reader
+(:func:`decomposition_from_isometry`, which every decomposition computed
+from a channel goes through), verification, rank bounds, uniqueness
+certificates, the direct-sum gap construction, decomposition equivalence,
+and Schur-equivalence testing.  Every entry point that reads r and s takes
+a channel or its :class:`~muchan.channels.ChannelProfile`.
 """
 from __future__ import annotations
 
@@ -34,8 +36,9 @@ _SCHUR_WITNESS_FLOOR = 1e-7  # witness residual allowed beside 100 eps_eq n
 __all__ = [
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",
     "GapRankCertificate", "SchurEquivalence",
-    "verify_decomposition", "rank_bounds", "uniqueness_certificate",
-    "certified_gap_rank", "decompositions_equivalent", "schur_equivalence_check",
+    "decomposition_from_isometry", "verify_decomposition", "rank_bounds",
+    "uniqueness_certificate", "certified_gap_rank", "decompositions_equivalent",
+    "schur_equivalence_check",
 ]
 
 
@@ -107,6 +110,40 @@ def _first_not_close(defects: np.ndarray, n: int, tol: Tolerance) -> Optional[in
     if not defects.size or tol.is_close(defects.max(), n):
         return None
     return next(i for i, d in enumerate(defects) if not tol.is_close(d, n))
+
+
+def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
+                                tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
+    """Mixed-unitary decomposition read from an N x r isometry V that
+    remixes the minimal Kraus list A_1..A_r (a longer list fails the column
+    count) into C_j = sum_k V(j, k) A_k, with weights p_j = ||C_j||^2 / n.
+
+    Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
+    must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
+    i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
+    search passes 1e-6), or :class:`NumericalError` names j.  The weights are
+    renormalized.  The closed-form rank-r, low-dimension and search
+    decompositions all come from here.
+    """
+    v = np.asarray(v, dtype=complex)
+    r, n = len(phi_minimal.kraus), phi_minimal.dim_in
+    if v.ndim != 2 or v.shape[1] != r:
+        raise ValidationError(f"isometry must have {r} columns, got {v.shape}")
+    if not tol.is_close(np.linalg.norm(dagger(v) @ v - np.eye(r)), r):
+        raise ValidationError("matrix is not an isometry within tolerance")
+    cs = np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))
+    # weights term by term and summed left to right: a batched norm or np.sum
+    # rounds differently, and saved decompositions are kept bit for bit
+    p = np.array([np.linalg.norm(c) ** 2 / n for c in cs])
+    kept = np.flatnonzero(p > tol.eps_eq)
+    p = p[kept]
+    us = cs[kept] / np.sqrt(p)[:, None, None]
+    defects = unitarity_defect(us)
+    i = _first_not_close(defects, 1, tol)
+    if i is not None:
+        raise NumericalError(
+            f"remixed operator {kept[i]} is not unitary: defect {defects[i]:.3e}")
+    return MixedUnitaryDecomposition(p / sum(p.tolist()), us, tol)
 
 
 @dataclass(frozen=True)
@@ -274,7 +311,6 @@ def _rank_r_decomposition(profile: ChannelProfile,
     (largest entry real positive) and sorted by that entry's column, so a
     minimal list of scaled unitaries comes back as itself.
     """
-    from .search import decomposition_from_isometry
     r = profile.r
     q = np.concatenate([profile.system.left[:, profile.s:].T, np.eye(r).reshape(1, -1)])
     q[np.abs(q) <= _RELATION_FLOOR] = 0

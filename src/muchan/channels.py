@@ -204,8 +204,14 @@ def apply(phi: KrausChannel, x) -> np.ndarray:
     if x.shape != (phi.dim_in, phi.dim_in):
         raise ValidationError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {x.shape}")
-    out = np.zeros((phi.dim_out, phi.dim_out), dtype=complex)
-    for a in phi.kraus:
+    return _conjugation_sum(phi.kraus, x)
+
+
+def _conjugation_sum(ops, x: np.ndarray) -> np.ndarray:
+    """sum_k A_k X A_k* over a nonempty sequence of m x n operators, term by
+    term from zero, so every caller rounds alike."""
+    out = np.zeros((len(ops[0]), len(ops[0])), dtype=complex)
+    for a in ops:
         out += a @ x @ dagger(a)
     return out
 

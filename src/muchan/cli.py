@@ -65,14 +65,14 @@ def _gen_object(name: str):
     except ValueError:
         raise ValidationError(f"non-integer parameter in gallery name {name!r}")
     table = {
-        ("weyl", 1): lambda p: gallery.weyl_channel(p),
-        ("gap", 2): lambda p, m: gallery.gap_channel(p, m),
+        ("weyl", 1): gallery.weyl_channel,
+        ("gap", 2): gallery.gap_channel,
         ("wh0", 1): lambda n: gallery.wh_channels(n).phi0,
         ("wh1", 1): lambda n: gallery.wh_channels(n).phi1,
         ("wh0sym3", 0): gallery.wh_sym3_decomposition,
-        ("wh0even", 1): lambda n: gallery.wh_sym_even_decomposition(n),
-        ("wh0odd", 1): lambda n: gallery.wh_sym_odd_decomposition(n),
-        ("wh1anti", 1): lambda n: gallery.wh_antisym_decomposition(n),
+        ("wh0even", 1): gallery.wh_sym_even_decomposition,
+        ("wh0odd", 1): gallery.wh_sym_odd_decomposition,
+        ("wh1anti", 1): gallery.wh_antisym_decomposition,
         ("corrB3", 0): gallery.corr_B3,
         ("corrC4", 0): gallery.corr_C4,
         ("ctensor2", 0): gallery.toroidal_CtensorI2,

@@ -8,7 +8,9 @@
   diagonal of a traceless matrix averages to 0.
 * ``decompose_low_dim``: channels whose operator system has dimension at
   most 3 are mixed unitary with rank equal to their Choi rank; the proof
-  is run as an algorithm.
+  is run as an algorithm on the channel profile alone: the complementary
+  channel is applied from the minimal Kraus list, and the decomposition
+  is read by :func:`~muchan.analysis.decomposition_from_isometry`.
 * ``toroidal_decompose_small``: convex decompositions of 2x2 and 3x3
   correlation matrices into unimodular rank-one factors.
 """
@@ -19,12 +21,27 @@ import math
 
 import numpy as np
 
-from .analysis import MixedUnitaryDecomposition, _require_unital_square
-from .channels import KrausChannel, channel_profile, complementary, schur_channel
+from .analysis import (MixedUnitaryDecomposition, _hermitian_parts, _require_unital_square,
+                       decomposition_from_isometry)
+from .channels import KrausChannel, _conjugation_sum, channel_profile, schur_channel
 from .exceptions import NumericalError, ValidationError
-from .linalg import as_matrix, dagger, vec, unvec
-from .search import decomposition_from_isometry
+from .linalg import as_matrix, dagger
 from .tolerances import DEFAULT_TOL, Tolerance
+
+# Toroidal weights may sum to 1 within max(eps_eq, this), and each vector
+# entry's modulus may miss 1 by max(eps_eq, the floor).
+_TOROIDAL_WEIGHT_SLACK = 1e-12
+_UNIMODULAR_FLOOR = 1e-8
+# zero_diagonal_unitary, after scaling the largest part of Z into [1/2, 1):
+# |Tr Z| is refused above max(eps_eq ||Z||, the floor), and a rotated
+# diagonal entry above the bound times ||Z|| raises NumericalError.
+_ZERO_DIAG_TRACE_FLOOR = 1e-12
+_ZERO_DIAG_RESIDUAL = 1e-8
+# A term of a Schur-channel decomposition whose off-diagonal part (Frobenius)
+# exceeds max(eps_eq, this) is not a diagonal unitary.
+_OFF_DIAGONAL_FLOOR = 1e-8
+# Entries at most this times the largest are skipped when phase-fixing a unitary.
+_PHASE_ENTRY_CUTOFF = 1e-9
 
 __all__ = [
     "ToroidalDecomposition", "zero_diagonal_unitary", "decompose_low_dim",
@@ -44,11 +61,12 @@ class ToroidalDecomposition:
         n = vs[0].size
         if any(v.size != n for v in vs):
             raise ValidationError("all vectors must share one length")
-        if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > max(tol.eps_eq, 1e-12):
+        slack = max(tol.eps_eq, _TOROIDAL_WEIGHT_SLACK)
+        if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > slack:
             raise ValidationError("weights must be a probability vector")
         for i, v in enumerate(vs):
             dev = float(np.max(np.abs(np.abs(v) - 1.0)))
-            if dev > max(tol.eps_eq, 1e-8):
+            if dev > max(tol.eps_eq, _UNIMODULAR_FLOOR):
                 raise ValidationError(
                     f"vector {i} is not unimodular: max deviation {dev:.3e}")
         p.setflags(write=False)
@@ -112,7 +130,7 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     e = int(np.frexp(np.max(np.abs(parts)))[1])
     z = np.ldexp(parts, -e).view(complex)
     nrm = float(np.linalg.norm(z))
-    if abs(np.trace(z)) > max(tol.eps_eq * nrm, 1e-12):
+    if abs(np.trace(z)) > max(tol.eps_eq * nrm, _ZERO_DIAG_TRACE_FLOOR):
         raise ValidationError(
             f"matrix is not traceless: |Tr| = {np.ldexp(abs(np.trace(z)), e):.3e}")
     # rows 0..n-1 hold M, rows n..2n-1 hold W: a column rotation acts on both
@@ -130,56 +148,55 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             mw[p] = g.conj().T @ mw[p]
     u = dagger(mw[n:])
     resid = float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
-    if resid > 1e-8 * nrm:
+    if resid > _ZERO_DIAG_RESIDUAL * nrm:
         raise NumericalError(
             "zero-diagonal construction missed tolerance: residual "
             f"{resid / nrm:.3e} relative to the Frobenius norm")
     return u
 
 
-def _traceless_hermitian_directions(basis, n: int, k: int):
+def _traceless_hermitian_directions(basis, k: int) -> np.ndarray:
     """The k leading orthonormal traceless Hermitian directions of an
-    operator-system basis (k = s - 1 spans them with the identity), via an
-    isometric real embedding so the principal directions stay Hermitian."""
-    if k == 0:
-        return []
-    eye = np.eye(n, dtype=complex)
-    cands = []
-    for b in basis:
-        c = b - (np.trace(b) / n) * eye
-        for h in ((c + dagger(c)) / 2, (c - dagger(c)) / 2j):
-            if np.linalg.norm(h) > 1e-13:
-                cands.append(h)
-    x = np.array([np.concatenate([vec(h).real, vec(h).imag]) for h in cands])
-    vh = np.linalg.svd(x, full_matrices=False)[2]
-    return [unvec(w[:n * n] + 1j * w[n * n:], n, n) for w in vh[:k]]
+    operator-system basis (k = s - 1 spans them with the identity), as a
+    (k, n, n) array: the Hermitian parts of the basis with its trace
+    removed, embedded isometrically as real rows [Re vec; Im vec], whose
+    principal right singular vectors stay Hermitian."""
+    b = np.asarray(basis)
+    n = b.shape[-1]
+    c = b - (np.trace(b, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    parts = np.reshape(_hermitian_parts(c), (-1, n * n))
+    vh = np.linalg.svd(np.concatenate([parts.real, parts.imag], axis=1),
+                       full_matrices=False)[2]
+    return (vh[:k, :n * n] + 1j * vh[:k, n * n:]).reshape(k, n, n)
 
 
 def decompose_low_dim(phi: KrausChannel,
                       tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
     """Mixed-unitary decomposition with N = Choi rank, for s <= 3.
 
-    Steps: build the complementary channel Psi of the profile's minimal list;
-    take the s - 1 traceless Hermitian directions H, K that span the
-    operator system with the identity (K = 0 when s <= 2, H = K = 0 when
-    s = 1); rotate Psi(H) + i Psi(K) to vanishing diagonal by a unitary U;
-    read the decomposition with U as the remixing isometry
-    (:func:`~muchan.search.decomposition_from_isometry`), which must keep
-    all r terms or :class:`NumericalError` is raised; make each unitary's
-    first nonzero entry real positive.
+    Steps, all from the channel profile: take the s - 1 traceless Hermitian
+    directions H, K that span the operator system with the identity (K = 0
+    when s <= 2, H = K = 0 when s = 1); apply the complementary channel
+    Psi(X) = sum_i B_i X B_i* to them, with B_i[j, :] = A_j[i, :] read
+    from the minimal list A_1..A_r (the B_i have Gram matrix Phi(I)^T = I,
+    so they are minimal as they stand); rotate Psi(H) + i Psi(K) to vanishing
+    diagonal by a unitary U; read the decomposition with U as the remixing
+    isometry (:func:`~muchan.analysis.decomposition_from_isometry`), which
+    must keep all r terms or :class:`NumericalError` is raised; make each
+    unitary's first nonzero entry real positive.
     """
     profile = channel_profile(phi, tol)
     phi = profile.minimal
     _require_unital_square(phi, tol, "decompose_low_dim")
-    n, r = phi.dim_in, profile.r
+    r = profile.r
     if profile.s > 3:
         raise ValidationError(
             f"refusal: operator system has dimension {profile.s} > 3")
-    psi = complementary(profile, tol)
-    dirs = _traceless_hermitian_directions(profile.system.basis, n, profile.s - 1)
+    dirs = _traceless_hermitian_directions(profile.system.basis, profile.s - 1)
+    psi_kraus = phi.stacked().transpose(1, 0, 2)
     zmat = np.zeros((r, r), dtype=complex)
     for coeff, h in zip((1, 1j), dirs):
-        zmat = zmat + coeff * psi(h)
+        zmat = zmat + coeff * _conjugation_sum(psi_kraus, h)
     d = decomposition_from_isometry(phi, zero_diagonal_unitary(zmat, tol), tol)
     if d.n_terms < r:
         raise NumericalError(
@@ -191,7 +208,7 @@ def decompose_low_dim(phi: KrausChannel,
 def _phase_fix_first_entry(u: np.ndarray) -> np.ndarray:
     """Make the first nonzero entry (row-major) real positive."""
     flat = u.reshape(-1)
-    cutoff = 1e-9 * float(np.max(np.abs(flat)))
+    cutoff = _PHASE_ENTRY_CUTOFF * float(np.max(np.abs(flat)))
     idx = int(np.argmax(np.abs(flat) > cutoff))
     return u * (np.conj(flat[idx]) / abs(flat[idx]))
 
@@ -203,7 +220,7 @@ def toroidal_from_decomposition(d: MixedUnitaryDecomposition,
     vectors = []
     for u in d.unitaries:
         off = np.linalg.norm(u - np.diag(np.diag(u)))
-        if off > max(tol.eps_eq, 1e-8):
+        if off > max(tol.eps_eq, _OFF_DIAGONAL_FLOOR):
             raise ValidationError(
                 "decomposition terms are not diagonal; not a Schur-channel decomposition")
         vectors.append(np.diag(u))

@@ -18,6 +18,9 @@ from .constructive import ToroidalDecomposition
 from .exceptions import ValidationError
 from .linalg import dagger, haar_unitary
 
+# mub_family: every |<u, v>| across two bases is 1/sqrt(d) within this.
+_UNBIASED_BOUND = 1e-10
+
 __all__ = [
     "MubFamily", "OneFactorization", "HermitianBasis", "WernerHolevoPair",
     "MubCorrelation", "weyl_generators", "weyl_channel", "gap_channel",
@@ -162,7 +165,7 @@ def mub_family(d: int) -> MubFamily:
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
             ov = np.abs(dagger(bases[i]) @ bases[j])
-            if np.max(np.abs(ov - 1 / np.sqrt(d))) > 1e-10:
+            if np.max(np.abs(ov - 1 / np.sqrt(d))) > _UNBIASED_BOUND:
                 raise ValidationError(f"bases {i},{j} are not mutually unbiased")
     return MubFamily(d=d, bases=tuple(bases))
 

@@ -37,9 +37,6 @@ def matrix_to_literal(a) -> list:
     return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
-vector_to_literal = matrix_to_literal
-
-
 def _from_pairs(lit, ndim: int) -> Optional[np.ndarray]:
     """The complex array of a literal of ``ndim`` axes whose entries are all
     [re, im] pairs of ints or floats (not bools), or None for any other
@@ -158,7 +155,7 @@ def toroidal_to_obj(t: ToroidalDecomposition) -> dict:
         "kind": "toroidal",
         "dim": t.dim,
         "probs": t.probs.tolist(),
-        "vectors": vector_to_literal(t.vectors),
+        "vectors": matrix_to_literal(t.vectors),
     }
 
 

@@ -26,9 +26,10 @@ restart run on its own.  Because f never increases, once restart i is
 below the objective tolerance every restart above i is dropped, and the
 log ends at the first success as if the restarts ran one after another.
 
-``found`` always carries a verified decomposition.  A failed search is
-never a certificate: ``not_found`` only reports that all restarts
-plateaued above the objective tolerance.
+``found`` always carries a verified decomposition, read from the best
+isometry by :func:`muchan.analysis.decomposition_from_isometry`.  A failed
+search is never a certificate: ``not_found`` only reports that all
+restarts plateaued above the objective tolerance.
 """
 from __future__ import annotations
 
@@ -40,27 +41,29 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _first_not_close,
-                       rank_bounds, verify_decomposition)
+from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
+                       decomposition_from_isometry, rank_bounds, verify_decomposition)
 from .channels import KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
-from .linalg import _phased_q, dagger, haar_isometry, unitarity_defect
+from .linalg import _phased_q, haar_isometry
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "SearchConfig", "SearchResult", "RestartRecord", "MurankReport",
-    "traceless_image_basis", "search_isometry",
-    "decomposition_from_isometry", "murank_search",
+    "traceless_image_basis", "search_isometry", "murank_search",
 ]
 
 # First trial step of a restart (and the fallback when a Barzilai-Borwein
-# ratio is not finite and positive), Armijo shrink factor, objective a
-# success must reach.
+# ratio is not finite and positive), Armijo shrink factor and sufficient
+# decrease (a trial at step tau passes when f_new <= f - ARMIJO_C1 tau g2),
+# objective a success must reach.
 STEP_INIT = 0.1
 ARMIJO_BETA = 0.5
+ARMIJO_C1 = 1e-4
 OBJECTIVE_TOL = 1e-16
 STALL_PATIENCE = 30
 STALL_REL = 1e-9
+_STALL_SCALE_FLOOR = 1e-300  # the stall test is relative to max(f, this): positive at f = 0
 POLISH_TOL = 1e-28
 GRAD_FLOOR = 1e-30
 MAX_BACKTRACKS = 40
@@ -282,12 +285,12 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
         fn, dn = _objective(trial, bf)
-        acc = fn <= f - 1e-4 * tau * g2
+        acc = fn <= f - ARMIJO_C1 * tau * g2
         tau[~acc] *= ARMIJO_BETA
         backtracks = np.where(acc, 0, backtracks + 1)
         if not acc.any():
             continue
-        stalled = f - fn <= STALL_REL * np.maximum(f, 1e-300)
+        stalled = f - fn <= STALL_REL * np.maximum(f, _STALL_SCALE_FLOOR)
         stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
         iters += acc
         f = np.where(acc, fn, f)
@@ -357,40 +360,6 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
                         isometry=best_v if status == "found" else None,
                         decomposition=decomposition, restart_log=tuple(log),
                         restart_trace=tuple(trace))
-
-
-def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
-                                tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
-    """Mixed-unitary decomposition read from an N x r isometry V that
-    remixes the minimal Kraus list A_1..A_r (a longer list fails the column
-    count) into C_j = sum_k V(j, k) A_k, with weights p_j = ||C_j||^2 / n.
-
-    Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
-    must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
-    i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
-    search passes 1e-6), or :class:`NumericalError` names j.  The weights are
-    renormalized.  The closed-form rank-r, low-dimension and search
-    decompositions all come from here.
-    """
-    v = np.asarray(v, dtype=complex)
-    r, n = len(phi_minimal.kraus), phi_minimal.dim_in
-    if v.ndim != 2 or v.shape[1] != r:
-        raise ValidationError(f"isometry must have {r} columns, got {v.shape}")
-    if not tol.is_close(np.linalg.norm(dagger(v) @ v - np.eye(r)), r):
-        raise ValidationError("matrix is not an isometry within tolerance")
-    cs = np.tensordot(v, phi_minimal.stacked(), axes=(1, 0))
-    # weights term by term and summed left to right: a batched norm or np.sum
-    # rounds differently, and saved decompositions are kept bit for bit
-    p = np.array([np.linalg.norm(c) ** 2 / n for c in cs])
-    kept = np.flatnonzero(p > tol.eps_eq)
-    p = p[kept]
-    us = cs[kept] / np.sqrt(p)[:, None, None]
-    defects = unitarity_defect(us)
-    i = _first_not_close(defects, 1, tol)
-    if i is not None:
-        raise NumericalError(
-            f"remixed operator {kept[i]} is not unitary: defect {defects[i]:.3e}")
-    return MixedUnitaryDecomposition(p / sum(p.tolist()), us, tol)
 
 
 def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),

@@ -12,6 +12,10 @@ import numpy as np
 
 from .exceptions import ValidationError
 
+# is_psd scales its cutoff by the largest eigenvalue floored at this, so the
+# zero matrix is PSD and a negative eigenvalue of a zero-scale matrix is not.
+_PSD_SCALE_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -41,8 +45,8 @@ class Tolerance:
         return int(np.count_nonzero(mags > self.eps_rank * mags.max())) if mags.size else 0
 
     def is_psd(self, w) -> bool:
-        """Ascending eigenvalues w: w[0] >= -eps_rank * max(w[-1], 1e-300)."""
-        return bool(w[0] >= -self.eps_rank * max(float(w[-1]), 1e-300))
+        """Ascending eigenvalues w: w[0] >= -eps_rank * max(w[-1], _PSD_SCALE_FLOOR)."""
+        return bool(w[0] >= -self.eps_rank * max(float(w[-1]), _PSD_SCALE_FLOOR))
 
     def is_close(self, defect: float, n: int) -> bool:
         """Frobenius defect from an n x n target <= eps_eq * max(1, sqrt(n))."""

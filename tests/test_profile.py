@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import muchan
+import muchan.analysis
 import muchan.channels
-import muchan.search
 from muchan import (ChannelProfile, KrausChannel, SearchConfig, Tolerance,
                     ValidationError, certified_gap_rank, channel_profile,
                     choi_of, complementary, decompose_low_dim, murank_search,
@@ -96,9 +96,10 @@ def test_certified_gap_rank_accepts_profile():
 # ------------------------------------------------------ per-call counts
 # Every Kraus-input path decides r with minimize_kraus (one Gram eigh) and
 # never builds a Choi matrix: choi_of and minimal_kraus are for Choi input.
-# complementary makes one minimize_kraus call on its n-term list.  Every
-# decomposition computed from a channel is read by decomposition_from_isometry.
-# The search reads its traceless image off the profile's SVD.
+# No decomposition path builds a complementary channel: the search reads its
+# traceless image off the profile's SVD, and the low-dimension path applies
+# Psi from the minimal list.  Every decomposition computed from a channel is
+# read by decomposition_from_isometry.
 
 def _counters(count_calls):
     return {"minimize": count_calls(muchan.channels, "minimize_kraus"),
@@ -106,19 +107,24 @@ def _counters(count_calls):
             "complementary": count_calls(muchan.channels, "complementary"),
             "choi": count_calls(muchan.channels, "choi_of"),
             "choi_kraus": count_calls(muchan.channels, "minimal_kraus"),
-            "reader": count_calls(muchan.search, "decomposition_from_isometry")}
+            "reader": count_calls(muchan.analysis, "decomposition_from_isometry")}
 
 
 def _counts(counters):
     return {k: len(v) for k, v in counters.items()}
 
 
+def _counting_svd(monkeypatch):
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    return svds
+
+
 def test_murank_search_counts(count_calls, monkeypatch):
     # one profile: one minimize_kraus and one SVD (the operator system's),
     # which also gives the search basis; the reader takes the minimal list
     c = _counters(count_calls)
-    svd, svds = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    svds = _counting_svd(monkeypatch)
     rep = murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
     assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
@@ -126,11 +132,15 @@ def test_murank_search_counts(count_calls, monkeypatch):
     assert [res.n_terms for res in rep.results] == [4, 5, 6]  # one profile, three sizes
 
 
-def test_decompose_low_dim_counts(count_calls):
+def test_decompose_low_dim_counts(count_calls, monkeypatch):
+    # one profile (one minimize_kraus, the operator-system SVD) and the SVD
+    # of the traceless Hermitian directions
     c = _counters(count_calls)
+    svds = _counting_svd(monkeypatch)
     decompose_low_dim(random_unital_rank2(3, seed=1))
-    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+    assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
+    assert len(svds) == 2
 
 
 def test_certified_gap_rank_counts_low_dim(count_calls):
@@ -149,8 +159,10 @@ def test_certified_gap_rank_counts_weyl(count_calls):
                           "choi": 0, "choi_kraus": 0, "reader": 1}
 
 
-def test_toroidal_decompose_small_counts(count_calls):
+def test_toroidal_decompose_small_counts(count_calls, monkeypatch):
     c = _counters(count_calls)
+    svds = _counting_svd(monkeypatch)
     toroidal_decompose_small(corr_B3())
-    assert _counts(c) == {"minimize": 2, "system": 1, "complementary": 1,
+    assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
+    assert len(svds) == 2

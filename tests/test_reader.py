@@ -1,18 +1,25 @@
 """decomposition_from_isometry is the one reader of decompositions: the
-closed-form rank-r, low-dimension and search paths all go through it."""
+closed-form rank-r, low-dimension and search paths all go through it.  The
+low-dimension path runs on the profile alone, bit for bit as it ran on a
+complementary channel."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import muchan.analysis
 import muchan.constructive
-from muchan import (KrausChannel, MixedUnitaryDecomposition, NumericalError,
-                    Tolerance, channel_profile, decompose_low_dim,
+import muchan.search
+from muchan import (KrausChannel, MixedUnitaryDecomposition, MuchanError,
+                    NumericalError, ToroidalDecomposition, Tolerance, apply,
+                    channel_profile, complementary, decompose_low_dim,
                     decomposition_from_isometry, decompositions_equivalent,
-                    minimize_kraus, schur_channel, verify_decomposition)
+                    identity_channel, minimize_kraus, schur_channel,
+                    toroidal_decompose_small, toroidal_from_decomposition,
+                    verify_decomposition, zero_diagonal_unitary)
 from muchan.analysis import _rank_r_decomposition
 from muchan.constructive import _phase_fix_first_entry
-from muchan.gallery import random_correlation, random_unital_rank2, weyl_channel
-from muchan.linalg import dagger, haar_unitary, unitarity_defect
+from muchan.gallery import corr_B3, random_correlation, random_unital_rank2, weyl_channel
+from muchan.linalg import dagger, haar_unitary, unitarity_defect, unvec, vec
 from muchan.tolerances import DEFAULT_TOL
 
 
@@ -108,6 +115,13 @@ def test_reader_matches_old_readers(path, make, zero_diag_unitaries):
     assert decompositions_equivalent(d, ref) and decompositions_equivalent(ref, d)
 
 
+def test_reader_lives_in_analysis_and_keeps_its_old_names():
+    reader = muchan.analysis.decomposition_from_isometry
+    assert reader.__module__ == "muchan.analysis"
+    assert muchan.decomposition_from_isometry is reader
+    assert muchan.search.decomposition_from_isometry is reader
+
+
 # ------------------------------------------- round trip from a decomposition
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -174,3 +188,81 @@ def test_low_dim_never_returns_fewer_than_r_terms(e):
     except NumericalError:
         return
     assert d.n_terms == channel_profile(phi).r
+
+
+
+# ---------------------------------- oracle: the complementary-channel build
+
+def _old_low_dim(phi, tol=DEFAULT_TOL):
+    """decompose_low_dim as built on a complementary channel: Psi by
+    ``complementary`` (a second minimize_kraus), the traceless Hermitian
+    directions one basis element at a time through vec/unvec, and Psi(H),
+    Psi(K) by ``apply``.  For s <= 3 only."""
+    profile = channel_profile(phi, tol)
+    phi, n, r = profile.minimal, profile.minimal.dim_in, profile.r
+    psi = complementary(profile, tol)
+    dirs = []
+    if profile.s > 1:
+        cands = []
+        for b in profile.system.basis:
+            c = b - (np.trace(b) / n) * np.eye(n, dtype=complex)
+            for h in ((c + dagger(c)) / 2, (c - dagger(c)) / 2j):
+                if np.linalg.norm(h) > 1e-13:
+                    cands.append(h)
+        x = np.array([np.concatenate([vec(h).real, vec(h).imag]) for h in cands])
+        vh = np.linalg.svd(x, full_matrices=False)[2]
+        dirs = [unvec(w[:n * n] + 1j * w[n * n:], n, n) for w in vh[:profile.s - 1]]
+    zmat = np.zeros((r, r), dtype=complex)
+    for coeff, h in zip((1, 1j), dirs):
+        zmat = zmat + coeff * apply(psi, h)
+    d = decomposition_from_isometry(phi, zero_diagonal_unitary(zmat, tol), tol)
+    if d.n_terms < r:
+        raise NumericalError(
+            f"low-dimension construction kept {d.n_terms} of {r} terms (weight <= eps_eq)")
+    return MixedUnitaryDecomposition(
+        d.probs, [_phase_fix_first_entry(u) for u in d.unitaries], tol)
+
+
+def _outcome(make):
+    """("ok", probs, terms) as bytes, or the error's type and message."""
+    try:
+        d = make()
+    except MuchanError as exc:
+        return type(exc).__name__, str(exc)
+    terms = d.vectors if isinstance(d, ToroidalDecomposition) else d.unitaries
+    return "ok", d.probs.tobytes(), np.array(terms).tobytes()
+
+
+# the correlation matrices of _CHANNELS' low-dimension entries
+_CORRELATIONS = [random_correlation(3, 2 + s % 2, s) for s in range(25)]
+_E_BAND = np.geomspace(1e-11, 1e-7, 45)  # [sqrt(1-e) I, sqrt(e) Z] around eps_eq
+_LOW_DIM = ([(f"corr{s}", lambda s=s: schur_channel(_CORRELATIONS[s])) for s in range(25)]
+            + [(f"rank2_n{n}_{s}", lambda n=n, s=s: random_unital_rank2(n, s))
+               for n in (2, 3) for s in range(5)]
+            + [("corrB3", lambda: schur_channel(corr_B3())),
+               ("identity3", lambda: identity_channel(3))]
+            + [(f"eband{i}", lambda e=e: KrausChannel([np.sqrt(1 - e) * np.eye(2),
+                                                       np.sqrt(e) * np.diag([1.0, -1.0])]))
+               for i, e in enumerate(_E_BAND)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in _LOW_DIM], ids=[i for i, _ in _LOW_DIM])
+def test_low_dim_bitwise_equals_complementary_build(make):
+    # the profile-only build gives the same weights and unitaries bit for
+    # bit, or the same refusal
+    phi = make()
+    assert _outcome(lambda: decompose_low_dim(phi)) == _outcome(lambda: _old_low_dim(phi))
+
+
+@pytest.mark.parametrize("c", _CORRELATIONS + [corr_B3()]
+                         + [random_correlation(2, 2, s) for s in range(5)])
+def test_toroidal_small_bitwise_equals_complementary_build(c):
+    want = _outcome(lambda: toroidal_from_decomposition(_old_low_dim(schur_channel(c))))
+    assert _outcome(lambda: toroidal_decompose_small(c)) == want
+
+
+def test_e_band_holds_a_refusal():
+    # both outcomes occur in the band, so the oracle compares refusals too
+    kinds = {_outcome(lambda: decompose_low_dim(make()))[0]
+             for name, make in _LOW_DIM if name.startswith("eband")}
+    assert kinds == {"ok", "NumericalError"}

@@ -12,12 +12,17 @@ from hypothesis import given, settings, strategies as st
 import muchan
 import muchan.analysis
 import muchan.channels
+import muchan.constructive
+import muchan.gallery
 import muchan.search
+import muchan.tolerances
 from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, MixedUnitaryDecomposition,
-                    NumericalError, Tolerance, ValidationError, channel_profile, dagger,
-                    decomposition_from_isometry, decompositions_equivalent,
-                    dephasing_channel, haar_unitary, minimize_kraus, numerical_rank,
-                    schur_channel, schur_equivalence_check, traceless_image_basis, vec)
+                    NumericalError, ToroidalDecomposition, Tolerance, ValidationError,
+                    channel_profile, dagger, decomposition_from_isometry,
+                    decompositions_equivalent, dephasing_channel, haar_unitary,
+                    minimize_kraus, numerical_rank, schur_channel, schur_equivalence_check,
+                    toroidal_from_decomposition, traceless_image_basis, vec,
+                    zero_diagonal_unitary)
 from muchan.gallery import gap_channel, weyl_channel
 
 SRC = Path(muchan.__file__).parent
@@ -229,6 +234,113 @@ def test_schur_witness_floor_is_the_bound_applied(scale, passes, monkeypatch):
     else:
         with pytest.raises(NumericalError, match="witnesses missed tolerance"):
             schur_equivalence_check(dephasing_channel(3), tol)
+
+
+# ------------------------------------------- constructive and gallery bounds
+# Each input puts the checked quantity at 0.9x and 1.1x the named constant,
+# under an eps_eq small enough that the constant decides.
+
+_TINY = Tolerance(eps_eq=1e-16)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_psd_scale_floor_is_the_bound_applied(scale, passes):
+    # all eigenvalues at most 0: the cutoff is eps_rank times the floor
+    floor = muchan.tolerances._PSD_SCALE_FLOOR
+    assert Tolerance(eps_rank=0.25).is_psd([-scale * 0.25 * floor, 0.0]) == passes
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_toroidal_weight_slack_is_the_bound_applied(scale, passes):
+    slack = muchan.constructive._TOROIDAL_WEIGHT_SLACK
+    probs = [0.5, 0.5 + scale * slack]
+    vectors = [np.ones(2), np.array([1.0, -1.0])]
+    if passes:
+        assert ToroidalDecomposition(probs, vectors, _TINY).n_terms == 2
+    else:
+        with pytest.raises(ValidationError, match="probability vector"):
+            ToroidalDecomposition(probs, vectors, _TINY)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_unimodular_floor_is_the_bound_applied(scale, passes):
+    floor = muchan.constructive._UNIMODULAR_FLOOR
+    vectors = [np.array([1.0, 1.0 + scale * floor])]
+    if passes:
+        assert ToroidalDecomposition([1.0], vectors, _TINY).n_terms == 1
+    else:
+        with pytest.raises(ValidationError, match="not unimodular"):
+            ToroidalDecomposition([1.0], vectors, _TINY)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_zero_diag_trace_floor_is_the_bound_applied(scale, passes):
+    # the largest part, 0.75, needs no scaling; eps_eq ||Z|| is about 1e-16
+    floor = muchan.constructive._ZERO_DIAG_TRACE_FLOOR
+    z = np.diag([0.75, -0.75 + scale * floor])
+    if passes:
+        u = zero_diagonal_unitary(z, _TINY)
+        assert np.abs(np.diag(u @ z @ dagger(u))).max() <= floor
+    else:
+        with pytest.raises(ValidationError, match="not traceless"):
+            zero_diagonal_unitary(z, _TINY)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_zero_diag_residual_is_the_bound_applied(scale, passes):
+    # eps_eq = 1e-6 admits |Tr Z| = 2t; the sweep leaves t on each diagonal
+    # entry of diag(0.75 + t, -0.75 + t), relative t / ||Z||
+    bound = muchan.constructive._ZERO_DIAG_RESIDUAL
+    t = scale * bound * 0.75 * np.sqrt(2)
+    z = np.diag([0.75 + t, -0.75 + t])
+    assert np.isclose(t / np.linalg.norm(z), scale * bound, rtol=1e-6)
+    tol = Tolerance(eps_eq=1e-6)
+    if passes:
+        zero_diagonal_unitary(z, tol)
+    else:
+        with pytest.raises(NumericalError, match="missed tolerance"):
+            zero_diagonal_unitary(z, tol)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_off_diagonal_floor_is_the_bound_applied(scale, passes):
+    # a rotation by angle x has off-diagonal Frobenius norm sqrt(2) sin x
+    floor = muchan.constructive._OFF_DIAGONAL_FLOOR
+    x = np.arcsin(scale * floor / np.sqrt(2))
+    u = np.array([[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]])
+    d = MixedUnitaryDecomposition([0.5, 0.5], [u, np.diag([1.0, -1.0])], _TINY)
+    if passes:
+        assert toroidal_from_decomposition(d, _TINY).n_terms == 2
+    else:
+        with pytest.raises(ValidationError, match="not diagonal"):
+            toroidal_from_decomposition(d, _TINY)
+
+
+@pytest.mark.parametrize("scale, skipped", [(0.9, True), (1.1, False)])
+def test_phase_entry_cutoff_is_the_bound_applied(scale, skipped):
+    # the first entry, i times the scaled cutoff, is skipped below the cutoff
+    # (the real positive second entry fixes the phase: no change) and
+    # phase-fixed above it
+    cutoff = muchan.constructive._PHASE_ENTRY_CUTOFF
+    u = np.array([[1j * scale * cutoff, 1.0], [1.0, 0.0]])
+    fixed = muchan.constructive._phase_fix_first_entry(u)
+    assert np.array_equal(fixed, u) == skipped
+    assert (fixed[0, 0].real > 0) != skipped
+
+
+@pytest.mark.parametrize("scale, passes", [(0.9, True), (1.1, False)])
+def test_unbiased_bound_is_the_bound_applied(scale, passes, monkeypatch):
+    # scaling every adjoint by 1 + delta moves each overlap 1/sqrt(d) by
+    # delta/sqrt(d), set to scale * the bound; the standard basis's overlap
+    # 1 with itself is never compared
+    bound, d = muchan.gallery._UNBIASED_BOUND, 3
+    delta = scale * bound * np.sqrt(d)
+    monkeypatch.setattr(muchan.gallery, "dagger", lambda a: dagger(a) * (1 + delta))
+    if passes:
+        assert len(muchan.gallery.mub_family(d).bases) == d + 1
+    else:
+        with pytest.raises(ValidationError, match="not mutually unbiased"):
+            muchan.gallery.mub_family(d)
 
 
 # ---------------------------------------------- rank decisions = tol.rank

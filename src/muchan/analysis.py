@@ -18,7 +18,7 @@ from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix, dagger, dirsum, frob_inner, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
-# Memory budget of one chunk of products (_max_commutator, verify_decomposition).
+# Memory budget of one chunk of verify_decomposition's signed product.
 _CHUNK_BYTES = 256 * 1024
 # Simultaneous diagonalization (Schur witnesses, _rank_r_decomposition):
 _CLUSTER_GAP = 1e-8  # eigenvalues closer than this * max(1, |w|) form one cluster
@@ -193,6 +193,14 @@ class GapRankCertificate:
 
 @dataclass(frozen=True)
 class SchurEquivalence:
+    """Outcome of :func:`schur_equivalence_check`.
+
+    ``max_commutator`` is the one-element probe max_i ||B_i T - T B_i||
+    for the seeded unit element T of the operator system, not the largest
+    pairwise commutator ||B_i B_j - B_j B_i|| (it is at most sqrt(s - 1)
+    times that); ``equivalent`` requires it to be at most ``eps_eq``.
+    """
+
     equivalent: bool
     witnesses: Optional[tuple]
     max_commutator: float
@@ -428,44 +436,32 @@ def _hermitian_parts(mats) -> list:
 
 
 def _max_commutator(basis) -> float:
-    """Largest Frobenius norm of B_i B_j - B_j B_i over pairs of ``basis``.
+    """Largest Frobenius norm of B_i T - T B_i over ``basis``, for the one
+    element T = sum_i c_i B_i / ||c|| with c standard normal from a
+    generator seeded with 0.
 
-    The basis is stacked once, as rows (B_0; B_1; ...) and as columns
-    (B_0 B_1 ...).  A chunk of rows i in [i0, i1) meets every column
-    j >= i0 (pairs with j < i0 were met by an earlier chunk), and each of
-    the products B_i B_j and B_j B_i is one matrix product of those
-    slices.  Chunks are sized so that one product takes about
-    ``_CHUNK_BYTES`` (at least one row), which bounds memory at
-    any s.
+    T -> ([B_i, T])_i is linear on the span, so if it vanishes at a
+    Gaussian-random T it vanishes on the whole span with probability 1.
+    Each value is at most sqrt(s - 1) times the largest pairwise
+    commutator ||B_i B_j - B_j B_i||, since sum_{j != i} |c_j| <=
+    sqrt(s - 1) ||c||.
     """
     b = np.asarray(basis, dtype=complex)
-    s, n, _ = b.shape
-    rows = b.reshape(s * n, n)
-    cols = b.transpose(1, 0, 2).reshape(n, s * n)
-    best = 0.0
-    i0 = 0
-    while i0 < s:
-        m = s - i0
-        i1 = i0 + min(m, max(1, _CHUNK_BYTES // (16 * n * n * m)))
-        c = i1 - i0
-        ij = (rows[i0 * n:i1 * n] @ cols[:, i0 * n:]).reshape(c, n, m, n)
-        ji = (rows[i0 * n:] @ cols[:, i0 * n:i1 * n]).reshape(m, n, c, n)
-        d = (ij - ji.transpose(2, 1, 0, 3)).view(float)
-        sq = np.einsum("iajb,iajb->ij", d, d)
-        best = max(best, float(np.sqrt(sq.max())))
-        i0 = i1
-    return best
+    c = np.random.default_rng(0).standard_normal(len(b))
+    t = np.tensordot(c / np.linalg.norm(c), b, axes=1)
+    return float(np.linalg.norm(b @ t - t @ b, axis=(1, 2)).max())
 
 
 def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
                             *, witnesses: bool = True) -> SchurEquivalence:
     """Decide whether the channel is unitarily equivalent to a Schur map.
 
-    Equivalent iff the operator system is a commuting family, tested on an
-    orthonormal basis: ``max_commutator`` is the largest Frobenius norm of
-    B_i B_j - B_j B_i over basis pairs, from batched matrix products over
-    row chunks of the stacked basis (about 256 KB of products per chunk at
-    any s).  When requested (and the test passes), unitaries (U, V) with
+    Equivalent iff the operator system is a commuting family, tested
+    against one element of it: ``max_commutator`` is the largest Frobenius
+    norm of B_i T - T B_i over an orthonormal basis B, where T is the unit
+    combination of the basis with standard-normal coefficients from a
+    generator seeded with 0 (one stacked product, O(s n^3)).  When
+    requested (and the test passes), unitaries (U, V) with
     ``U Phi(V D V*) U* = D`` for every diagonal D are constructed by
     simultaneous diagonalization of the family (random combinations drawn
     from a generator seeded with 0) followed by alignment of the rank-one

@@ -5,8 +5,9 @@ import muchan.analysis
 import muchan.channels
 import muchan.constructive
 import muchan.search
-from muchan import (KrausChannel, MixedUnitaryDecomposition, Tolerance,
-                    ValidationError, certified_gap_rank, channel_profile, dagger,
+from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition,
+                    Tolerance, ValidationError, certified_gap_rank,
+                    channel_profile, dagger,
                     decompositions_equivalent, dephasing_channel, direct_sum,
                     haar_unitary, identity_channel, minimize_kraus,
                     operator_system, rank_bounds,
@@ -92,6 +93,12 @@ def test_rank_bounds_weyl3():
     assert b.upper == min(9 - 7 + 1, 9 - 3 + 1) == 3
     assert b.exact == 3
     assert b.unique_decomposition_certified
+
+
+def test_rank_bounds_weyl23_large_s():
+    b = rank_bounds(weyl_channel(23))
+    assert (b.r, b.s, b.exact) == (23, 507, 23)
+    assert not b.schur_equivalent
 
 
 def test_rank_bounds_dephasing():
@@ -352,16 +359,22 @@ def test_appendix_commutation_identities_rank2():
                 assert np.linalg.norm(comm) <= 1e-9
 
 
-# ------------------------------------------- batched commutator test oracle
+# ------------------------------------------- one-element commutator probe
 
 def _pairwise_max_commutator(basis):
-    """The pairwise loop the batched commutator test replaced."""
+    """The all-pairs loop the one-element probe replaced: the reference."""
     max_comm = 0.0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             c = np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i])
             max_comm = max(max_comm, float(c))
     return max_comm
+
+
+def _assert_probe_bound(probe, pairwise, s):
+    # ||[B_i, T]|| <= sum_{j != i} |c_j| / ||c|| ||[B_i, B_j]||
+    # <= sqrt(s - 1) max_ij ||[B_i, B_j]||, plus rounding
+    assert 0.0 <= probe <= np.sqrt(s - 1) * pairwise + 1e-15
 
 
 _ORACLE_CHANNELS = {
@@ -379,6 +392,8 @@ _ORACLE_CHANNELS = {
 }
 
 
+# _CHUNK_BYTES sizes only verify_decomposition's product: the axis checks
+# that the Schur probe passes the same checks under any budget.
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 1 << 30],
                          ids=["default", "one_row", "one_chunk"])
 @pytest.mark.parametrize("name", sorted(_ORACLE_CHANNELS))
@@ -389,21 +404,67 @@ def test_batched_commutator_matches_pairwise_oracle(name, chunk_bytes, monkeypat
     basis = operator_system(minimize_kraus(phi)).basis
     want = _pairwise_max_commutator(basis)
     res = schur_equivalence_check(phi, witnesses=False)
-    assert abs(res.max_commutator - want) <= 1e-15
     assert res.equivalent == (want <= 1e-9)
+    _assert_probe_bound(res.max_commutator, want, len(basis))
+    if name in ("unitary", "s2", "dephasing4"):
+        assert res.max_commutator == 0.0
     if name == "unitary":
-        assert len(basis) == 1 and res.max_commutator == 0.0
+        assert len(basis) == 1
     if name == "s2":
         assert len(basis) == 2
 
 
 def test_batched_commutator_on_noncommuting_pair():
     # an orthonormal basis with s = 2 that does not commute: ||[X, Z]|| / 2
+    # = sqrt(2), and T = (c_0 X + c_1 Z) / (sqrt(2) ||c||) gives the probe
+    # sqrt(2) max_i |c_i| / ||c||
     x = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2)
     z = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
     got = muchan.analysis._max_commutator((x, z))
-    assert abs(got - _pairwise_max_commutator((x, z))) <= 1e-15
-    assert abs(got - np.sqrt(2)) <= 1e-15
+    c = np.random.default_rng(0).standard_normal(2)
+    assert got > 0.0
+    assert abs(got - np.sqrt(2) * np.abs(c).max() / np.linalg.norm(c)) <= 1e-15
+    _assert_probe_bound(got, _pairwise_max_commutator((x, z)), 2)
+
+
+def _tilted_family(seed, delta):
+    """Three unitaries exp(i(D_k + delta H)) at random weights in dim 8:
+    diagonal D_k, one off-diagonal unit-norm Hermitian H.  s = 7 for every
+    delta, and the pairwise commutators of the basis grow linearly in delta."""
+    rng = np.random.default_rng(seed)
+    n = 8
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = h + dagger(h)
+    h -= np.diag(np.diag(h))
+    h /= np.linalg.norm(h)
+    kraus = []
+    for p, d in zip(rng.dirichlet(np.ones(3)), rng.uniform(-np.pi, np.pi, (3, n))):
+        w, v = np.linalg.eigh(np.diag(d) + delta * h)
+        kraus.append(np.sqrt(p) * (v * np.exp(1j * w)) @ dagger(v))
+    return KrausChannel(kraus)
+
+
+@pytest.mark.parametrize("level", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_probe_near_threshold(seed, level):
+    # delta is set so that the pairwise oracle reads level * eps_eq.  At
+    # 0.1x and 10x the probe decides as the oracle.  At 1x the oracle sits
+    # on its own threshold and decides by rounding; the probe reads
+    # 0.83-0.95 x eps_eq on these families and calls them commuting.
+    eps = DEFAULT_TOL.eps_eq
+    delta0 = 1e-6
+    basis = channel_profile(_tilted_family(seed, delta0)).system.basis
+    slope = _pairwise_max_commutator(basis) / delta0
+    profile = channel_profile(_tilted_family(seed, level * eps / slope))
+    basis = profile.system.basis
+    want = _pairwise_max_commutator(basis)
+    assert profile.s == 7
+    assert abs(want / (level * eps) - 1.0) <= 1e-2
+    res = schur_equivalence_check(profile, witnesses=False)
+    _assert_probe_bound(res.max_commutator, want, profile.s)
+    assert res.equivalent == (level <= 1.0)
+    if level != 1.0:
+        assert res.equivalent == (want <= eps)
 
 
 # ------------------------------------------------ one computation per call

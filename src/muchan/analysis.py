@@ -20,9 +20,6 @@ from .tolerances import DEFAULT_TOL, Tolerance
 
 # Memory budget of one chunk of verify_decomposition's signed product.
 _CHUNK_BYTES = 256 * 1024
-# Simultaneous diagonalization (Schur witnesses, _rank_r_decomposition):
-_CLUSTER_GAP = 1e-8  # eigenvalues closer than this * max(1, |w|) form one cluster
-_DIAGONAL_FLOOR = 1e-13  # a cluster off-diagonal (Frobenius) below this is not refined
 _HERMITIAN_PART_FLOOR = 1e-12  # parts (M +- M*)/2 of norm at most this are dropped
 # Relation-vector entries at most this are SVD rounding, read as 0: exact structure
 # (a list of scaled unitaries) gives an exact remixing matrix.
@@ -248,28 +245,31 @@ class _Bounds(NamedTuple):
     upper: int
     exact: Optional[int]
     exact_reason: Optional[str]
+    unique: bool  # s = r^2 - r + 1: mixed-unitary rank r, unique decomposition
+    extremal: bool  # s = r^2
 
 
 def _bounds(r: int, s: int) -> _Bounds:
     """Rank bounds from the Choi rank r and the operator-system dimension
-    s: the one place where exactness is decided.
+    s: the one place where exactness, uniqueness and extremality are decided.
 
     ``exact = r`` when s <= 3 (``"s<=3"``; for r = 2 this is the r <= 2
-    non-extremal case) or when the un-floored upper bound equals r, which
-    happens only at s = r^2 - r + 1 (``"s=r^2-r+1"``), never for extremal
+    non-extremal case) or when s = r^2 - r + 1 (``"s=r^2-r+1"``), the one
+    s > 3 at which the un-floored upper bound equals r; never for extremal
     channels (s = r^2, whose un-floored bound falls below r).
     """
     raw_upper = min(r * r - s + 1, r * r - r + 1)
     if r == 3:
         raw_upper = min(raw_upper, 6)
+    unique = s == r * r - r + 1
     if s <= 3:
         reason = "s<=3"
-    elif raw_upper == r:
+    elif unique:
         reason = "s=r^2-r+1"
     else:
         reason = None
     return _Bounds(upper=max(raw_upper, r), exact=None if reason is None else r,
-                   exact_reason=reason)
+                   exact_reason=reason, unique=unique, extremal=s == r * r)
 
 
 def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsReport:
@@ -287,10 +287,10 @@ def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsRe
     b = _bounds(r, s)
     return RankBoundsReport(
         r=r, s=s, lower=r, upper=b.upper, exact=b.exact,
-        extremal=(s == r * r),
+        extremal=b.extremal,
         schur_equivalent=schur_equivalence_check(profile, tol,
                                                  witnesses=False).equivalent,
-        unique_decomposition_certified=(s == r * r - r + 1),
+        unique_decomposition_certified=b.unique,
         exact_reason=b.exact_reason,
     )
 
@@ -302,8 +302,7 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     """
     profile = channel_profile(phi, tol)
     _require_unital_square(profile.minimal, tol, "uniqueness_certificate")
-    r = profile.r
-    return profile.s == r * r - r + 1
+    return _bounds(profile.r, profile.s).unique
 
 
 def _rank_r_decomposition(profile: ChannelProfile,
@@ -315,15 +314,19 @@ def _rank_r_decomposition(profile: ChannelProfile,
     channel the projectors V* E_jj V of the remixing matrix V span it
     (sqrt(p_j) U_j = sum_k V(j, k) A_k).  Its vec(Q^T) are spanned by vec(I_r)
     and the profile's left singular vectors past s (U is square: s <= n^2
-    gives r <= n).  Diagonalizing the family by E gives V = E*; rows phased
-    (largest entry real positive) and sorted by that entry's column, so a
-    minimal list of scaled unitaries comes back as itself.
+    gives r <= n).  E, the eigenvectors of one seeded Hermitian combination
+    of the family (:func:`_joint_eigenbasis`, one ``eigh``), gives V = E*;
+    rows phased (largest entry real positive) and sorted by that entry's
+    column, so a minimal list of scaled unitaries comes back as itself.  A
+    family that one ``eigh`` does not diagonalize gives remixed operators
+    that fail the reader's unitarity check (or, later, verification), which
+    raises :class:`NumericalError`.
     """
     r = profile.r
     q = np.concatenate([profile.system.left[:, profile.s:].T, np.eye(r).reshape(1, -1)])
     q[np.abs(q) <= _RELATION_FLOOR] = 0
     family = _hermitian_parts(q.reshape(-1, r, r).transpose(0, 2, 1))
-    v = dagger(_simultaneously_diagonalize(family, np.random.default_rng(0)))
+    v = dagger(_joint_eigenbasis(family))
     k = np.argmax(np.abs(v), axis=1)
     top = v[np.arange(r), k]
     v = (v * (top.conj() / np.abs(top))[:, None])[np.argsort(k, kind="stable")]
@@ -346,12 +349,12 @@ def certified_gap_rank(phi: KrausChannel, m: int,
         raise ValidationError("block dimension m must be a positive integer")
     profile = channel_profile(phi, tol)
     _require_unital_square(profile.minimal, tol, "certified_gap_rank")
-    r, s = profile.r, profile.s
+    r = profile.r
     if r < 2:
         raise ValidationError(
             "refusal: hypothesis r >= 2 fails (the +/- block construction "
             "degenerates for a unitary channel)")
-    if s != r * r - r + 1:
+    if not _bounds(r, profile.s).unique:
         raise ValidationError(
             "refusal: hypothesis s = r^2 - r + 1 (unique mixed-unitary "
             "decomposition) fails")
@@ -399,33 +402,18 @@ def decompositions_equivalent(d1: MixedUnitaryDecomposition,
     return bool(np.all(np.abs(group_weight - d1.probs) <= max(tol.eps_eq, _GROUP_WEIGHT_SLACK)))
 
 
-def _cluster_indices(w: np.ndarray) -> list:
-    """Index runs of ascending ``w`` split where a step is at least the gap."""
-    gap = _CLUSTER_GAP * max(1.0, float(np.abs(w).max()))
-    ends = [0, *(np.flatnonzero(np.diff(w) >= gap) + 1).tolist(), w.size]
-    return [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+def _joint_eigenbasis(mats) -> np.ndarray:
+    """Eigenvectors of one seeded Hermitian combination of the family.
 
-
-def _simultaneously_diagonalize(mats, rng, depth=0) -> np.ndarray:
-    """Unitary V with V* M V diagonal for every M in a commuting Hermitian
-    family; degenerate blocks are refined recursively."""
-    n = mats[0].shape[0]
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    if depth > 32:
-        raise NumericalError("simultaneous diagonalization did not separate")
-    c = rng.standard_normal(len(mats))
+    For a commuting Hermitian family, a combination with standard-normal
+    coefficients (generator seeded with 0) separates distinct joint
+    eigenvalues with probability 1, so its eigenbasis diagonalizes every
+    member; a repeated joint eigenvalue is repeated in every member.  No
+    check is made here: each caller verifies what it builds from the basis.
+    """
+    c = np.random.default_rng(0).standard_normal(len(mats))
     t = sum(ci * m for ci, m in zip(c, mats))
-    t = (t + dagger(t)) / 2
-    w, v = np.linalg.eigh(t)
-    for cluster in _cluster_indices(w):
-        if len(cluster) > 1:
-            cols = v[:, cluster]  # a copy: refining the block writes into v
-            sub = [dagger(cols) @ m @ cols for m in mats]
-            if max(np.linalg.norm(s - np.diag(np.diag(s))) for s in sub) < _DIAGONAL_FLOOR:
-                continue
-            v[:, cluster] = cols @ _simultaneously_diagonalize(sub, rng, depth + 1)
-    return v
+    return np.linalg.eigh((t + dagger(t)) / 2)[1]
 
 
 def _hermitian_parts(mats) -> list:
@@ -462,12 +450,14 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     combination of the basis with standard-normal coefficients from a
     generator seeded with 0 (one stacked product, O(s n^3)).  When
     requested (and the test passes), unitaries (U, V) with
-    ``U Phi(V D V*) U* = D`` for every diagonal D are constructed by
-    simultaneous diagonalization of the family (random combinations drawn
-    from a generator seeded with 0) followed by alignment of the rank-one
-    images Phi(V E_kk V*); a witness that misses its residual bound,
+    ``U Phi(V D V*) U* = D`` for every diagonal D are constructed: V is the
+    eigenbasis of one Hermitian combination of the family, with
+    standard-normal coefficients from a generator seeded with 0 (one
+    ``eigh``, :func:`_joint_eigenbasis`), and U aligns the rank-one images
+    Phi(V E_kk V*).  A witness that misses its residual bound,
     max(100 eps_eq n, ``_SCHUR_WITNESS_FLOOR``), raises
-    :class:`NumericalError` rather than being silently accepted.
+    :class:`NumericalError` rather than being silently accepted; this is
+    also what catches a V that does not diagonalize the family.
     """
     profile = channel_profile(phi, tol)
     phi, basis = profile.minimal, profile.system.basis
@@ -481,7 +471,7 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     if not witnesses:
         return SchurEquivalence(equivalent=True, witnesses=None,
                                 max_commutator=max_comm)
-    v = _simultaneously_diagonalize(_hermitian_parts(basis), np.random.default_rng(0))
+    v = _joint_eigenbasis(_hermitian_parts(basis))
     units = [np.diag(e) for e in np.eye(n, dtype=complex)]
     images = [apply(phi, v @ d @ dagger(v)) for d in units]
     ws = []

@@ -59,8 +59,8 @@ class ToroidalDecomposition:
         if p.ndim != 1 or p.size != len(vs) or p.size == 0:
             raise ValidationError("probs and vectors must be matching nonempty lists")
         n = vs[0].size
-        if any(v.size != n for v in vs):
-            raise ValidationError("all vectors must share one length")
+        if n == 0 or any(v.size != n for v in vs):
+            raise ValidationError("all vectors must share one nonzero length")
         slack = max(tol.eps_eq, _TOROIDAL_WEIGHT_SLACK)
         if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > slack:
             raise ValidationError("weights must be a probability vector")

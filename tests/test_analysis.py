@@ -6,7 +6,7 @@ import muchan.channels
 import muchan.constructive
 import muchan.search
 from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition,
-                    Tolerance, ValidationError, certified_gap_rank,
+                    NumericalError, Tolerance, ValidationError, certified_gap_rank,
                     channel_profile, dagger,
                     decompositions_equivalent, dephasing_channel, direct_sum,
                     haar_unitary, identity_channel, minimize_kraus,
@@ -14,7 +14,8 @@ from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition,
                     schur_channel, schur_equivalence_check,
                     uniqueness_certificate, verify_decomposition)
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
-                            random_channel, random_unital_rank2, weyl_channel)
+                            random_channel, random_unital_rank2, weyl_channel,
+                            wh_channels, wh_sym3_decomposition)
 
 
 def _paper_gap_decomposition():
@@ -83,6 +84,37 @@ def test_verify_dimension_mismatch():
     d = MixedUnitaryDecomposition([1.0], [np.eye(3)])
     with pytest.raises(ValidationError):
         verify_decomposition(identity_channel(2), d)
+
+
+def _weyl11_gap():
+    cert = certified_gap_rank(weyl_channel(11), 1)
+    return direct_sum(weyl_channel(11), identity_channel(1)), cert.decomposition
+
+
+def _mub5_base():
+    phi = schur_channel(mub_correlation(5).matrix)
+    return phi, certified_gap_rank(phi, 1).base_decomposition
+
+
+_CHUNK_FIXTURES = {
+    "wh_sym3": lambda: (wh_channels(3).phi0, wh_sym3_decomposition()),  # n = 3
+    "weyl11_gap": _weyl11_gap,  # n = 12: 2 chunks at the default budget
+    "mub5_base": _mub5_base,  # n = 25: 25 chunks at the default budget
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_FIXTURES))
+def test_verify_chunking_agrees(name, monkeypatch):
+    # one column per chunk, the default budget and one chunk: each verifies,
+    # and the residuals differ only by summation order
+    phi, d = _CHUNK_FIXTURES[name]()
+    resids = []
+    for chunk_bytes in (1, muchan.analysis._CHUNK_BYTES, 1 << 30):
+        monkeypatch.setattr(muchan.analysis, "_CHUNK_BYTES", chunk_bytes)
+        res = verify_decomposition(phi, d)
+        assert res.ok
+        resids.append(res.choi_residual)
+    assert max(resids) - min(resids) <= 1e-15
 
 
 # -------------------------------------------------------------------- bounds
@@ -316,7 +348,7 @@ def test_schur_equivalence_random_unital_rank2():
 
 
 def test_schur_equivalence_has_no_seed_option():
-    # the simultaneous diagonalization draws from a generator seeded with 0
+    # the joint eigenbasis draws from a generator seeded with 0
     with pytest.raises(TypeError):
         schur_equivalence_check(schur_channel(corr_B3()), seed=1)
 
@@ -357,6 +389,55 @@ def test_appendix_commutation_identities_rank2():
             for j in range(i + 1, 4):
                 comm = prods[i] @ prods[j] - prods[j] @ prods[i]
                 assert np.linalg.norm(comm) <= 1e-9
+
+
+def _conjugated(phi, seed):
+    w = haar_unitary(phi.dim_in, seed)
+    return KrausChannel([w @ a @ dagger(w) for a in phi.kraus])
+
+
+def _schur_equal_rows():
+    # rows 0 and 3 of the factor agree, so every Kraus diagonal, and every
+    # element of the operator system, has equal entries 0 and 3
+    g = np.random.default_rng(2).standard_normal((3, 2)) + 0j
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g = np.vstack([g, g[:1]])
+    return schur_channel(g @ dagger(g))
+
+
+_REPEATED_JOINT = {
+    "identity4": lambda: identity_channel(4),
+    "dephasing4": lambda: _conjugated(dephasing_channel(4), 3),
+    "schur_equal_rows": lambda: _conjugated(_schur_equal_rows(), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPEATED_JOINT))
+def test_joint_eigenbasis_diagonalizes_commuting_family(name):
+    # one eigh of one seeded combination diagonalizes every member, also
+    # where joint eigenvalues repeat (identity: all; equal rows: two)
+    phi = _REPEATED_JOINT[name]()
+    family = muchan.analysis._hermitian_parts(channel_profile(phi).system.basis)
+    v = muchan.analysis._joint_eigenbasis(family)
+    assert np.linalg.norm(dagger(v) @ v - np.eye(phi.dim_in)) <= 1e-12
+    for m in family:
+        mv = dagger(v) @ m @ v
+        assert np.linalg.norm(mv - np.diag(np.diag(mv))) <= 1e-12
+    assert schur_equivalence_check(phi).witnesses is not None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: certified_gap_rank(weyl_channel(3), 1),
+    lambda: schur_equivalence_check(schur_channel(corr_B3())),
+], ids=["certified_gap_rank", "schur_equivalence_check"])
+def test_callers_refuse_a_basis_that_does_not_diagonalize(call, monkeypatch):
+    # the helper checks nothing: a basis that leaves the family off-diagonal
+    # fails the unitarity check of the remixed operators (certificate) or
+    # the witness residual bound (Schur), each a NumericalError
+    monkeypatch.setattr(muchan.analysis, "_joint_eigenbasis",
+                        lambda mats: haar_unitary(len(mats[0]), 0))
+    with pytest.raises(NumericalError, match="not unitary|witnesses missed"):
+        call()
 
 
 # ------------------------------------------- one-element commutator probe

@@ -490,6 +490,16 @@ def test_toroidal_declared_dim_must_match(tmp_path):
         io.load(str(p))
 
 
+def test_toroidal_empty_vectors_exit_2(tmp_path, capsys):
+    # zero-length vectors are invalid input: one JSON object, exit 2
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"format": "muchan/1", "kind": "toroidal", "dim": 0,
+                             "probs": [1.0], "vectors": [[]]}))
+    code, out = run_cli(capsys, "analyze", str(p))
+    assert code == 2
+    assert out["error"]["code"] == "invalid"
+
+
 def _json_slots(node, out):
     """Every (container, key) below ``node``, parents before children."""
     items = node.items() if isinstance(node, dict) else (

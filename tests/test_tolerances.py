@@ -67,17 +67,7 @@ def test_is_hermitian_is_relative_above_unit_norm():
     assert DEFAULT_TOL.is_hermitian(np.array([[2.0, 1j], [-1j, 0.0]]))
 
 
-# ------------------------------------- simultaneous-diagonalization constants
-
-def test_cluster_gap_boundary():
-    gap = muchan.analysis._CLUSTER_GAP
-    runs = muchan.analysis._cluster_indices
-    assert [len(c) for c in runs(np.array([0.0, gap]))] == [1, 1]
-    assert [len(c) for c in runs(np.array([0.0, np.nextafter(gap, 0.0)]))] == [2]
-    wide = gap * 4.0  # relative to the largest |w| above 1
-    assert [len(c) for c in runs(np.array([-4.0, 0.0, wide]))] == [1, 1, 1]
-    assert [len(c) for c in runs(np.array([-4.0, 0.0, np.nextafter(wide, 0.0)]))] == [1, 2]
-
+# ------------------------------------------------- operator-system floors
 
 def test_hermitian_part_floor_boundary():
     floor = muchan.analysis._HERMITIAN_PART_FLOOR
@@ -88,23 +78,6 @@ def test_hermitian_part_floor_boundary():
     assert parts([1j * np.diag([floor, 0.0])]) == []
     (h,) = parts([1j * np.diag([above, 0.0])])  # the anti-Hermitian part, as a Hermitian
     assert np.array_equal(h, np.diag([above, 0.0]))
-
-
-@pytest.mark.parametrize("scale, separates", [(0.7, True), (1.0, False)])
-def test_diagonal_floor_boundary(scale, separates):
-    # yX, yZ: a random combination has eigenvalues +-y|c|, one cluster, in
-    # whose eigenbasis the larger of the two off-diagonal norms lies in
-    # [y, y sqrt 2].  Below the floor the cluster is taken as a repeated
-    # joint eigenvalue; at it, refining a family that does not commute fails.
-    y = scale * muchan.analysis._DIAGONAL_FLOOR
-    family = [y * np.array([[0, 1], [1, 0]]), y * np.array([[1, 0], [0, -1]])]
-    rng = np.random.default_rng(0)
-    if separates:
-        v = muchan.analysis._simultaneously_diagonalize(family, rng)
-        assert np.allclose(dagger(v) @ v, np.eye(2))
-    else:
-        with pytest.raises(NumericalError, match="did not separate"):
-            muchan.analysis._simultaneously_diagonalize(family, rng)
 
 
 @pytest.mark.parametrize("above", [False, True])

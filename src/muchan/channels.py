@@ -24,6 +24,7 @@ every trace-preserving channel.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +148,20 @@ class ChoiMatrix:
 @dataclass(frozen=True, eq=False)
 class OperatorSystemBasis:
     """Orthonormal basis of the operator system span{A_k* A_j} of a minimal
-    Kraus list A_1..A_r, from one SVD R = U S Vh of the r^2 x n^2 rows
-    conj(vec(A_k* A_j)), row (j, k) at j r + k; ``basis`` unvecs the first
-    s rows of conj(Vh) and ``singular`` is S.  ``left`` is U, r^2 x
-    min(r^2, n^2); when r <= n it is square, and its columns q past s span
-    the relations sum_jk q[j r + k] A_k* A_j = 0."""
+    Kraus list A_1..A_r, from an SVD R = U S Vh of the r^2 x n^2 rows
+    conj(vec(A_k* A_j)), row (j, k) at j r + k, factored block by block
+    over R's exact zeros (:func:`_block_svd`); ``basis`` unvecs the first
+    s rows of conj(Vh) and ``singular`` is S, descending.  ``left`` is U,
+    r^2 x min(r^2, n^2); when r <= n it is square, and its columns q past s
+    span the relations sum_jk q[j r + k] A_k* A_j = 0.  ``block_shapes``
+    counts the work: the sorted (rows, columns) of each block factored."""
 
     dim: int
     basis: tuple
     s: int
     left: np.ndarray
     singular: np.ndarray
+    block_shapes: tuple
 
 
 def partial_trace_output(j: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
@@ -254,13 +258,15 @@ def operator_system(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> Operator
 
 
 def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
-    """:func:`operator_system` of a Kraus list already known to be minimal."""
+    """:func:`operator_system` of a Kraus list already known to be minimal:
+    s and the basis from one SVD of the product rows, taken block by block
+    over their exact zeros (:func:`_block_svd`)."""
     r, n = len(phi.kraus), phi.dim_in
     a = phi.stacked()
     # [j, k] = A_k* A_j, all r^2 products in one batched matmul
     rows = (a.conj().transpose(0, 2, 1)[None] @ a[:, None]).conj().reshape(r * r, n * n)
     try:
-        u, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        u, sv, vh, shapes = _block_svd(rows)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"operator system SVD failed: {exc}") from exc
     keep = tol.rank(sv)
@@ -272,7 +278,66 @@ def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
     if np.linalg.norm((b.conj() @ eye) @ b - eye) > max(tol.eps_eq, _IDENTITY_SPAN_FLOOR):
         raise ValidationError("identity not contained in the operator system span")
     basis = tuple(b.reshape(keep, n, n))
-    return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u, singular=sv)
+    return OperatorSystemBasis(dim=n, basis=basis, s=keep, left=u, singular=sv,
+                               block_shapes=shapes)
+
+
+def _block_svd(rows: np.ndarray):
+    """SVD of ``rows`` (R x C) from its exact-zero block structure: the
+    blocks are the connected components of the graph rows <-> columns with
+    an edge at each nonzero entry, so this factors the very same matrix.
+    Returns (U, S, Vh, shapes) as ``svd(rows, full_matrices=False)`` would,
+    except that a right vector of a zero S may be zero; ``shapes`` is the
+    sorted (rows, columns) of each block.  One block over every row and
+    column is that one ``svd`` call.  Otherwise the blocks of each shape
+    are factored by one batched ``svd``, full U only where a block has more
+    rows than columns (its left null space), and an all-zero row gives
+    S = 0 and a unit left vector.  S is descending, ties in a fixed order:
+    blocks by shape, then by least column index; zero rows last."""
+    n_rows, n_cols = rows.shape
+    nz = rows != 0
+    # each row and column takes the least column index of its block (a
+    # zero row or column takes n_cols): alternate minima to a fixed point
+    least = np.minimum.reduce
+    row = least(np.where(nz, np.arange(n_cols, dtype=np.int32), n_cols), axis=1)
+    while True:
+        col = least(np.where(nz, row[:, None], n_cols), axis=0)
+        new = least(np.where(nz, col, n_cols), axis=1)
+        if (new == row).all():
+            break
+        row = new
+    if not row.any() and not col.any():
+        return (*np.linalg.svd(rows, full_matrices=False), ((n_rows, n_cols),))
+    # slots: rows sorted by block shape, then by label, zero rows last
+    r_cnt = np.bincount(row, minlength=n_cols + 1)
+    c_cnt = np.bincount(col, minlength=n_cols + 1)
+    shape_key = r_cnt * (n_cols + 1) + c_cnt
+    shape_key[n_cols] = (n_rows + 1) * (n_cols + 1)
+    r_order = np.lexsort((row, shape_key[row]))
+    c_order = np.lexsort((col, shape_key[col]))
+    labels = np.flatnonzero(r_cnt[:n_cols])
+    shapes = sorted(zip(r_cnt[labels].tolist(), c_cnt[labels].tolist()))
+    s_all = np.zeros(n_rows)
+    groups, r0, c0 = [], 0, 0
+    for (br, bc), g in Counter(shapes).items():
+        slot = np.arange(r0, r0 + g * br).reshape(g, br)
+        ri, ci = r_order[slot], c_order[c0:c0 + g * bc].reshape(g, bc)
+        u, sv, vh = np.linalg.svd(rows[ri[:, :, None], ci[:, None, :]], full_matrices=br > bc)
+        s_all[slot[:, :sv.shape[1]]] = sv
+        groups.append((slot, ri, ci, u, vh))
+        r0, c0 = r0 + g * br, c0 + g * bc
+    m = min(n_rows, n_cols)
+    order = np.argsort(-s_all, kind="stable")
+    # output column of each slot; past the first m, a scratch line
+    pos = np.empty(n_rows, dtype=np.intp)
+    pos[order] = np.minimum(np.arange(n_rows), m)
+    left_t = np.zeros((m + 1, n_rows), dtype=complex)
+    right = np.zeros((m + 1, n_cols), dtype=complex)
+    for slot, ri, ci, u, vh in groups:
+        left_t[pos[slot][:, :, None], ri[:, None, :]] = u.transpose(0, 2, 1)
+        right[pos[slot[:, :vh.shape[1]]][:, :, None], ci[:, None, :]] = vh
+    left_t[pos[r0:], r_order[r0:]] = 1
+    return left_t[:m].T, s_all[order[:m]], right[:m], tuple(shapes)
 
 
 @dataclass(frozen=True, eq=False)

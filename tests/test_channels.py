@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import muchan.analysis
+import muchan.channels
 from muchan import (ChoiMatrix, KrausChannel, Tolerance, ValidationError, apply, choi_of,
-                    complementary, dagger, dephasing_channel, direct_sum,
-                    frob_inner, haar_isometry, identity_channel, minimal_kraus, minimize_kraus,
-                    numerical_rank, operator_system, schur_channel, vec)
-from muchan.channels import partial_trace_output
-from muchan.gallery import (corr_C4, random_channel, random_correlation,
-                            weyl_channel)
+                    channel_profile, complementary, dagger, dephasing_channel, direct_sum,
+                    frob_inner, haar_isometry, haar_unitary, identity_channel, minimal_kraus,
+                    minimize_kraus, numerical_rank, operator_system, schur_channel, vec)
+from muchan.channels import _block_svd, partial_trace_output
+from muchan.gallery import (corr_C4, gap_channel, mub_correlation, random_channel,
+                            random_correlation, weyl_channel, wh_channels)
 
 
 def _eij(n, i, j):
@@ -348,6 +350,110 @@ def test_operator_system_schur_equals_rank_of_conjugate_product():
         c = random_correlation(n, rank, seed=seed + 3000)
         s = operator_system(schur_channel(c)).s
         assert s == numerical_rank(np.conj(c) * c)
+
+
+# ------------------------------------------- block SVD of the operator system
+
+def _conjugated(phi, u):
+    return KrausChannel([u @ a @ dagger(u) for a in phi.kraus])
+
+
+_SYSTEM_FIXTURES = {
+    **{f"weyl:{p}": (lambda p=p: weyl_channel(p)) for p in (3, 5, 7, 11)},
+    **{f"gap:{p}:1": (lambda p=p: gap_channel(p, 1)) for p in (3, 5, 7, 11)},
+    **{f"wh{k}:{n}": (lambda k=k, n=n: getattr(wh_channels(n), f"phi{k}"))
+       for k in (0, 1) for n in range(2, 7)},
+    **{f"mubcorr:{d}": (lambda d=d: schur_channel(mub_correlation(d).matrix))
+       for d in (2, 3, 5, 7)},
+    "corrC4": lambda: schur_channel(corr_C4()),
+    # 9 rows on the 3 diagonal columns: one block taller than wide
+    "corr3x3rank3": lambda: schur_channel(random_correlation(3, 3, seed=5)),
+    "random": lambda: random_channel(3, 3, 3, seed=11),
+    "haar-weyl:5": lambda: _conjugated(weyl_channel(5), haar_unitary(5, seed=3)),
+}
+_DENSE_FIXTURES = ("random", "haar-weyl:5")
+
+
+def _system_rows(phi):
+    a = minimize_kraus(phi).stacked()
+    r, n = a.shape[0], a.shape[2]
+    return (a.conj().transpose(0, 2, 1)[None] @ a[:, None]).conj().reshape(r * r, n * n)
+
+
+def _dense_svd(rows):
+    return (*np.linalg.svd(rows, full_matrices=False), (rows.shape,))
+
+
+@pytest.mark.parametrize("name", _SYSTEM_FIXTURES)
+def test_block_svd_matches_dense_svd(name):
+    rows = _system_rows(_SYSTEM_FIXTURES[name]())
+    u, sv, vh, shapes = _block_svd(rows)
+    u0, sv0, _ = np.linalg.svd(rows, full_matrices=False)
+    assert u.shape == u0.shape and sv.shape == sv0.shape
+    assert np.all(np.diff(sv) <= 0)
+    assert np.abs(sv - sv0).max() <= 1e-14 * sv0[0]
+    assert np.abs(dagger(u) @ u - np.eye(u.shape[1])).max() <= 1e-14
+    assert np.abs((u * sv) @ vh[:len(sv)] - rows).max() <= 1e-14 * sv0[0]
+    # same bytes from a second call
+    again = _block_svd(rows)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip((u, sv, vh), again[:3]))
+    assert again[3] == shapes
+    if name in _DENSE_FIXTURES:
+        assert shapes == (rows.shape,)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip((u, sv, vh), np.linalg.svd(rows, full_matrices=False)))
+
+
+@pytest.mark.parametrize("name", _SYSTEM_FIXTURES)
+def test_block_svd_relations_and_ranks(name, monkeypatch):
+    phi = _SYSTEM_FIXTURES[name]()
+    p = channel_profile(phi)
+    r, n, s = p.r, p.minimal.dim_in, p.s
+    if r <= n:
+        # left[:, s:] holds sum_jk q[j r + k] A_k* A_j = 0
+        relations = p.system.left[:, s:].T @ _system_rows(phi).conj()
+        assert np.abs(relations).max(initial=0.0) <= 1e-14
+        assert p.system.left.shape == (r * r, r * r)
+    monkeypatch.setattr(muchan.channels, "_block_svd", _dense_svd)
+    dense = channel_profile(phi)
+    assert (dense.r, dense.s) == (r, s)
+    mine, ref = muchan.analysis._bounds(r, s), muchan.analysis._bounds(dense.r, dense.s)
+    assert (mine.exact, mine.exact_reason) == (ref.exact, ref.exact_reason)
+
+
+def test_block_svd_block_shapes():
+    # weyl(p): p blocks of p x p, one per shift; gap(p, 1) adds the 1 x 1
+    # identity corner and 2p zero rows; a Schur channel uses n of the n^2
+    # columns; dense rows are one block
+    assert channel_profile(weyl_channel(5)).system.block_shapes == ((5, 5),) * 5
+    assert channel_profile(gap_channel(5, 1)).system.block_shapes == ((1, 1),) + ((5, 5),) * 5
+    c3 = schur_channel(random_correlation(3, 3, seed=5))
+    assert channel_profile(c3).system.block_shapes == ((9, 3),)
+    assert channel_profile(random_channel(3, 3, 2, seed=1)).system.block_shapes == ((4, 9),)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_block_svd_random_sparsity(seed):
+    # random exact-zero patterns, wide and tall, with zero rows and columns,
+    # and chains that link blocks only through several hops
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = rng.integers(1, 13, size=2)
+    rows = rng.standard_normal((n_rows, n_cols)) + 1j * rng.standard_normal((n_rows, n_cols))
+    if seed % 4 == 3:  # a staircase: one block, linked through every hop
+        rows *= np.eye(n_rows, n_cols) + np.eye(n_rows, n_cols, k=-1)
+    else:
+        rows *= rng.random((n_rows, n_cols)) < (0.1 + 0.2 * (seed % 3))
+    if seed % 5 == 0:  # rank-deficient block
+        rows[-1] = rows[0]
+    u, sv, vh, shapes = _block_svd(rows)
+    u0, sv0, _ = np.linalg.svd(rows, full_matrices=False)
+    scale = max(sv0[0], 1.0)
+    assert u.shape == u0.shape and sv.shape == sv0.shape
+    assert np.abs(sv - sv0).max() <= 1e-14 * scale
+    assert np.abs(dagger(u) @ u - np.eye(u.shape[1])).max() <= 1e-14
+    assert np.abs((u * sv) @ vh[:len(sv)] - rows).max() <= 1e-14 * scale
+    assert sum(br for br, _ in shapes) + np.count_nonzero(~rows.any(axis=1)) == n_rows
+    assert sum(bc for _, bc in shapes) + np.count_nonzero(~rows.any(axis=0)) == n_cols
 
 
 # -------------------------------------------------------------- direct_sum

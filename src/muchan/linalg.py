@@ -16,6 +16,8 @@ Conventions fixed here and inherited by every other module:
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
@@ -81,13 +83,31 @@ def haar_isometry(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     A standard complex Gaussian matrix is orthonormalized by QR; the
     diagonal phases of the triangular factor are absorbed into the
     columns, which makes the distribution Haar and the output unique.
+    The sizes must be integers with n_rows >= n_cols >= 1 and the seed a
+    non-negative integer (bool is refused, numpy integers are taken).
+    The search draws a whole block of starts with the same private
+    ``_haar_stack``, so its restart i starts at
+    ``haar_isometry(N, r, seed + i)`` bit for bit.
     """
-    if n_rows < n_cols:
-        raise ValidationError(f"need n_rows >= n_cols, got {n_rows} < {n_cols}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n_rows, n_cols))
-         + 1j * rng.standard_normal((n_rows, n_cols))) / np.sqrt(2)
-    return _phased_q(z)
+    args = (n_rows, n_cols, seed)
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in args):
+        raise ValidationError(f"n_rows, n_cols and seed must be integers, got {args}")
+    if not n_rows >= n_cols >= 1:
+        raise ValidationError(f"need n_rows >= n_cols >= 1, got {n_rows} x {n_cols}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return _haar_stack(n_rows, n_cols, (seed,))[0]
+
+
+def _haar_stack(n_rows: int, n_cols: int, seeds) -> np.ndarray:
+    """Haar isometries for ``seeds`` as one (len(seeds), n_rows, n_cols)
+    stack, arguments unchecked.  Seed s gives the real and imaginary parts
+    in one ``standard_normal((2, n_rows, n_cols))`` call of
+    ``default_rng(s)``; one batched QR factors every matrix of the stack
+    on its own, so entry k does not depend on the other seeds."""
+    g = np.array([np.random.default_rng(s).standard_normal((2, n_rows, n_cols))
+                  for s in seeds])
+    return _phased_q((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
 
 
 def _phased_q(a: np.ndarray) -> np.ndarray:
@@ -96,7 +116,8 @@ def _phased_q(a: np.ndarray) -> np.ndarray:
     zero diagonal entry leaves its column as it is."""
     q, r = np.linalg.qr(a)
     ph = np.diagonal(r, axis1=-2, axis2=-1)
-    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
+    mag = np.abs(ph)
+    ph = np.divide(ph, mag, out=np.ones_like(ph), where=mag > 0)
     return q * ph[..., None, :]
 
 

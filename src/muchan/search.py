@@ -22,9 +22,13 @@ The restarts of one search run in lockstep along a leading batch axis:
 every round makes one Armijo trial for each live restart with stacked
 products and one batched QR, while each restart keeps its own step,
 counters and stopping rule, so its iterates are exactly those of a
-restart run on its own.  Because f never increases, once restart i is
-below the objective tolerance every restart above i is dropped, and the
-log ends at the first success as if the restarts ran one after another.
+restart run on its own.  A block draws its Haar starts as one stack
+factored by one batched QR, equal bit for bit to the starts drawn one by
+one, and a round in which every live restart passes the Armijo test
+updates the state arrays whole, without masked gathers and scatters.
+Because f never increases, once restart i is below the objective
+tolerance every restart above i is dropped, and the log ends at the
+first success as if the restarts ran one after another.
 
 ``found`` always carries a verified decomposition, read from the best
 isometry by :func:`muchan.analysis.decomposition_from_isometry`.  A failed
@@ -45,7 +49,7 @@ from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
                        decomposition_from_isometry, rank_bounds, verify_decomposition)
 from .channels import KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
-from .linalg import _phased_q, haar_isometry
+from .linalg import _haar_stack, _phased_q
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -191,7 +195,7 @@ def _objective(v: np.ndarray, bf: np.ndarray):
     of shape (..., N, r) with rows v_j; ``bf`` is the basis as (m, r*r)."""
     w = (v[..., :, None] * v.conj()[..., None, :]).reshape(*v.shape[:-1], -1)
     d = w @ bf.T
-    return np.sum(np.abs(d) ** 2, axis=(-2, -1)), d
+    return np.add.reduce(np.abs(d) ** 2, axis=(-2, -1)), d
 
 
 def _euclidean_gradient(v, bf, d):
@@ -205,7 +209,7 @@ def _descent_direction(v, bf, d):
     g = _euclidean_gradient(v, bf, d)
     a = _h(v) @ g
     delta = g - v @ (a + _h(a)) / 2
-    return delta, np.sum(np.abs(delta) ** 2, axis=(-2, -1))
+    return delta, np.add.reduce(np.abs(delta) ** 2, axis=(-2, -1))
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
@@ -216,11 +220,12 @@ def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
     <s, s> / |Re<s, y>|, after an even number |Re<s, y>| / <y, y>.  A ratio
     that is not finite and positive falls back to ``STEP_INIT``.
     """
-    ss = np.sum(np.abs(s) ** 2, axis=(-2, -1))
-    yy = np.sum(np.abs(y) ** 2, axis=(-2, -1))
-    sy = np.abs(np.sum((s.conj() * y).real, axis=(-2, -1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(iters % 2 == 1, ss / sy, sy / yy)
+    ss = np.add.reduce(np.abs(s) ** 2, axis=(-2, -1))
+    yy = np.add.reduce(np.abs(y) ** 2, axis=(-2, -1))
+    sy = np.abs(np.add.reduce((s.conj() * y).real, axis=(-2, -1)))
+    odd = iters % 2 == 1
+    num, den = np.where(odd, ss, sy), np.where(odd, sy, yy)
+    step = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return np.where(np.isfinite(step) & (step > 0), step, STEP_INIT)
 
 
@@ -234,10 +239,17 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     descent direction there and takes :func:`_bb_step` of the move as its
     next tau; one that fails shrinks its tau by ``ARMIJO_BETA`` and stops
     (``armijo``) once f - tau g2 rounds to f: no smaller step can show a
-    decrease when even the first-order one is below f's rounding.  The
-    state arrays are compacted only when a restart stops or is dropped.
-    Once restart i is below ``OBJECTIVE_TOL`` (f never increases) the live
+    decrease when even the first-order one is below f's rounding.  Once
+    restart i is below ``OBJECTIVE_TOL`` (f never increases) the live
     restarts above i are dropped: the log ends at the first success.
+
+    The starts come from one ``_haar_stack`` call, so restart i starts at
+    ``haar_isometry(N, r, seed + i)`` bit for bit.  A round in which every
+    live restart passes updates the state arrays whole (a slice index); a
+    round with a rejection updates the passing rows through a boolean
+    mask.  The stop tests give one done mask per round; stop reasons are
+    read only in rounds where a restart stops, and the state arrays are
+    compacted only when a restart stops or is dropped.
 
     Returns the records and final isometries of restarts ``indices[0]``
     up to the first success (or all of them), and whether the time budget
@@ -245,7 +257,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     """
     b, r = len(indices), basis.shape[1]
     bf = basis.reshape(len(basis), r * r)
-    v = np.array([haar_isometry(n_terms, r, cfg.seed + i) for i in indices])
+    v = _haar_stack(n_terms, r, [cfg.seed + i for i in indices])
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
     target = min(OBJECTIVE_TOL, POLISH_TOL)
@@ -263,37 +275,43 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
                  g2 <= GRAD_FLOOR,
                  (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
-        done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
+        done = np.logical_or.reduce(tests)
         ok = f <= OBJECTIVE_TOL
         if ok.any():
             first_ok = min(first_ok, int(pos[ok.argmax()]))
         live = ~done & (pos <= first_ok)
-        if live.any() and expired():
-            exhausted = True
+        n_live = np.count_nonzero(live)
+        if n_live and expired():
+            exhausted, n_live = True, 0
             done |= live
-            live[:] = False
-        for k in np.flatnonzero(done):
-            p, i = pos[k], indices[pos[k]]
-            out_v[p] = v[k]
-            stop = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]), "budget")
-            records[p] = RestartRecord(index=i, seed=cfg.seed + i, iterations=int(iters[k]),
-                                       evaluations=rounds + 1, stop=stop, objective=float(f[k]))
-        if not live.any():
-            break
-        if not live.all():
+        if n_live < len(pos):
+            for k in np.flatnonzero(done):
+                p, i = pos[k], indices[pos[k]]
+                out_v[p] = v[k]
+                stop = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]),
+                            "budget")
+                records[p] = RestartRecord(index=i, seed=cfg.seed + i,
+                                           iterations=int(iters[k]), evaluations=rounds + 1,
+                                           stop=stop, objective=float(f[k]))
+            if not n_live:
+                break
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
         fn, dn = _objective(trial, bf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
-        tau[~acc] *= ARMIJO_BETA
-        backtracks = np.where(acc, 0, backtracks + 1)
-        if not acc.any():
-            continue
+        if acc.all():
+            acc = slice(None)  # every live restart moves: no masked gathers
+            backtracks[:] = 0
+        else:
+            tau[~acc] *= ARMIJO_BETA
+            backtracks = np.where(acc, 0, backtracks + 1)
+            if not acc.any():
+                continue
         stalled = f - fn <= STALL_REL * np.maximum(f, _STALL_SCALE_FLOOR)
-        stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
-        iters += acc
-        f = np.where(acc, fn, f)
+        stall[acc] = np.where(stalled[acc], stall[acc] + 1, 0)
+        iters[acc] += 1
+        f[acc] = fn[acc]
         moved = trial[acc]
         delta_new, g2[acc] = _descent_direction(moved, bf, dn[acc])
         tau[acc] = _bb_step(moved - v[acc], delta_new - delta[acc], iters[acc])

@@ -89,6 +89,44 @@ def test_haar_isometry_rejects_wide():
         haar_isometry(2, 3, seed=0)
 
 
+@pytest.mark.parametrize("args", [
+    (3, 2, True), (3, 2, -1), (3, 2, 1.5), (3, 0, 1), (0, 0, 1), (-1, -2, 0),
+    (True, True, 0), (3.0, 2, 0), (3, 2.0, 0), (3, 2, "1"), (3, 2, None),
+    (3, 2, np.True_), (3, 2, np.int64(-4))])
+def test_haar_isometry_refuses_bad_sizes_and_seeds(args):
+    with pytest.raises(ValidationError):
+        haar_isometry(*args)
+
+
+@pytest.mark.parametrize("args", [(2, True), (2, -1), (0, 1), (2, 0.5)])
+def test_haar_unitary_refuses_bad_sizes_and_seeds(args):
+    from muchan import haar_unitary
+    with pytest.raises(ValidationError):
+        haar_unitary(*args)
+
+
+def test_haar_isometry_takes_numpy_integers():
+    # tests draw seeds with rng.integers
+    v = haar_isometry(np.int64(4), np.int32(2), np.uint64(9))
+    assert np.array_equal(v, haar_isometry(4, 2, 9))
+    assert haar_isometry(1, 1, 0).shape == (1, 1)   # the smallest size allowed
+
+
+def test_phased_q_positive_diagonal_and_zero_column():
+    # R's diagonal phases go into Q, so Q* A has a real positive diagonal;
+    # a zero column gives R a zero diagonal entry, whose phase is 1
+    from muchan.linalg import _phased_q
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((3, 5, 3)) + 1j * rng.standard_normal((3, 5, 3))
+    a[1, :, 1] = 0
+    q = _phased_q(a)
+    diag = np.diagonal(np.swapaxes(q.conj(), -1, -2) @ a, axis1=-2, axis2=-1)
+    assert np.all(np.abs(diag.imag) <= 1e-12) and np.all(diag.real >= -1e-12)
+    assert np.all(diag.real[[0, 2]] > 0) and abs(diag[1, 1]) <= 1e-12
+    q_raw = np.linalg.qr(a[1])[0]
+    assert np.array_equal(q[1][:, 1], q_raw[:, 1])
+
+
 def test_haar_isometry_shapes_to_64():
     for n_rows, n_cols in [(2, 2), (8, 3), (17, 17), (64, 64), (64, 10)]:
         v = haar_isometry(n_rows, n_cols, seed=n_rows + n_cols)

@@ -478,6 +478,85 @@ def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed, monke
             assert (rec.iterations, rec.evaluations) == (iters, evals)
 
 
+def _recording(monkeypatch, name, log):
+    """Replace search.<name> by a wrapper that logs a copy of its first
+    argument (the caller may update it in place)."""
+    inner = getattr(search_mod, name)
+
+    def wrapper(*args):
+        log.append((name, args[0].copy()))
+        return inner(*args)
+    monkeypatch.setattr(search_mod, name, wrapper)
+
+
+@pytest.mark.parametrize("fixture, n_terms", [("gap", 5), ("c4", 3)])
+def test_lockstep_restarts_match_sequential_oracle_at_bench_width(fixture, n_terms,
+                                                                  monkeypatch):
+    # 25 restarts, as a bench scan runs them, with a tolerance no restart
+    # reaches: every restart runs to its own stop, through rounds where all
+    # live restarts pass Armijo (whole-array update), rounds with a
+    # rejection (masked update) and compactions
+    phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
+    basis = traceless_image_basis(phi)
+    cfg = SearchConfig(restarts=25, seed=3)
+    monkeypatch.setattr(search_mod, "OBJECTIVE_TOL", 1e-300)
+    log = []
+    _recording(monkeypatch, "_phased_q", log)
+    _recording(monkeypatch, "_bb_step", log)
+    records, finals, exhausted = _run_block(basis, n_terms, cfg, range(25), lambda: False)
+    assert not exhausted and len(records) == 25
+    for rec, v in zip(records, finals):
+        f_ref, v_ref, iters, evals = _seq_run_restart(basis, n_terms, basis.shape[1],
+                                                      cfg, rec.index)
+        assert rec.objective == f_ref
+        assert np.array_equal(v, v_ref)
+        assert (rec.iterations, rec.evaluations) == (iters, evals)
+    # each _bb_step follows the round's retraction: as wide means every
+    # live restart moved, narrower means some were rejected
+    rounds = [(len(a), len(b)) for (qn, a), (bn, b) in zip(log, log[1:])
+              if qn == "_phased_q" and bn == "_bb_step"]
+    widths = [len(a) for name, a in log if name == "_phased_q"]
+    assert any(live == moved for live, moved in rounds)
+    assert any(live > moved for live, moved in rounds)
+    assert widths[0] == 25 and len(set(widths)) > 2
+
+
+@pytest.mark.parametrize("n_terms, r, first, seed", [
+    (5, 4, 0, 0), (3, 3, 0, 7), (9, 2, 256, 11), (15, 15, 25, 2 ** 40)])
+def test_block_starts_are_haar_isometry(n_terms, r, first, seed, monkeypatch):
+    # restart i of a block starts at haar_isometry(N, r, seed + i), bit for
+    # bit, though the block draws and factors its starts as one stack
+    log = []
+    _recording(monkeypatch, "_objective", log)
+    basis = _random_traceless_basis(np.random.default_rng(r), 2, r)
+    cfg = SearchConfig(restarts=first + 25, seed=seed, max_iters=1)
+    _run_block(basis, n_terms, cfg, range(first, first + 25), lambda: False)
+    starts = log[0][1]
+    assert starts.shape == (25, n_terms, r)
+    for k, i in enumerate(range(first, first + 25)):
+        assert np.array_equal(starts[k], haar_isometry(n_terms, r, seed + i))
+
+
+def test_bb_step_ratios_and_fallback():
+    # odd accepted-step counts take <s, s> / |Re<s, y>|, even ones
+    # |Re<s, y>| / <y, y>; a zero denominator or a zero ratio falls back to
+    # STEP_INIT, without a 0/0 warning (tier-1 turns those into errors)
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    y = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    s[2] = y[2] = 0                                # 0/0 either way
+    y[3] = 0                                       # odd: ss / 0
+    s[4] = 0                                       # even: 0 / yy
+    iters = np.array([1, 2, 3, 5, 4, 6])
+    step = search_mod._bb_step(s, y, iters)
+    ss = np.sum(np.abs(s) ** 2, axis=(1, 2))
+    yy = np.sum(np.abs(y) ** 2, axis=(1, 2))
+    sy = np.abs(np.sum((s.conj() * y).real, axis=(1, 2)))
+    assert step[0] == ss[0] / sy[0] and step[1] == sy[1] / yy[1]
+    assert step[5] == sy[5] / yy[5]
+    assert list(step[2:5]) == [search_mod.STEP_INIT] * 3
+
+
 # -------------------------------------------- decomposition_from_isometry
 
 def test_decomposition_from_identity_isometry():

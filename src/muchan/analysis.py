@@ -15,7 +15,7 @@ import numpy as np
 from .channels import (ChannelProfile, KrausChannel, apply, channel_profile,
                        direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
-from .linalg import as_matrix, dagger, dirsum, frob_inner, unitarity_defect
+from .linalg import as_matrix_stack, dagger, dirsum, frob_inner, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # Memory budget of one chunk of verify_decomposition's signed product.
@@ -43,33 +43,24 @@ class MixedUnitaryDecomposition:
     """A convex combination of unitary conjugations: probabilities p_k and
     unitaries U_k representing X -> sum_k p_k U_k X U_k*.
 
-    Terms with |weight| at or below ``eps_eq`` are dropped on construction;
-    the rest must pass :func:`_invariant_error` (no weight below -eps_eq).
+    The constructor copies the unitaries into one read-only (N, n, n) stack,
+    which :meth:`stacked` returns (``unitaries`` is the tuple of its
+    matrices).  Terms with |weight| at or below ``eps_eq`` are dropped; the
+    rest must pass :func:`_weight_error` and :func:`_unitarity_error` under
+    ``tol``, which is kept.
     """
 
-    __slots__ = ("dim", "probs", "unitaries")
+    __slots__ = ("dim", "probs", "unitaries", "tol", "_stack")
 
     def __init__(self, probs, unitaries, tol: Tolerance = DEFAULT_TOL):
         p = np.asarray(probs, dtype=float)
-        us = tuple(as_matrix(u, "unitary") for u in unitaries)
+        us = as_matrix_stack(unitaries, "unitary")
         if p.ndim != 1 or len(us) != p.size or p.size == 0:
             raise ValidationError("probs and unitaries must be matching nonempty lists")
-        n = us[0].shape[0]
-        if any(u.shape != (n, n) for u in us):
-            raise ValidationError("all unitaries must be square of one dimension")
-        keep = np.abs(p) > tol.eps_eq
-        if not np.any(keep):
-            raise ValidationError("all weights vanish")
-        p, us = p[keep], tuple(u for u, k in zip(us, keep) if k)
-        error = _invariant_error(p, us, tol)
+        _fill(self, p, us, tol)
+        error = _unitarity_error(self._stack, tol)
         if error is not None:
             raise ValidationError(error)
-        p.setflags(write=False)
-        for u in us:
-            u.setflags(write=False)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "unitaries", us)
 
     def __setattr__(self, *_):
         raise AttributeError("MixedUnitaryDecomposition is immutable")
@@ -78,26 +69,56 @@ class MixedUnitaryDecomposition:
     def n_terms(self) -> int:
         return len(self.probs)
 
+    def stacked(self) -> np.ndarray:
+        """The unitaries as one read-only (N, n, n) array, the same on every call."""
+        return self._stack
+
     def to_channel(self) -> KrausChannel:
         return KrausChannel([np.sqrt(p) * u for p, u in zip(self.probs, self.unitaries)])
 
     def invariants_ok(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """The rules again, under a ``tol`` perhaps tighter than at construction."""
-        return _invariant_error(self.probs, self.unitaries, tol) is None
+        """The rules under ``tol``, decided again only if it is not ``self.tol``."""
+        return tol == self.tol or not (_weight_error(self.probs, tol)
+                                       or _unitarity_error(self._stack, tol))
 
     def __repr__(self) -> str:
         return f"MixedUnitaryDecomposition(dim={self.dim}, terms={self.n_terms})"
 
 
-def _invariant_error(p: np.ndarray, us, tol: Tolerance) -> Optional[str]:
-    """What breaks the rules (weights >= -eps_eq summing to 1, unitary
-    terms by ``tol.is_close``), or None."""
+def _fill(d: MixedUnitaryDecomposition, p: np.ndarray, us, tol: Tolerance):
+    """Set the fields of ``d`` to the terms with |weight| above ``eps_eq``
+    of weights p and a stack of unitaries, after every rule but unitarity."""
+    if isinstance(us, list) or us.shape[1] != us.shape[2]:
+        raise ValidationError("all unitaries must be square of one dimension")
+    keep = np.abs(p) > tol.eps_eq
+    if not np.any(keep):
+        raise ValidationError("all weights vanish")
+    p, us = p[keep], us[keep]
+    error = _weight_error(p, tol)
+    if error is not None:
+        raise ValidationError(error)
+    p.setflags(write=False)
+    us.setflags(write=False)
+    object.__setattr__(d, "dim", us.shape[1])
+    object.__setattr__(d, "probs", p)
+    object.__setattr__(d, "unitaries", tuple(us))
+    object.__setattr__(d, "tol", tol)
+    object.__setattr__(d, "_stack", us)
+
+
+def _weight_error(p: np.ndarray, tol: Tolerance) -> Optional[str]:
+    """What breaks the weight rules (each >= -eps_eq, summing to 1), or None."""
     if np.any(p < -tol.eps_eq):
         return "weights must be nonnegative"
     if abs(p.sum() - 1.0) > max(tol.eps_eq, p.size * _WEIGHT_SUM_SLACK):
         return f"weights sum to {p.sum():.12f}, not 1"
-    defects = unitarity_defect(np.array(us))
-    i = _first_not_close(defects, us[0].shape[0], tol)
+    return None
+
+
+def _unitarity_error(us: np.ndarray, tol: Tolerance) -> Optional[str]:
+    """The first term of a stack that is not unitary by ``tol.is_close``, or None."""
+    defects = unitarity_defect(us)
+    i = _first_not_close(defects, us.shape[1], tol)
     return None if i is None else f"term {i} is not unitary: defect {defects[i]:.3e}"
 
 
@@ -119,8 +140,10 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
     i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
     search passes 1e-6), or :class:`NumericalError` names j.  The weights are
-    renormalized.  The closed-form rank-r, low-dimension and search
-    decompositions all come from here.
+    renormalized.  That bound implies the constructor's (``tol.is_close`` at
+    n), so the decomposition is built with the constructor's other rules and
+    no second unitarity check.  The closed-form rank-r, low-dimension and
+    search decompositions all come from here.
     """
     v = np.asarray(v, dtype=complex)
     r, n = len(phi_minimal.kraus), phi_minimal.dim_in
@@ -140,7 +163,9 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     if i is not None:
         raise NumericalError(
             f"remixed operator {kept[i]} is not unitary: defect {defects[i]:.3e}")
-    return MixedUnitaryDecomposition(p / sum(p.tolist()), us, tol)
+    d = object.__new__(MixedUnitaryDecomposition)
+    _fill(d, p / sum(p.tolist()), us, tol)
+    return d
 
 
 @dataclass(frozen=True)
@@ -210,7 +235,9 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
     ``choi_residual`` is the relative Frobenius distance
     ``||J(phi) - sum_k p_k vec(U_k)vec(U_k)*|| / ||J(phi)||``; the result
     is ok when it is at most ``eps_eq`` and ``d`` satisfies its own
-    invariants (weights and unitarity re-checked here).  The difference
+    invariants under ``tol`` (:meth:`MixedUnitaryDecomposition.invariants_ok`:
+    weights and unitarity are decided again only when ``tol`` is not the one
+    ``d`` was validated under).  The difference
     is the signed product ``H^T diag(1, .., 1, -p_1, .., -p_N) conj(H)`` of
     the rows H = [vec A_i; vec U_k], so equal terms cancel exactly, formed
     in row chunks of ``_CHUNK_BYTES``; ||J(phi)|| is the Frobenius norm of
@@ -221,7 +248,7 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
             f"dimension mismatch: channel {phi.dim_in}->{phi.dim_out}, "
             f"decomposition dim {d.dim}")
     ka = phi.stacked().reshape(len(phi.kraus), -1)
-    h = np.concatenate([ka, np.reshape(d.unitaries, (d.n_terms, -1))])
+    h = np.concatenate([ka, d.stacked().reshape(d.n_terms, -1)])
     w = np.concatenate([np.ones(len(ka)), -d.probs])
     rhs = w[:, None] * h.conj()
     step = max(1, _CHUNK_BYTES // (16 * h.shape[1]))
@@ -343,7 +370,10 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     (:func:`_rank_r_decomposition`, no search).  The returned 2r-term one
     pairs each U_k with +1 and -1 blocks at weight p_k / 2 and is verified
     before being returned; the direct sum's Choi rank is the size of its
-    minimal Kraus list.
+    minimal Kraus list.  Both decompositions are verified, each against its
+    own channel: the gap check's phi block bounds the base residual only up
+    to a factor sqrt(1 + m^2 / ||J_phi||^2), and the base decomposition is
+    returned as a certificate too.
     """
     if m < 1:
         raise ValidationError("block dimension m must be a positive integer")

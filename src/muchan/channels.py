@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .linalg import as_matrix, dagger, dirsum, numerical_rank, unitarity_defect, unvec, vec
+from .linalg import (as_matrix, as_matrix_stack, dagger, dirsum, numerical_rank,
+                     unitarity_defect, unvec, vec)
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # The identity's distance from the kept operator-system span is refused above
@@ -49,29 +50,30 @@ __all__ = [
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus matrices.
 
-    ``kraus`` is a nonempty list of m x n matrices A_k with
-    ``sum_k A_k* A_k = I_n``, checked on construction by
-    :meth:`Tolerance.is_close`.  Instances are immutable.
+    The constructor copies a nonempty list of m x n matrices A_k with
+    ``sum_k A_k* A_k = I_n`` into one read-only (r, m, n) stack, which it
+    validates (the sum checked by :meth:`Tolerance.is_close`) and
+    :meth:`stacked` returns; ``kraus`` is the tuple of the stack's matrices.
+    Instances are immutable and share no array with the caller.
     """
 
-    __slots__ = ("kraus", "dim_in", "dim_out")
+    __slots__ = ("kraus", "dim_in", "dim_out", "_stack")
 
     def __init__(self, kraus, tol: Tolerance = DEFAULT_TOL):
-        ops = tuple(as_matrix(a, "Kraus operator") for a in kraus)
-        if not ops:
+        ops = as_matrix_stack(kraus, "Kraus operator")
+        if not len(ops):
             raise ValidationError("Kraus list must be nonempty")
-        m, n = ops[0].shape
-        if any(a.shape != (m, n) for a in ops):
+        if isinstance(ops, list):
             raise ValidationError("all Kraus operators must share one shape")
-        defect = _stack_defect(np.array(ops))
+        _, m, n = ops.shape
+        defect = _stack_defect(ops)
         if not tol.is_close(defect, n):
             raise ValidationError(
                 f"Kraus list is not trace-preserving: ||sum A*A - I|| = {defect:.3e}")
-        for a in ops:
-            a.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "dim_in", n)
         object.__setattr__(self, "dim_out", m)
+        object.__setattr__(self, "_stack", ops)
 
     def __setattr__(self, *_):
         raise AttributeError("KrausChannel is immutable")
@@ -94,8 +96,9 @@ class KrausChannel:
                             self.dim_out)
 
     def stacked(self) -> np.ndarray:
-        """Kraus operators as one (r, m, n) array."""
-        return np.array(self.kraus)
+        """The Kraus operators as the channel's own read-only (r, m, n)
+        array, the same object on every call."""
+        return self._stack
 
 
 def _stack_defect(ops: np.ndarray) -> float:
@@ -171,7 +174,7 @@ def partial_trace_output(j: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray
 
 def choi_of(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiMatrix:
     """Choi matrix ``sum_k vec(A_k) vec(A_k)*`` of a Kraus channel."""
-    vecs = np.array([vec(a) for a in phi.kraus])
+    vecs = phi.stacked().reshape(len(phi.kraus), -1)
     j = np.einsum("ki,kj->ij", vecs, vecs.conj())
     return ChoiMatrix(j, phi.dim_in, phi.dim_out, tol)
 
@@ -224,11 +227,14 @@ def minimize_kraus(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChan
     """Return ``phi`` itself if its Kraus list is minimal, else re-derive,
     from one ``eigh`` of the Gram matrix G = conj(H) H^T of the vec rows H:
     G has the nonzero Choi eigenvalues, and for G v = l v, ``H^T v`` is a
-    Choi eigenvector of norm sqrt(l), the vec of a minimal Kraus operator."""
+    Choi eigenvector of norm sqrt(l), the vec of a minimal Kraus operator.
+    ``tol.rank`` of G's spectrum is counted first, so a minimal list builds
+    no operator."""
     h = phi.stacked().reshape(len(phi.kraus), -1)
     w, v = np.linalg.eigh(h.conj() @ h.T)
-    ops = _kraus_from_spectrum(w, h.T @ v, phi.dim_out, phi.dim_in, tol)
-    return phi if len(ops) == len(phi.kraus) else KrausChannel(ops, tol)
+    if tol.rank(w) == len(phi.kraus):
+        return phi
+    return KrausChannel(_kraus_from_spectrum(w, h.T @ v, phi.dim_out, phi.dim_in, tol), tol)
 
 
 def complementary(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:

@@ -49,13 +49,14 @@ __all__ = [
 ]
 
 class ToroidalDecomposition:
-    """Convex decomposition C = sum_k p_k u_k u_k* with unimodular vectors."""
+    """Convex decomposition C = sum_k p_k u_k u_k* with unimodular vectors,
+    kept as read-only copies of the caller's weights and vectors."""
 
     __slots__ = ("dim", "probs", "vectors")
 
     def __init__(self, probs, vectors, tol: Tolerance = DEFAULT_TOL):
-        p = np.asarray(probs, dtype=float)
-        vs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors)
+        p = np.array(probs, dtype=float)
+        vs = tuple(np.array(v, dtype=complex).reshape(-1) for v in vectors)
         if p.ndim != 1 or p.size != len(vs) or p.size == 0:
             raise ValidationError("probs and vectors must be matching nonempty lists")
         n = vs[0].size

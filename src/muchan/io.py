@@ -116,7 +116,10 @@ def channel_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
     lits = obj.get("operators")
     if not isinstance(lits, list) or not lits:
         raise _bad("channel file's operators must be a nonempty list", path)
-    phi = KrausChannel([matrix_from_literal(o, path) for o in lits], tol)
+    ops = _from_pairs(lits, 3)
+    if ops is None:
+        ops = [matrix_from_literal(o, path) for o in lits]
+    phi = KrausChannel(ops, tol)
     _check_dims(obj, path, dim_in=phi.dim_in, dim_out=phi.dim_out)
     return phi
 
@@ -139,13 +142,13 @@ def decomposition_to_obj(d: MixedUnitaryDecomposition) -> dict:
         "kind": "mixed-unitary",
         "dim": d.dim,
         "probs": d.probs.tolist(),
-        "unitaries": matrix_to_literal(d.unitaries),
+        "unitaries": matrix_to_literal(d.stacked()),
     }
 
 
 def decomposition_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                            path: Optional[str] = None) -> MixedUnitaryDecomposition:
-    return _terms_from_obj(obj, "unitaries", matrix_from_literal,
+    return _terms_from_obj(obj, "unitaries", 2, matrix_from_literal,
                            MixedUnitaryDecomposition, tol, path)
 
 
@@ -161,18 +164,22 @@ def toroidal_to_obj(t: ToroidalDecomposition) -> dict:
 
 def toroidal_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                       path: Optional[str] = None) -> ToroidalDecomposition:
-    return _terms_from_obj(obj, "vectors", vector_from_literal,
+    return _terms_from_obj(obj, "vectors", 1, vector_from_literal,
                            ToroidalDecomposition, tol, path)
 
 
-def _terms_from_obj(obj: dict, key: str, read, cls, tol: Tolerance, path: Optional[str]):
+def _terms_from_obj(obj: dict, key: str, ndim: int, read, cls, tol: Tolerance,
+                    path: Optional[str]):
     """A ``cls`` decomposition from its weights (a list of numbers) and the
-    terms under ``key``; its dimension must be the declared ``dim``."""
+    terms under ``key``, each of ``ndim`` axes, read in one pass (term by term
+    by ``read`` only when that fails); its dimension must be the declared ``dim``."""
     try:
         if not isinstance(obj["probs"], list):
             raise TypeError("probs must be a list")
         probs = [_number(p) for p in obj["probs"]]
-        terms = [read(t, path) for t in obj[key]]
+        terms = _from_pairs(obj[key], ndim + 1)
+        if terms is None:
+            terms = [read(t, path) for t in obj[key]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _bad(f"malformed {cls.__name__}: {exc}", path) from exc
     d = cls(probs, terms, tol)

@@ -24,9 +24,9 @@ from .exceptions import NumericalError, ValidationError
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "as_matrix", "vec", "unvec", "dagger", "frob_inner", "numerical_rank",
-    "haar_isometry", "haar_unitary", "kron", "schur_product", "dirsum",
-    "unitarity_defect",
+    "as_matrix", "as_matrix_stack", "vec", "unvec", "dagger", "frob_inner",
+    "numerical_rank", "haar_isometry", "haar_unitary", "kron", "schur_product",
+    "dirsum", "unitarity_defect",
 ]
 
 
@@ -38,6 +38,25 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValidationError(f"{name} contains non-finite entries")
     return m
+
+
+def as_matrix_stack(mats, name: str = "matrix"):
+    """A new read-only (k, m, n) complex128 stack of the matrices in
+    ``mats``, each valid for :func:`as_matrix` (the first invalid one raises
+    its error), converted in one pass when they allow it; the list of
+    :func:`as_matrix` results when there are none or they differ in shape."""
+    mats = mats if isinstance(mats, np.ndarray) else list(mats)
+    try:
+        s = np.array(mats, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        s = np.empty(0)
+    if s.ndim != 3 or not s.size or not np.isfinite(s).all():
+        ops = [as_matrix(a, name) for a in mats]
+        if not ops or any(a.shape != ops[0].shape for a in ops):
+            return ops
+        s = np.array(ops)
+    s.setflags(write=False)
+    return s
 
 
 def vec(a) -> np.ndarray:

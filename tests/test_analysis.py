@@ -4,6 +4,7 @@ import pytest
 import muchan.analysis
 import muchan.channels
 import muchan.constructive
+import muchan.linalg
 import muchan.search
 from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition,
                     NumericalError, Tolerance, ValidationError, certified_gap_rank,
@@ -78,6 +79,21 @@ def test_verify_rejects_contraction():
     assert not d.invariants_ok()
     res = verify_decomposition(dephasing_channel(2), d)
     assert not res.ok
+
+
+def test_verify_rechecks_invariants_under_another_tol():
+    # a term of unitarity defect 3e-7 passes eps_eq = 1e-6 but not the
+    # default 1e-9 (x sqrt 2); the Choi residual is rounding either way
+    loose = Tolerance(eps_eq=1e-6)
+    u = np.diag([1 + 1.5e-7, 1.0])
+    assert abs(muchan.linalg.unitarity_defect(u) - 3e-7) <= 1e-12
+    d = MixedUnitaryDecomposition([0.5, 0.5], [u, np.diag([1, -1])], loose)
+    phi = KrausChannel(np.sqrt(0.5) * d.stacked(), loose)
+    assert d.tol == loose and d.invariants_ok(loose)
+    assert verify_decomposition(phi, d, loose).ok
+    assert not d.invariants_ok()
+    res = verify_decomposition(phi, d)
+    assert not res.ok and res.choi_residual <= 1e-15
 
 
 def test_verify_dimension_mismatch():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import muchan.analysis
 import muchan.channels
+import muchan.constructive
 from muchan import (ChoiMatrix, KrausChannel, Tolerance, ValidationError, apply, choi_of,
                     channel_profile, complementary, dagger, dephasing_channel, direct_sum,
                     frob_inner, haar_isometry, haar_unitary, identity_channel, minimal_kraus,
@@ -36,6 +37,52 @@ def test_kraus_channel_rejects_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError):
         KrausChannel([bad])
+
+
+def _own_kraus():
+    a = np.eye(2, dtype=complex)
+    return [a], lambda: KrausChannel([a]), lambda phi: np.ravel(phi.kraus)
+
+
+def _own_decomposition():
+    p, u = np.array([1.0]), np.eye(2, dtype=complex)
+    return ([p, u], lambda: muchan.analysis.MixedUnitaryDecomposition(p, [u]),
+            lambda d: np.concatenate([d.probs, np.ravel(d.unitaries)]))
+
+
+def _own_toroidal():
+    p, v = np.array([1.0]), np.ones(2, dtype=complex)
+    return ([p, v], lambda: muchan.constructive.ToroidalDecomposition(p, [v]),
+            lambda t: np.concatenate([t.probs, *t.vectors]))
+
+
+@pytest.mark.parametrize("make", [_own_kraus, _own_decomposition, _own_toroidal],
+                         ids=["kraus", "decomposition", "toroidal"])
+def test_constructors_own_their_arrays(make):
+    # the caller's arrays stay writable, and writing to them afterwards
+    # leaves the validated object as it was
+    arrays, build, contents = make()
+    obj = build()
+    before = contents(obj).copy()
+    for a in arrays:
+        assert a.flags.writeable
+        a[...] = -7
+    assert contents(obj).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: weyl_channel(3),
+                                  lambda: muchan.analysis.MixedUnitaryDecomposition(
+                                      [0.5, 0.5], [np.eye(2), np.diag([1, -1])])],
+                         ids=["kraus", "decomposition"])
+def test_stacked_is_one_read_only_array(make):
+    obj = make()
+    stack = obj.stacked()
+    assert stack is obj.stacked()
+    assert not stack.flags.writeable and stack.dtype == complex and stack.ndim == 3
+    terms = obj.kraus if isinstance(obj, KrausChannel) else obj.unitaries
+    assert all(t.base is stack and not t.flags.writeable for t in terms)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 2
 
 
 # ----------------------------------------------------------------- choi_of

@@ -230,6 +230,120 @@ def test_reader_names_the_bad_entry_as_before(kind, case):
     assert _outcome(new, lit) == want
 
 
+# --------------------------------------- one-pass file reader vs per matrix
+# io converts a file's whole operators, unitaries or vectors literal in one
+# pass.  The reference below reads it one matrix (or vector) at a time with
+# the per-entry reader above, as io did before; every object must come out
+# with the same bits, or fail with the same message and path.
+
+def _per_matrix_channel(obj, path=None):
+    lits = obj.get("operators")
+    if not isinstance(lits, list) or not lits:
+        raise muchan.FileFormatError("channel file's operators must be a nonempty list", path)
+    phi = KrausChannel([_old_matrix_from_literal(o, path) for o in lits])
+    io._check_dims(obj, path, dim_in=phi.dim_in, dim_out=phi.dim_out)
+    return phi
+
+
+def _per_matrix_terms(key, read, cls):
+    def load(obj, path=None):
+        try:
+            if not isinstance(obj["probs"], list):
+                raise TypeError("probs must be a list")
+            probs = [io._number(p) for p in obj["probs"]]
+            terms = [read(t, path) for t in obj[key]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise muchan.FileFormatError(f"malformed {cls.__name__}: {exc}", path) from exc
+        d = cls(probs, terms)
+        io._check_dims(obj, path, dim=d.dim)
+        return d
+    return load
+
+
+_FILE_READERS = {
+    "kraus": (io.channel_from_obj, _per_matrix_channel, "operators"),
+    "mixed-unitary": (io.decomposition_from_obj, _per_matrix_terms(
+        "unitaries", _old_matrix_from_literal, MixedUnitaryDecomposition), "unitaries"),
+    "toroidal": (io.toroidal_from_obj, _per_matrix_terms(
+        "vectors", _old_vector_from_literal, muchan.ToroidalDecomposition), "vectors"),
+}
+
+
+def _object_outcome(read, obj):
+    try:
+        thing = read(obj, path="f.json")
+    except muchan.MuchanError as exc:
+        return "error", type(exc).__name__, str(exc), getattr(exc, "path", None)
+    terms = np.array(thing.kraus if isinstance(thing, KrausChannel) else
+                     thing.vectors if isinstance(thing, muchan.ToroidalDecomposition)
+                     else thing.unitaries)
+    probs = getattr(thing, "probs", np.empty(0))
+    return "object", terms.shape, terms.tobytes(), probs.tobytes()
+
+
+_C, _Z = [[1, 0], [0.0, 0]], [[0, 0], [1, -0.0]]  # mixed int and float entries
+_TERM_CASES = {
+    # kind: {case: the file's terms literal}
+    "kraus": {
+        "later_true": [[[[0.6, 0]]], [[[True, 0]]]],
+        "later_string": [[[[0.6, 0]]], [[["0.8", 0]]]],
+        "later_three_numbers": [[[[0.6, 0]]], [[[0.8, 0, 0]]]],
+        "two_shapes": [[[[1, 0]]], [[_C[0], _C[1]], [_Z[0], _Z[1]]]],
+        "mixed_int_float": [[[[0.6, 0]]], [[[0.8, 0.0]]]],
+        "mixed_int_float_2x2": [[[[1, 0], [0.0, 0]], [[0, 0], [1.0, -0.0]]]],
+        "not_trace_preserving": [[[[0.6, 0]]], [[[0.6, 0]]]],
+    },
+    "mixed-unitary": {
+        "later_true": [[[[1, 0]]], [[[True, 0]]]],
+        "later_string": [[[[1, 0]]], [[["1", 0]]]],
+        "later_three_numbers": [[[[1, 0]]], [[[1, 0, 0]]]],
+        "two_shapes": [[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "mixed_int_float": [[[[1, 0], [0.0, 0]], [[0, 0], [1.0, 0]]],
+                            [[[1.0, 0], [0, 0.0]], [[0, 0], [-1, 0]]]],
+        "not_unitary": [[[[1, 0]]], [[[0.5, 0]]]],
+    },
+    "toroidal": {
+        "later_true": [[[1, 0], [1, 0]], [[1, 0], [True, 0]]],
+        "later_string": [[[1, 0], [1, 0]], [[1, 0], ["1", 0]]],
+        "later_three_numbers": [[[1, 0], [1, 0]], [[1, 0], [1, 0, 0]]],
+        "two_shapes": [[[1, 0]], [[1, 0], [1, 0]]],
+        "mixed_int_float": [[[1, 0], [1.0, 0]], [[1, 0.0], [-1, 0]]],
+        "not_unimodular": [[[1, 0], [1, 0]], [[1, 0], [0.5, 0]]],
+    },
+}
+
+
+def _file_obj(kind, terms):
+    key = _FILE_READERS[kind][2]
+    if kind == "kraus":
+        shape = np.shape(terms[0])
+        return {"format": io.FORMAT, "kind": kind, "dim_in": shape[1] if len(shape) > 1 else 0,
+                "dim_out": shape[0], key: terms}
+    dim = len(terms[-1][0]) if kind == "mixed-unitary" else len(terms[-1])
+    return {"format": io.FORMAT, "kind": kind, "dim": dim, "probs": [0.5, 0.5], key: terms}
+
+
+_GALLERY_FILES = {"kraus": lambda: io.to_obj(weyl_channel(3)),
+                  "mixed-unitary": lambda: io.to_obj(wh_sym3_decomposition()),
+                  "toroidal": lambda: io.to_obj(toroidal_CtensorI2())}
+
+
+@pytest.mark.parametrize("kind, case", [(k, c) for k in sorted(_TERM_CASES)
+                                        for c in sorted(_TERM_CASES[k]) + ["gallery"]])
+def test_file_reader_matches_per_matrix_loop(kind, case):
+    if case == "gallery":
+        obj = json.loads(json.dumps(_GALLERY_FILES[kind]()))
+    else:
+        obj = _file_obj(kind, copy.deepcopy(_TERM_CASES[kind][case]))
+    new, old, _ = _FILE_READERS[kind]
+    want = _object_outcome(old, obj)
+    assert _object_outcome(new, obj) == want
+    malformed = {"later_true", "later_string", "later_three_numbers"}
+    assert want[0] == ("error" if case in malformed or case.startswith(("two", "not")) else "object")
+    if case in malformed:
+        assert want[1] == "FileFormatError" and want[3] == "f.json"
+
+
 @pytest.mark.parametrize("thing", [weyl_channel(3), wh_sym3_decomposition()],
                          ids=["channel", "decomposition"])
 def test_save_writes_dumps_text(tmp_path, thing):

@@ -6,11 +6,14 @@ import pytest
 import muchan
 import muchan.analysis
 import muchan.channels
+import muchan.io
+import muchan.linalg
 from muchan import (ChannelProfile, KrausChannel, SearchConfig, Tolerance,
                     ValidationError, certified_gap_rank, channel_profile,
                     choi_of, complementary, decompose_low_dim, murank_search,
                     operator_system, rank_bounds, schur_equivalence_check,
-                    toroidal_decompose_small, uniqueness_certificate)
+                    toroidal_decompose_small, uniqueness_certificate,
+                    verify_decomposition)
 from muchan.gallery import corr_B3, gap_channel, random_unital_rank2, weyl_channel
 
 
@@ -170,3 +173,38 @@ def test_toroidal_decompose_small_counts(count_calls, monkeypatch):
     assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
     assert len(svds) == 2
+
+
+# Unitarity is decided once per term and tolerance: the reader's bound
+# (defect <= eps_eq) implies the constructor's, and a verification under the
+# tolerance a decomposition was validated under does not decide it again.
+
+def test_certified_gap_rank_unitarity_checks(count_calls):
+    # is_unital, the reader (base terms), the gap decomposition's constructor,
+    # and the trace-preservation checks of direct_sum and identity_channel
+    phi = weyl_channel(11)
+    defects = count_calls(muchan.linalg, "unitarity_defect")
+    certified_gap_rank(phi, 1)
+    assert len(defects) == 5
+
+
+def test_load_and_verify_unitarity_checks(count_calls, tmp_path):
+    phi = weyl_channel(11)
+    summed = muchan.channels.direct_sum(phi, muchan.channels.identity_channel(1))
+    path = str(tmp_path / "d.json")
+    muchan.io.save(certified_gap_rank(phi, 1).decomposition, path)
+    defects = count_calls(muchan.linalg, "unitarity_defect")
+    d = muchan.io.load_decomposition(path)
+    assert verify_decomposition(summed, d).ok
+    assert len(defects) == 1  # the constructor's; verify under the same tol adds none
+    assert verify_decomposition(summed, d, Tolerance(eps_eq=2e-9)).ok
+    assert len(defects) == 2  # another tol decides the invariants again
+
+
+def test_minimize_kraus_builds_nothing_for_a_minimal_list(count_calls):
+    phi = weyl_channel(7)
+    built = count_calls(muchan.channels, "_kraus_from_spectrum")
+    assert muchan.channels.minimize_kraus(phi) is phi
+    assert built == []
+    assert len(muchan.channels.minimize_kraus(_doubled_weyl3())) == 3
+    assert len(built) == 1

@@ -112,14 +112,15 @@ class ChoiMatrix:
     """Choi representation of a channel, output (x) input index order.
 
     Validated to be Hermitian and PSD within tolerance, with the partial
-    trace over the output factor equal to the identity.
+    trace over the output factor equal to the identity; ``matrix`` is a
+    read-only copy that shares no memory with the caller's array.
     """
 
     __slots__ = ("matrix", "dim_in", "dim_out")
 
     def __init__(self, matrix, dim_in: int, dim_out: int,
                  tol: Tolerance = DEFAULT_TOL):
-        m = as_matrix(matrix, "Choi matrix")
+        m = as_matrix(np.array(matrix, dtype=complex), "Choi matrix")
         if m.shape != (dim_in * dim_out, dim_in * dim_out):
             raise ValidationError(
                 f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")

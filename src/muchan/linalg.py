@@ -19,6 +19,7 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import NumericalError, ValidationError
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -132,12 +133,26 @@ def _haar_stack(n_rows: int, n_cols: int, seeds) -> np.ndarray:
 def _phased_q(a: np.ndarray) -> np.ndarray:
     """Q of the QR factorization of each matrix in ``a`` (shape (..., m, k),
     m >= k), with the phases of R's diagonal absorbed into Q's columns; a
-    zero diagonal entry leaves its column as it is."""
-    q, r = np.linalg.qr(a)
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    zero diagonal entry leaves its column as it is.
+
+    Calls the batched LAPACK gufuncs behind ``np.linalg.qr`` directly, under
+    its error guard: geqrf factors a copy of ``a`` in place and ungqr forms
+    Q from it.  R is never formed: its diagonal is read from the factored
+    copy, so Q and the phases equal those of ``np.linalg.qr`` bit for bit.
+    """
+    a = np.array(a, dtype=complex)
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    ph = np.diagonal(a, axis1=-2, axis2=-1)
     mag = np.abs(ph)
     ph = np.divide(ph, mag, out=np.ones_like(ph), where=mag > 0)
     return q * ph[..., None, :]
+
+
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

@@ -24,8 +24,9 @@ products and one batched QR, while each restart keeps its own step,
 counters and stopping rule, so its iterates are exactly those of a
 restart run on its own.  A block draws its Haar starts as one stack
 factored by one batched QR, equal bit for bit to the starts drawn one by
-one, and a round in which every live restart passes the Armijo test
-updates the state arrays whole, without masked gathers and scatters.
+one.  Each round has one update path: every live restart gets its next
+direction and step at its trial point, and each row keeps either the
+moved or the backtracked state.
 Because f never increases, once restart i is below the objective
 tolerance every restart above i is dropped, and the log ends at the
 first success as if the restarts ran one after another.
@@ -192,15 +193,17 @@ def _h(a: np.ndarray) -> np.ndarray:
 
 def _objective(v: np.ndarray, bf: np.ndarray):
     """f and d[..., j, k] = (V B_k V*)(j, j) = vec(v_j v_j*) . vec(B_k) for V
-    of shape (..., N, r) with rows v_j; ``bf`` is the basis as (m, r*r)."""
-    w = (v[..., :, None] * v.conj()[..., None, :]).reshape(*v.shape[:-1], -1)
-    d = w @ bf.T
+    of shape (..., N, r) with rows v_j; ``bf`` is the basis as (m, r*r).
+    The rows of the whole stack make one flat product with ``bf``."""
+    w = (v[..., :, None] * v.conj()[..., None, :]).reshape(v.size // v.shape[-1], -1)
+    d = (w @ bf.T).reshape(*v.shape[:-1], len(bf))
     return np.add.reduce(np.abs(d) ** 2, axis=(-2, -1)), d
 
 
 def _euclidean_gradient(v, bf, d):
-    """g_j = 2 v_j^T (C_j + C_j*) with C_j = unvec(conj(d_j) @ bf), any basis."""
-    c = (d.conj() @ bf).reshape(*v.shape, v.shape[-1])
+    """g_j = 2 v_j^T (C_j + C_j*) with C_j = unvec(conj(d_j) @ bf), any basis,
+    from one flat product over the rows of the stack."""
+    c = (d.reshape(v.size // v.shape[-1], len(bf)).conj() @ bf).reshape(*v.shape, v.shape[-1])
     return 2 * np.einsum("...ja,...jaq->...jq", v, c + _h(c))
 
 
@@ -244,12 +247,12 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     restarts above i are dropped: the log ends at the first success.
 
     The starts come from one ``_haar_stack`` call, so restart i starts at
-    ``haar_isometry(N, r, seed + i)`` bit for bit.  A round in which every
-    live restart passes updates the state arrays whole (a slice index); a
-    round with a rejection updates the passing rows through a boolean
-    mask.  The stop tests give one done mask per round; stop reasons are
-    read only in rounds where a restart stops, and the state arrays are
-    compacted only when a restart stops or is dropped.
+    ``haar_isometry(N, r, seed + i)`` bit for bit.  Every round computes
+    the direction and BB step at each trial point, rejected or not, and
+    ``np.where`` on the Armijo mask picks each row's new state: a round has
+    one update path.  The stop tests give one done mask per round; stop
+    reasons are read only in rounds where a restart stops, and the state
+    arrays are compacted only when a restart stops or is dropped.
 
     Returns the records and final isometries of restarts ``indices[0]``
     up to the first success (or all of them), and whether the time budget
@@ -300,22 +303,15 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
         fn, dn = _objective(trial, bf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
-        if acc.all():
-            acc = slice(None)  # every live restart moves: no masked gathers
-            backtracks[:] = 0
-        else:
-            tau[~acc] *= ARMIJO_BETA
-            backtracks = np.where(acc, 0, backtracks + 1)
-            if not acc.any():
-                continue
+        delta_new, g2_new = _descent_direction(trial, bf, dn)
         stalled = f - fn <= STALL_REL * np.maximum(f, _STALL_SCALE_FLOOR)
-        stall[acc] = np.where(stalled[acc], stall[acc] + 1, 0)
-        iters[acc] += 1
-        f[acc] = fn[acc]
-        moved = trial[acc]
-        delta_new, g2[acc] = _descent_direction(moved, bf, dn[acc])
-        tau[acc] = _bb_step(moved - v[acc], delta_new - delta[acc], iters[acc])
-        v[acc], delta[acc] = moved, delta_new
+        stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
+        iters = iters + acc
+        tau = np.where(acc, _bb_step(trial - v, delta_new - delta, iters), tau * ARMIJO_BETA)
+        backtracks = np.where(acc, 0, backtracks + 1)
+        f, g2 = np.where(acc, fn, f), np.where(acc, g2_new, g2)
+        moved = acc[:, None, None]
+        v, delta = np.where(moved, trial, v), np.where(moved, delta_new, delta)
     records = records[:first_ok + 1]
     return records, list(out_v[:len(records)]), exhausted
 

@@ -56,8 +56,13 @@ def _own_toroidal():
             lambda t: np.concatenate([t.probs, *t.vectors]))
 
 
-@pytest.mark.parametrize("make", [_own_kraus, _own_decomposition, _own_toroidal],
-                         ids=["kraus", "decomposition", "toroidal"])
+def _own_choi():
+    m = np.eye(4, dtype=complex) / 2
+    return [m], lambda: ChoiMatrix(m, 2, 2), lambda c: np.ravel(c.matrix)
+
+
+@pytest.mark.parametrize("make", [_own_kraus, _own_decomposition, _own_toroidal, _own_choi],
+                         ids=["kraus", "decomposition", "toroidal", "choi"])
 def test_constructors_own_their_arrays(make):
     # the caller's arrays stay writable, and writing to them afterwards
     # leaves the validated object as it was

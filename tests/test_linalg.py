@@ -127,6 +127,40 @@ def test_phased_q_positive_diagonal_and_zero_column():
     assert np.array_equal(q[1][:, 1], q_raw[:, 1])
 
 
+def _public_phased_q(a):
+    # the reference: numpy's public QR with R formed, and the same phase rule
+    q, r = np.linalg.qr(a)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(ph)
+    ph = np.divide(ph, mag, out=np.ones_like(ph), where=mag > 0)
+    return q * ph[..., None, :]
+
+
+@pytest.mark.parametrize("shape", [(b, m, k) for b in (1, 25)
+                                   for m, k in ((4, 4), (6, 4), (5, 1), (15, 15))] + [(6, 4)])
+def test_phased_q_matches_public_qr_bit_for_bit(shape):
+    # _phased_q calls numpy's private batched QR gufuncs (geqrf, ungqr): a
+    # numpy release that renames or changes them fails here.  A zero column
+    # gives R a zero diagonal entry, whose phase is 1
+    from muchan.linalg import _phased_q
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for zero_column in (False, True):
+        if zero_column:
+            a[..., -1] = 0
+        given = a.copy()
+        assert np.array_equal(_phased_q(a), _public_phased_q(a))
+        assert np.array_equal(a, given)   # factored in a copy
+
+
+def test_phased_q_nan_stack_returns_nan():
+    from muchan.linalg import _phased_q
+    a = np.full((3, 4, 2), np.nan, dtype=complex)
+    q = _phased_q(a)
+    assert q.shape == a.shape and np.isnan(q).all()
+    assert np.array_equal(q, _public_phased_q(a), equal_nan=True)
+
+
 def test_haar_isometry_shapes_to_64():
     for n_rows, n_cols in [(2, 2), (8, 3), (17, 17), (64, 64), (64, 10)]:
         v = haar_isometry(n_rows, n_cols, seed=n_rows + n_cols)

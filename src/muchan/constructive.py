@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .analysis import (MixedUnitaryDecomposition, _hermitian_parts, _require_unital_square,
-                       decomposition_from_isometry)
+from .analysis import (MixedUnitaryDecomposition, _fill, _hermitian_parts,
+                       _require_unital_square, decomposition_from_isometry)
 from .channels import KrausChannel, _conjugation_sum, channel_profile, schur_channel
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix, dagger
@@ -95,7 +95,12 @@ class ToroidalDecomposition:
 
 def _solve_bracketed_2x2(z0: complex, a: complex, b: complex, z1: complex):
     """Unit x = (cos t, e^{i phi} sin t) with x* M x = 0 for the 2x2 matrix
-    M = [[z0, a], [b, z1]], assuming z0 != 0 and z1 = -mu z0 with mu > 0."""
+    M = [[z0, a], [b, z1]], assuming z0 != 0 and z1 = -mu z0 with mu > 0.
+
+    When M / psi is Hermitian (b = conj(a) psi^2, as for every block of a
+    Hermitian matrix) every phase solves it: both atan2 arguments vanish in
+    exact arithmetic, so the phase is the one their rounding residues pick.
+    """
     mu = abs(z1) / abs(z0)
     psi = z0 / abs(z0)
     ap, bp = a / psi, b / psi
@@ -118,6 +123,12 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rotation.  After row i, M[i,i] is the trailing block's mean, 0, and
     the block below stays traceless.  U = W*; it is the identity when the
     diagonal already vanishes.
+    The sweep holds the rows of M and W as lists of Python complex numbers
+    and makes no numpy call per rotation.  Rotation (i, k) updates only
+    what later rotations read: columns i and k of M's rows i..n-1, then
+    rows i and k of M over columns i..n-1, and W's rows 0..k, outside
+    which W's columns i and k are still zero.  That is O(n^3) Python
+    arithmetic: faster than numpy for small n, slower for n in the tens.
     Z is first scaled by the power of two that brings its largest real or
     imaginary part into [1/2, 1): the scaling is exact, leaves U
     unchanged, and keeps norms from underflowing or overflowing, so the
@@ -134,20 +145,31 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if abs(np.trace(z)) > max(tol.eps_eq * nrm, _ZERO_DIAG_TRACE_FLOOR):
         raise ValidationError(
             f"matrix is not traceless: |Tr| = {np.ldexp(abs(np.trace(z)), e):.3e}")
-    # rows 0..n-1 hold M, rows n..2n-1 hold W: a column rotation acts on both
-    mw = np.vstack([z, np.eye(n, dtype=complex)])
+    # M's rows and W's rows as lists of Python complex numbers: a rotation
+    # is a few dozen scalar multiply-adds, cheaper than any numpy call
+    m, w = z.tolist(), np.eye(n, dtype=complex).tolist()
     for i in range(n - 1):
+        mi = m[i]
         for k in range(i + 1, n):
-            step = complex(mw[k, k] - mw[i, i]) / (k - i + 1)
+            mk = m[k]
+            step = (mk[k] - mi[i]) / (k - i + 1)
             if step == 0:
                 continue
-            x0, x1 = _solve_bracketed_2x2(-step, complex(mw[i, k]), complex(mw[k, i]),
-                                          (k - i) * step)
-            g = np.array([[x0, -x1.conjugate()], [x1, x0]])
-            p = slice(i, k + 1, k - i)  # indices i and k, as a view
-            mw[:, p] = mw[:, p] @ g
-            mw[p] = g.conj().T @ mw[p]
-    u = dagger(mw[n:])
+            x0, x1 = _solve_bracketed_2x2(-step, mi[k], mk[i], (k - i) * step)
+            x1c = x1.conjugate()
+            # M <- M G and W <- W G with G = [[x0, -x1c], [x1, x0]] on columns
+            # i, k; later rotations read M only at rows and columns >= i, and
+            # W's columns i and k are still zero below row k
+            for row in m[i:] + w[:k + 1]:
+                a, b = row[i], row[k]
+                row[i] = a * x0 + b * x1
+                row[k] = b * x0 - a * x1c
+            # M <- G* M on rows i, k
+            for c in range(i, n):
+                a, b = mi[c], mk[c]
+                mi[c] = x0 * a + x1c * b
+                mk[c] = x0 * b - x1 * a
+    u = dagger(np.array(w))
     resid = float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
     if resid > _ZERO_DIAG_RESIDUAL * nrm:
         raise NumericalError(
@@ -202,8 +224,11 @@ def decompose_low_dim(phi: KrausChannel,
     if d.n_terms < r:
         raise NumericalError(
             f"low-dimension construction kept {d.n_terms} of {r} terms (weight <= eps_eq)")
-    return MixedUnitaryDecomposition(
-        d.probs, [_phase_fix_first_entry(u) for u in d.unitaries], tol)
+    # a unit phase moves each term's unitarity defect only by rounding, so
+    # the reader's decision (defect <= eps_eq) stands and is not made again
+    fixed = object.__new__(MixedUnitaryDecomposition)
+    _fill(fixed, d.probs, np.array([_phase_fix_first_entry(u) for u in d.unitaries]), tol)
+    return fixed
 
 
 def _phase_fix_first_entry(u: np.ndarray) -> np.ndarray:

@@ -8,8 +8,11 @@ from muchan import (ToroidalDecomposition, ValidationError,
                     haar_unitary, identity_channel, numerical_rank, schur_channel,
                     toroidal_decompose_small, toroidal_from_decomposition,
                     verify_decomposition, zero_diagonal_unitary)
+import muchan.constructive
+from muchan import io
 from muchan.analysis import MixedUnitaryDecomposition
-from muchan.gallery import corr_B3, random_correlation
+from muchan.constructive import _phase_fix_first_entry, _solve_bracketed_2x2
+from muchan.gallery import corr_B3, random_correlation, random_unital_rank2
 
 
 def _random_traceless(n, seed):
@@ -186,6 +189,51 @@ def test_zero_diag_zero_matrix():
     assert np.linalg.norm(u - np.eye(3)) == 0.0
 
 
+def _numpy_sweep(z):
+    """Oracle: the rotation sweep on numpy views of one (2n x n) array
+    [M; W], with the order, steps and 2x2 solves of zero_diagonal_unitary
+    but every rotation applied to whole columns and rows."""
+    n = z.shape[0]
+    mw = np.vstack([z, np.eye(n, dtype=complex)])
+    for i in range(n - 1):
+        for k in range(i + 1, n):
+            step = complex(mw[k, k] - mw[i, i]) / (k - i + 1)
+            if step == 0:
+                continue
+            x0, x1 = _solve_bracketed_2x2(-step, complex(mw[i, k]), complex(mw[k, i]),
+                                          (k - i) * step)
+            g = np.array([[x0, -x1.conjugate()], [x1, x0]])
+            p = slice(i, k + 1, k - i)
+            mw[:, p] = mw[:, p] @ g
+            mw[p] = g.conj().T @ mw[p]
+    return dagger(mw[n:])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_zero_diag_matches_numpy_sweep(kind, n):
+    # entries of order 1: the power-of-two scaling leaves U unchanged, so the
+    # oracle runs on z as it is
+    for seed in range(3):
+        z = _random_traceless(n, seed)
+        if kind == "real":
+            z = z.real.astype(complex)  # non-symmetric, still traceless
+        u = zero_diagonal_unitary(z)
+        assert np.abs(u - _numpy_sweep(z)).max() <= 1e-9
+        _assert_zero_diag(u, z)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zero_diag_hermitian_valid(n):
+    # no oracle here: for Hermitian z each 2x2 block is Hermitian, every
+    # phase solves it, and atan2 of two rounding residues picks one, so U is
+    # valid but chosen by rounding and differs from the numpy sweep's
+    for seed in range(3):
+        a = _random_traceless(n, seed)
+        z = a + dagger(a)
+        _assert_zero_diag(zero_diagonal_unitary(z), z)
+
+
 # --------------------------------------------------------- decompose_low_dim
 
 def test_low_dim_matches_paper_toroidal_pair():
@@ -241,6 +289,26 @@ def test_low_dim_reproducible_across_kraus_presentations():
                             for k in range(2)])
     d2 = decompose_low_dim(remixed)
     assert decompositions_equivalent(d1, d2)
+
+
+def test_low_dim_phase_fix_matches_constructor_path(monkeypatch):
+    # the phase-fixed terms are filled in without deciding unitarity again;
+    # the result is bit for bit the public constructor's on the same terms
+    read, reader = [], muchan.constructive.decomposition_from_isometry
+
+    def recording(*args):
+        read.append(reader(*args))
+        return read[-1]
+
+    monkeypatch.setattr(muchan.constructive, "decomposition_from_isometry", recording)
+    channels = [schur_channel(corr_B3()), identity_channel(3), random_unital_rank2(3, seed=1)]
+    channels += [schur_channel(random_correlation(3, 3, seed=s)) for s in range(4)]
+    for phi in channels:
+        d = decompose_low_dim(phi)
+        built = MixedUnitaryDecomposition(
+            read[-1].probs, [_phase_fix_first_entry(u) for u in read[-1].unitaries])
+        assert io.dumps(d) == io.dumps(built)
+        assert d.tol == built.tol and not d.stacked().flags.writeable
 
 
 # ------------------------------------------------------ toroidal decomposition

@@ -188,6 +188,14 @@ def test_certified_gap_rank_unitarity_checks(count_calls):
     assert len(defects) == 5
 
 
+def test_toroidal_decompose_small_unitarity_checks(count_calls):
+    # the Schur channel's constructor, is_unital and the reader; the
+    # phase-fixed terms of decompose_low_dim are not decided again
+    defects = count_calls(muchan.linalg, "unitarity_defect")
+    toroidal_decompose_small(corr_B3())
+    assert len(defects) == 3
+
+
 def test_load_and_verify_unitarity_checks(count_calls, tmp_path):
     phi = weyl_channel(11)
     summed = muchan.channels.direct_sum(phi, muchan.channels.identity_channel(1))

@@ -10,7 +10,7 @@ minimal.
 """
 import numpy as np
 
-from muchan import choi_of, verify_decomposition
+from muchan import minimize_kraus, verify_decomposition
 from muchan.gallery import (one_factorization, wh_antisym_decomposition,
                             wh_channels, wh_sym3_decomposition,
                             wh_sym_even_decomposition, wh_sym_odd_decomposition)
@@ -23,17 +23,17 @@ for n in (2, 4, 6):
     pair = wh_channels(n)
     d1 = wh_antisym_decomposition(n)
     d0 = wh_sym_even_decomposition(n)
-    print(f"\nn={n}: rank J(phi1) = {choi_of(pair.phi1).rank()}, "
+    print(f"\nn={n}: rank J(phi1) = {len(minimize_kraus(pair.phi1))}, "
           f"anti-symmetric decomposition terms = {d1.n_terms}, "
           f"residual {verify_decomposition(pair.phi1, d1).choi_residual:.1e}")
-    print(f"      rank J(phi0) = {choi_of(pair.phi0).rank()}, "
+    print(f"      rank J(phi0) = {len(minimize_kraus(pair.phi0))}, "
           f"symmetric decomposition terms = {d0.n_terms}, "
           f"residual {verify_decomposition(pair.phi0, d0).choi_residual:.1e}")
 
 for n in (3, 5):
     d = wh_sym_odd_decomposition(n)
     phi0 = wh_channels(n).phi0
-    print(f"\nodd n={n}: rank {choi_of(phi0).rank()} <= mixed-unitary rank "
+    print(f"\nodd n={n}: rank {len(minimize_kraus(phi0))} <= mixed-unitary rank "
           f"<= {d.n_terms} (= n(n+3)/2), residual "
           f"{verify_decomposition(phi0, d).choi_residual:.1e}")
 

@@ -9,11 +9,11 @@ from .exceptions import (FileFormatError, MuchanError, NumericalError,
                          ValidationError)
 from .linalg import (dagger, dirsum, frob_inner, haar_isometry, haar_unitary,
                      kron, numerical_rank, schur_product, unvec, vec)
-from .channels import (ChannelProfile, ChoiMatrix, KrausChannel,
-                       OperatorSystemBasis, apply, channel_profile, choi_of,
-                       complementary, dephasing_channel, direct_sum,
-                       identity_channel, minimal_kraus, minimize_kraus,
-                       operator_system, schur_channel)
+from .channels import (ChannelProfile, KrausChannel, OperatorSystemBasis, apply,
+                       channel_profile, choi_of, complementary,
+                       dephasing_channel, direct_sum, identity_channel,
+                       kraus_from_choi, minimize_kraus, operator_system,
+                       schur_channel)
 from .analysis import (GapRankCertificate, MixedUnitaryDecomposition,
                        RankBoundsReport, SchurEquivalence, VerificationResult,
                        certified_gap_rank, decomposition_from_isometry,
@@ -34,8 +34,8 @@ __all__ = [
     "MuchanError", "ValidationError", "NumericalError", "FileFormatError",
     "vec", "unvec", "dagger", "frob_inner", "numerical_rank", "haar_isometry",
     "haar_unitary", "kron", "schur_product", "dirsum",
-    "KrausChannel", "ChoiMatrix", "OperatorSystemBasis", "choi_of",
-    "minimal_kraus", "minimize_kraus", "apply", "complementary",
+    "KrausChannel", "OperatorSystemBasis", "choi_of", "kraus_from_choi",
+    "minimize_kraus", "apply", "complementary",
     "operator_system", "direct_sum", "schur_channel", "identity_channel",
     "dephasing_channel", "ChannelProfile", "channel_profile",
     "MixedUnitaryDecomposition", "VerificationResult", "RankBoundsReport",

@@ -1,5 +1,6 @@
-"""Channel representations: Kraus and Choi forms, channel profiles,
-complementary channels, operator systems, direct sums, Schur channels.
+"""Channel representations: Kraus channels, Choi matrices converted to and
+from them under one Choi-rank rule, channel profiles, complementary
+channels, operator systems, direct sums, Schur channels.
 
 Choi index convention
 ---------------------
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .linalg import (as_matrix, as_matrix_stack, dagger, dirsum, numerical_rank,
-                     unitarity_defect, unvec, vec)
+from .linalg import (as_matrix, as_matrix_stack, dagger, dirsum, unitarity_defect,
+                     unvec, vec)
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # The identity's distance from the kept operator-system span is refused above
@@ -40,8 +41,8 @@ from .tolerances import DEFAULT_TOL, Tolerance
 _IDENTITY_SPAN_FLOOR = 1e-7
 
 __all__ = [
-    "KrausChannel", "ChoiMatrix", "OperatorSystemBasis", "ChannelProfile",
-    "choi_of", "minimal_kraus", "apply", "complementary", "operator_system",
+    "KrausChannel", "OperatorSystemBasis", "ChannelProfile", "choi_of",
+    "kraus_from_choi", "apply", "complementary", "operator_system",
     "channel_profile", "direct_sum", "schur_channel", "identity_channel",
     "dephasing_channel",
 ]
@@ -108,47 +109,6 @@ def _stack_defect(ops: np.ndarray) -> float:
     return unitarity_defect(ops.reshape(-1, ops.shape[-1]))
 
 
-class ChoiMatrix:
-    """Choi representation of a channel, output (x) input index order.
-
-    Validated to be Hermitian and PSD within tolerance, with the partial
-    trace over the output factor equal to the identity; ``matrix`` is a
-    read-only copy that shares no memory with the caller's array.
-    """
-
-    __slots__ = ("matrix", "dim_in", "dim_out")
-
-    def __init__(self, matrix, dim_in: int, dim_out: int,
-                 tol: Tolerance = DEFAULT_TOL):
-        m = as_matrix(np.array(matrix, dtype=complex), "Choi matrix")
-        if m.shape != (dim_in * dim_out, dim_in * dim_out):
-            raise ValidationError(
-                f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")
-        if not tol.is_hermitian(m):
-            raise ValidationError("Choi matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        if not tol.is_psd(w):
-            raise ValidationError(
-                f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-        pt = partial_trace_output(m, dim_out, dim_in)
-        if not tol.is_close(np.linalg.norm(pt - np.eye(dim_in)), dim_in):
-            raise ValidationError(
-                "partial trace over the output factor is not the identity")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim_in", dim_in)
-        object.__setattr__(self, "dim_out", dim_out)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ChoiMatrix is immutable")
-
-    def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return numerical_rank(self.matrix, tol)
-
-    def __repr__(self) -> str:
-        return f"ChoiMatrix({self.dim_in}->{self.dim_out})"
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSystemBasis:
     """Orthonormal basis of the operator system span{A_k* A_j} of a minimal
@@ -168,16 +128,13 @@ class OperatorSystemBasis:
     block_shapes: tuple
 
 
-def partial_trace_output(j: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
-    """Trace the (leading) output factor out of a Choi matrix."""
-    return np.einsum("jajb->ab", j.reshape(dim_out, dim_in, dim_out, dim_in))
-
-
-def choi_of(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiMatrix:
-    """Choi matrix ``sum_k vec(A_k) vec(A_k)*`` of a Kraus channel."""
+def choi_of(phi: KrausChannel) -> np.ndarray:
+    """Choi matrix ``sum_k vec(A_k) vec(A_k)*`` of a Kraus channel, as a new
+    read-only array."""
     vecs = phi.stacked().reshape(len(phi.kraus), -1)
     j = np.einsum("ki,kj->ij", vecs, vecs.conj())
-    return ChoiMatrix(j, phi.dim_in, phi.dim_out, tol)
+    j.setflags(write=False)
+    return j
 
 
 def _kraus_from_spectrum(w, cols, dim_out: int, dim_in: int, tol: Tolerance, scale=None):
@@ -195,15 +152,30 @@ def _kraus_from_spectrum(w, cols, dim_out: int, dim_in: int, tol: Tolerance, sca
     return ops
 
 
-def minimal_kraus(j: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
-    """Minimal Kraus representation of a Choi matrix: the operators
-    ``unvec(sqrt(l) v)`` of its ``eigh``, counted, ordered and phase-fixed
-    by :func:`_kraus_from_spectrum` (|l| are the singular values of J, so
-    the count is ``numerical_rank(J)``, J being validated PSD); pairwise
-    Frobenius orthogonal."""
-    w, v = np.linalg.eigh(j.matrix)
+def kraus_from_choi(j, dim_in: int, dim_out: int,
+                    tol: Tolerance = DEFAULT_TOL) -> KrausChannel:
+    """Minimal Kraus channel of a Choi matrix J, refused unless finite,
+    (m n) square, Hermitian and PSD within ``tol`` and with partial trace
+    I_n over the output factor.  One ``eigh`` of J's Hermitian part decides
+    PSD and gives the operators ``unvec(sqrt(l) v)``, kept by the rule of
+    :func:`minimize_kraus` (:func:`_kraus_from_spectrum`): pairwise
+    Frobenius orthogonal, ``numerical_rank(J)`` of them."""
+    m = as_matrix(j, "Choi matrix")
+    if m.shape != (dim_in * dim_out, dim_in * dim_out):
+        raise ValidationError(
+            f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")
+    if not tol.is_hermitian(m):
+        raise ValidationError("Choi matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    if not tol.is_psd(w):
+        raise ValidationError(
+            f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
+    pt = np.einsum("jajb->ab", m.reshape(dim_out, dim_in, dim_out, dim_in))
+    if not tol.is_close(np.linalg.norm(pt - np.eye(dim_in)), dim_in):
+        raise ValidationError(
+            "partial trace over the output factor is not the identity")
     scale = np.sqrt(np.maximum(w, 0.0))
-    return KrausChannel(_kraus_from_spectrum(w, v, j.dim_out, j.dim_in, tol, scale), tol)
+    return KrausChannel(_kraus_from_spectrum(w, v, dim_out, dim_in, tol, scale), tol)
 
 
 def apply(phi: KrausChannel, x) -> np.ndarray:

@@ -47,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
-                       decomposition_from_isometry, rank_bounds, verify_decomposition)
+                       _require_unital_square, decomposition_from_isometry, rank_bounds,
+                       verify_decomposition)
 from .channels import KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
 from .linalg import _haar_stack, _phased_q
@@ -321,13 +322,16 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     """Search for an N x r isometry zeroing all conjugated diagonals of the
     traceless image of ``phi`` (a channel or its profile).
 
-    ``n_terms`` must be an integer (bool is refused) of at least the Choi
-    rank r.  ``status="found"`` requires the best objective to reach
-    ``OBJECTIVE_TOL`` and the decomposition read from the best isometry
-    (unitarity within ``UNITARITY_SLACK`` = 1e-6) to pass verification
-    (Choi residual within ``DECOMP_RESIDUAL`` = 1e-8); it is returned with
-    the isometry.  Restarts run in index-ordered lockstep blocks of at most
-    ``_BLOCK``; the next block starts only while nothing has succeeded.
+    A channel that is not square and unital has no mixed-unitary
+    decomposition and is refused with :class:`ValidationError`, as
+    :func:`murank_search` refuses it.  ``n_terms`` must be an integer (bool
+    is refused) of at least the Choi rank r.  ``status="found"`` requires
+    the best objective to reach ``OBJECTIVE_TOL`` and the decomposition read
+    from the best isometry (unitarity within ``UNITARITY_SLACK`` = 1e-6) to
+    pass verification (Choi residual within ``DECOMP_RESIDUAL`` = 1e-8); it
+    is returned with the isometry.  Restarts run in index-ordered lockstep
+    blocks of at most ``_BLOCK``; the next block starts only while nothing
+    has succeeded.
     The restart log holds each finished restart's final objective up to
     the first success; when the time budget runs out (checked before every
     round) it holds the longest index-ordered prefix of finished restarts.
@@ -335,6 +339,7 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     if isinstance(n_terms, bool) or not isinstance(n_terms, numbers.Integral):
         raise ValidationError(f"candidate size N must be an integer, got {n_terms!r}")
     profile = channel_profile(phi, tol)
+    _require_unital_square(profile.minimal, tol, "search_isometry")
     if n_terms < profile.r:
         raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
     basis = traceless_image_basis(profile, tol)

@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 import muchan.analysis
 import muchan.channels
 import muchan.constructive
-from muchan import (ChoiMatrix, KrausChannel, Tolerance, ValidationError, apply, choi_of,
+from muchan import (DEFAULT_TOL, KrausChannel, Tolerance, ValidationError, apply, choi_of,
                     channel_profile, complementary, dagger, dephasing_channel, direct_sum,
-                    frob_inner, haar_isometry, haar_unitary, identity_channel, minimal_kraus,
-                    minimize_kraus, numerical_rank, operator_system, schur_channel, vec)
-from muchan.channels import _block_svd, partial_trace_output
-from muchan.gallery import (corr_C4, gap_channel, mub_correlation, random_channel,
+                    frob_inner, haar_isometry, haar_unitary, identity_channel,
+                    kraus_from_choi, minimize_kraus, numerical_rank, operator_system,
+                    schur_channel, vec)
+from muchan.channels import _block_svd, _kraus_from_spectrum
+from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation, random_channel,
                             random_correlation, weyl_channel, wh_channels)
+from muchan.linalg import as_matrix
 
 
 def _eij(n, i, j):
@@ -58,7 +60,7 @@ def _own_toroidal():
 
 def _own_choi():
     m = np.eye(4, dtype=complex) / 2
-    return [m], lambda: ChoiMatrix(m, 2, 2), lambda c: np.ravel(c.matrix)
+    return [m], lambda: kraus_from_choi(m, 2, 2), lambda phi: np.ravel(phi.kraus)
 
 
 @pytest.mark.parametrize("make", [_own_kraus, _own_decomposition, _own_toroidal, _own_choi],
@@ -95,20 +97,21 @@ def test_stacked_is_one_read_only_array(make):
 def test_choi_identity_channel():
     j = choi_of(identity_channel(2))
     v = vec(np.eye(2))
-    assert np.linalg.norm(j.matrix - np.outer(v, v.conj())) <= 1e-14
-    assert j.rank() == 1
+    assert np.linalg.norm(j - np.outer(v, v.conj())) <= 1e-14
+    assert numerical_rank(j) == 1
+    assert not j.flags.writeable
 
 
 def test_choi_weyl3_rank():
-    assert choi_of(weyl_channel(3)).rank() == 3
+    assert numerical_rank(choi_of(weyl_channel(3))) == 3
 
 
 def test_choi_trace_and_psd_random():
     # trace oracle: Tr(J) = sum ||A_k||^2 = Tr(I_n) = n
     phi = random_channel(3, 3, 2, seed=5)
     j = choi_of(phi)
-    assert np.trace(j.matrix).real == pytest.approx(3.0, rel=1e-12)
-    assert np.min(np.linalg.eigvalsh(j.matrix)) >= -1e-12
+    assert np.trace(j).real == pytest.approx(3.0, rel=1e-12)
+    assert np.min(np.linalg.eigvalsh(j)) >= -1e-12
 
 
 def test_choi_independent_of_kraus_representation():
@@ -117,27 +120,27 @@ def test_choi_independent_of_kraus_representation():
     v = haar_isometry(5, 2, seed=3)
     padded = KrausChannel([sum(v[k, j] * phi.kraus[j] for j in range(2))
                            for k in range(5)])
-    assert np.linalg.norm(choi_of(phi).matrix - choi_of(padded).matrix) <= 1e-12
+    assert np.linalg.norm(choi_of(phi) - choi_of(padded)) <= 1e-12
 
 
 def test_choi_partial_trace_is_identity():
     phi = random_channel(3, 5, 4, seed=21)
     j = choi_of(phi)
-    pt = partial_trace_output(j.matrix, 5, 3)
+    pt = np.einsum("jajb->ab", j.reshape(5, 3, 5, 3))  # trace out the output factor
     assert np.linalg.norm(pt - np.eye(3)) <= 1e-12
 
 
 def test_choi_validation_rejects_non_psd():
     m = -np.eye(4, dtype=complex)
     with pytest.raises(ValidationError):
-        ChoiMatrix(m, 2, 2)
+        kraus_from_choi(m, 2, 2)
 
 
-# ------------------------------------------------------------ minimal_kraus
+# ---------------------------------------------------------- kraus_from_choi
 
 def test_minimal_kraus_dephasing():
     j = choi_of(dephasing_channel(2))
-    mk = minimal_kraus(j)
+    mk = kraus_from_choi(j, 2, 2)
     assert len(mk.kraus) == 2
     # spans {E_11, E_22}: every operator is diagonal
     for a in mk.kraus:
@@ -145,7 +148,7 @@ def test_minimal_kraus_dephasing():
 
 
 def test_minimal_kraus_weyl3_orthogonal():
-    mk = minimal_kraus(choi_of(weyl_channel(3)))
+    mk = kraus_from_choi(choi_of(weyl_channel(3)), 3, 3)
     assert len(mk.kraus) == 3
     for i in range(3):
         for j in range(i + 1, 3):
@@ -164,9 +167,9 @@ def test_minimal_kraus_removes_dependent_operator():
     # rank oracle on the stacked vec matrix
     stacked = np.array([vec(a) for a in phi.kraus])
     assert numerical_rank(stacked) == 4
-    mk = minimal_kraus(choi_of(phi))
+    mk = kraus_from_choi(choi_of(phi), 3, 3)
     assert len(mk.kraus) == 4
-    assert np.linalg.norm(choi_of(mk).matrix - choi_of(phi).matrix) <= 1e-10
+    assert np.linalg.norm(choi_of(mk) - choi_of(phi)) <= 1e-10
 
 
 def test_minimal_kraus_roundtrip_many():
@@ -177,9 +180,9 @@ def test_minimal_kraus_roundtrip_many():
         rmin = -(-n // m)  # ceil(n / m), needed for trace preservation
         r = int(rng.integers(rmin, max(rmin, min(n * m, 4)) + 1))
         phi = random_channel(n, m, r, seed=seed + 10_000)
-        j = choi_of(phi).matrix
-        mk = minimal_kraus(choi_of(phi))
-        assert np.linalg.norm(choi_of(mk).matrix - j) <= 1e-9 * max(1, np.linalg.norm(j))
+        j = choi_of(phi)
+        mk = kraus_from_choi(j, n, m)
+        assert np.linalg.norm(choi_of(mk) - j) <= 1e-9 * max(1, np.linalg.norm(j))
 
 
 @pytest.mark.parametrize("e, rank", [(1e-8, 2), (1.2e-9, 2), (0.8e-9, 1),
@@ -191,20 +194,89 @@ def test_minimality_decided_as_choi_rank(e, rank):
     z = np.diag([1.0, -1.0]).astype(complex)
     phi = KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z])
     assert len(minimize_kraus(phi).kraus) == rank
-    assert choi_of(phi).rank() == rank
+    assert numerical_rank(choi_of(phi)) == rank
     assert rank_bounds(phi).r == rank
 
 
 @pytest.mark.parametrize("e", [1e-8, 1.2e-9, 1e-9, 0.8e-9, 1e-12, 1e-16])
 def test_minimal_kraus_rank_is_numerical_rank(e):
-    # minimal_kraus counts the eigenvalue moduli of its own eigh against
+    # kraus_from_choi counts the eigenvalue moduli of its own eigh against
     # the cutoff; that is numerical_rank's singular-value rule.  eps_eq is
     # loosened only so that the list truncated at e = 1e-9, whose dropped
     # weight sits at the trace-preservation threshold, is accepted.
     tol = Tolerance(eps_rank=1e-9, eps_eq=1e-8)
     z = np.diag([1.0, -1.0]).astype(complex)
-    j = choi_of(KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z]), tol)
-    assert len(minimal_kraus(j, tol)) == numerical_rank(j.matrix, tol)
+    j = choi_of(KrausChannel([np.sqrt(1 - e) * np.eye(2), np.sqrt(e) * z]))
+    assert len(kraus_from_choi(j, 2, 2, tol)) == numerical_rank(j, tol)
+
+
+def _old_minimal_kraus(matrix, dim_in, dim_out, tol=DEFAULT_TOL):
+    """The reference: the former ChoiMatrix checks (eigvalsh for PSD) and
+    minimal_kraus (a second eigh, of J itself), verbatim."""
+    m = as_matrix(np.array(matrix, dtype=complex), "Choi matrix")
+    if m.shape != (dim_in * dim_out, dim_in * dim_out):
+        raise ValidationError(
+            f"Choi matrix must be {dim_in * dim_out} square, got {m.shape}")
+    if not tol.is_hermitian(m):
+        raise ValidationError("Choi matrix is not Hermitian within tolerance")
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+    if not tol.is_psd(w):
+        raise ValidationError(
+            f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
+    pt = np.einsum("jajb->ab", m.reshape(dim_out, dim_in, dim_out, dim_in))
+    if not tol.is_close(np.linalg.norm(pt - np.eye(dim_in)), dim_in):
+        raise ValidationError(
+            "partial trace over the output factor is not the identity")
+    w, v = np.linalg.eigh(m)
+    scale = np.sqrt(np.maximum(w, 0.0))
+    return KrausChannel(_kraus_from_spectrum(w, v, dim_out, dim_in, tol, scale), tol)
+
+
+def _oracle_channels():
+    yield from (weyl_channel(p) for p in (3, 5, 7))
+    yield gap_channel(3, 1)
+    for n in (2, 3, 4):
+        yield wh_channels(n).phi0
+        yield wh_channels(n).phi1
+    yield from (schur_channel(c) for c in (corr_B3(), corr_C4()))
+    yield dephasing_channel(2)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m = (int(x) for x in rng.integers(1, 7, size=2))
+        rmin = -(-n // m)  # ceil(n / m), needed for trace preservation
+        r = int(rng.integers(rmin, min(n * m, 6) + 1))
+        yield random_channel(n, m, r, seed=seed + 10_000)
+
+
+def test_kraus_from_choi_matches_old_minimal_kraus():
+    # one eigh of J's Hermitian part gives the old PSD decision and the old
+    # operators: choi_of's J is exactly Hermitian, so that eigh reads the
+    # same lower triangle as the old eigh of J
+    count = 0
+    for phi in _oracle_channels():
+        j = choi_of(phi)
+        got = kraus_from_choi(j, phi.dim_in, phi.dim_out)
+        want = _old_minimal_kraus(j, phi.dim_in, phi.dim_out)
+        assert got.stacked().tobytes() == want.stacked().tobytes()
+        assert len(got) == len(minimize_kraus(phi)) == numerical_rank(j)
+        count += 1
+    assert count == 13 + 200
+
+
+@pytest.mark.parametrize("matrix, dims", [
+    (np.eye(3) / 2, (2, 2)),                               # wrong shape
+    (np.where(np.eye(4) > 0, np.nan, 0.0), (2, 2)),        # not finite
+    (np.eye(4) / 2 + np.triu(np.ones((4, 4)), 1), (2, 2)),  # not Hermitian
+    (-np.eye(4, dtype=complex), (2, 2)),                   # not PSD
+    (np.eye(4), (2, 2)),                                   # partial trace 2 I
+    (choi_of(random_channel(2, 3, 2, seed=0)), (3, 2)),    # factors swapped
+], ids=["shape", "nan", "hermitian", "psd", "trace", "factor-order"])
+def test_kraus_from_choi_refuses_as_before(matrix, dims):
+    with pytest.raises(ValidationError) as old:
+        _old_minimal_kraus(matrix, *dims)
+    with pytest.raises(ValidationError) as new:
+        kraus_from_choi(matrix, *dims)
+    assert str(new.value) == str(old.value)
 
 
 # ------------------------------------------------------------------- apply
@@ -287,7 +359,7 @@ def test_complementary_is_cptp():
         psi = complementary(phi)
         assert psi.dim_out == 3
         j = choi_of(psi)
-        assert np.min(np.linalg.eigvalsh(j.matrix)) >= -1e-10
+        assert np.min(np.linalg.eigvalsh(j)) >= -1e-10
 
 
 def test_complementary_freedom_isometry_alignment():
@@ -515,7 +587,7 @@ def test_direct_sum_of_trivial_channels_is_dephasing():
     d = direct_sum(one, one)
     # oracle: evaluating on E_12 must zero the off-diagonal block
     assert np.linalg.norm(apply(d, _eij(2, 0, 1))) <= 1e-14
-    assert np.linalg.norm(choi_of(d).matrix - choi_of(dephasing_channel(2)).matrix) <= 1e-12
+    assert np.linalg.norm(choi_of(d) - choi_of(dephasing_channel(2))) <= 1e-12
 
 
 def test_direct_sum_has_no_minimal_option():
@@ -525,7 +597,7 @@ def test_direct_sum_has_no_minimal_option():
 
 def test_direct_sum_choi_rank_additive():
     d = direct_sum(weyl_channel(3), identity_channel(1))
-    assert choi_of(d).rank() == 4
+    assert numerical_rank(choi_of(d)) == 4
     # certified_gap_rank reads it as the size of the minimal Kraus list
     assert len(minimize_kraus(d)) == 4
 
@@ -567,7 +639,7 @@ def test_schur_identity_matrix_is_dephasing():
 
 
 def test_schur_c4_choi_rank():
-    assert choi_of(schur_channel(corr_C4())).rank() == 3
+    assert numerical_rank(choi_of(schur_channel(corr_C4()))) == 3
 
 
 def test_schur_action_is_entrywise_product():

@@ -752,6 +752,19 @@ def test_search_not_found_exits_3(tmp_path, capsys):
     assert obj["status"] == "not_found"
 
 
+def test_search_non_unital_exits_2(tmp_path, capsys):
+    # amplitude damping: trace-preserving, not unital, so no decomposition
+    # exists and search --N refuses it as search --scan does
+    p = tmp_path / "ad.json"
+    io.save(KrausChannel([np.array([[1, 0], [0, 0.8]]), np.array([[0, 0.6], [0, 0]])]),
+            str(p))
+    for mode, who in ((("--N", "2"), "search_isometry"), (("--scan",), "rank_bounds")):
+        code, obj = run_cli(capsys, "search", str(p), *mode, "--restarts", "2")
+        assert code == 2
+        assert obj["error"]["code"] == "invalid"
+        assert obj["error"]["message"].startswith(f"{who} requires a unital channel")
+
+
 def test_search_gap_at_six(tmp_path, capsys):
     p = tmp_path / "gap.json"
     code, _ = run_cli(capsys, "gen", "gap:3:1", "-o", str(p))

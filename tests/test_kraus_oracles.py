@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, NumericalError,
                     ValidationError, certified_gap_rank, channel_profile, choi_of,
                     complementary, dagger, decomposition_from_isometry, haar_isometry,
-                    haar_unitary, minimal_kraus, minimize_kraus, schur_channel,
+                    haar_unitary, kraus_from_choi, minimize_kraus, schur_channel,
                     traceless_image_basis, verify_decomposition, vec)
 from muchan.channels import _stack_defect
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, random_channel,
@@ -23,7 +23,7 @@ _SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def _old_residual(phi, d):
-    j = choi_of(phi).matrix
+    j = choi_of(phi)
     vecs = np.array([vec(u) for u in d.unitaries])
     jd = np.einsum("k,ki,kj->ij", d.probs, vecs, vecs.conj())
     return float(np.linalg.norm(j - jd) / np.linalg.norm(j))
@@ -80,9 +80,10 @@ def test_minimize_kraus_matches_choi_path(phi, extra, zeros, seed):
     ops = list(np.tensordot(v, phi.stacked(), axes=(1, 0)))
     ops += [np.zeros_like(ops[0])] * zeros
     listed = KrausChannel(ops)
-    got, want = minimize_kraus(listed), minimal_kraus(choi_of(listed))
+    got = minimize_kraus(listed)
+    want = kraus_from_choi(choi_of(listed), listed.dim_in, listed.dim_out)
     assert len(got) == len(want) == k
-    assert np.linalg.norm(choi_of(got).matrix - choi_of(want).matrix) <= 1e-12
+    assert np.linalg.norm(choi_of(got) - choi_of(want)) <= 1e-12
 
 
 # ------------------------------------------------------- verify_decomposition

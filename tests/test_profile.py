@@ -11,7 +11,7 @@ import muchan.linalg
 from muchan import (ChannelProfile, KrausChannel, SearchConfig, Tolerance,
                     ValidationError, certified_gap_rank, channel_profile,
                     choi_of, complementary, decompose_low_dim, murank_search,
-                    operator_system, rank_bounds, schur_equivalence_check,
+                    numerical_rank, operator_system, rank_bounds, schur_equivalence_check,
                     toroidal_decompose_small, uniqueness_certificate,
                     verify_decomposition)
 from muchan.gallery import corr_B3, gap_channel, random_unital_rank2, weyl_channel
@@ -35,7 +35,7 @@ def test_profile_minimizes_once(count_calls):
     p = channel_profile(phi)
     assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 0}
-    assert len(phi) == 6 and len(p.minimal) == p.r == 3 == choi_of(phi).rank()
+    assert len(phi) == 6 and len(p.minimal) == p.r == 3 == numerical_rank(choi_of(phi))
     assert p.s == 7
 
 
@@ -98,7 +98,9 @@ def test_certified_gap_rank_accepts_profile():
 
 # ------------------------------------------------------ per-call counts
 # Every Kraus-input path decides r with minimize_kraus (one Gram eigh) and
-# never builds a Choi matrix: choi_of and minimal_kraus are for Choi input.
+# never converts to or from a Choi matrix: choi_of and kraus_from_choi are
+# for Choi-matrix input and output, and kraus_from_choi's eigh follows the
+# same rule (_kraus_from_spectrum).
 # No decomposition path builds a complementary channel: the search reads its
 # traceless image off the profile's SVD, and the low-dimension path applies
 # Psi from the minimal list.  Every decomposition computed from a channel is
@@ -109,7 +111,7 @@ def _counters(count_calls):
             "system": count_calls(muchan.channels, "_operator_system"),
             "complementary": count_calls(muchan.channels, "complementary"),
             "choi": count_calls(muchan.channels, "choi_of"),
-            "choi_kraus": count_calls(muchan.channels, "minimal_kraus"),
+            "choi_kraus": count_calls(muchan.channels, "kraus_from_choi"),
             "reader": count_calls(muchan.analysis, "decomposition_from_isometry")}
 
 

@@ -8,7 +8,7 @@ from muchan import (KrausChannel, SearchConfig, ValidationError, dagger,
                     verify_decomposition)
 from muchan import search as search_mod
 from muchan import haar_isometry, schur_channel
-from muchan.gallery import corr_C4, gap_channel, weyl_channel
+from muchan.gallery import corr_C4, gap_channel, random_channel, weyl_channel
 from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _euclidean_gradient,
                            _objective, _run_block)
 
@@ -177,6 +177,23 @@ def test_search_refuses_non_integer_n(value):
     # as SearchConfig does: ValidationError, not a TypeError from numpy
     with pytest.raises(ValidationError, match="candidate size N must be an integer"):
         search_isometry(weyl_channel(3), value, SearchConfig(restarts=1))
+
+
+def _amplitude_damping():
+    return KrausChannel([np.array([[1, 0], [0, 0.8]]), np.array([[0, 0.6], [0, 0]])])
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: random_channel(2, 3, 2, seed=1), "square"), (_amplitude_damping, "unital")],
+    ids=["2->3", "amplitude-damping"])
+def test_search_refuses_what_the_scan_refuses(make, reason):
+    # no mixed-unitary decomposition exists, so no restart is spent: the
+    # same refusal murank_search makes through rank_bounds
+    phi = make()
+    with pytest.raises(ValidationError, match=f"search_isometry requires a {reason} channel"):
+        search_isometry(phi, 4, SearchConfig(restarts=1))
+    with pytest.raises(ValidationError, match=f"rank_bounds requires a {reason} channel"):
+        murank_search(phi, SearchConfig(restarts=1))
 
 
 def test_search_n_below_true_rank_not_found():

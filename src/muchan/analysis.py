@@ -7,6 +7,7 @@ a channel or its :class:`~muchan.channels.ChannelProfile`.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -240,8 +241,10 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
     ``d`` was validated under).  The difference
     is the signed product ``H^T diag(1, .., 1, -p_1, .., -p_N) conj(H)`` of
     the rows H = [vec A_i; vec U_k], so equal terms cancel exactly, formed
-    in row chunks of ``_CHUNK_BYTES``; ||J(phi)|| is the Frobenius norm of
-    the Kraus rows' Gram matrix.  No Choi matrix is built.
+    in row chunks of ``_CHUNK_BYTES`` over the columns where H is nonzero
+    (exact ``!= 0``: the rest of the product is exactly 0); ||J(phi)|| is
+    the Frobenius norm of the Kraus rows' Gram matrix.  No Choi matrix is
+    built.
     """
     if d.dim != phi.dim_in or phi.dim_in != phi.dim_out:
         raise ValidationError(
@@ -249,6 +252,7 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
             f"decomposition dim {d.dim}")
     ka = phi.stacked().reshape(len(phi.kraus), -1)
     h = np.concatenate([ka, d.stacked().reshape(d.n_terms, -1)])
+    h = h[:, h.any(axis=0)]
     w = np.concatenate([np.ones(len(ka)), -d.probs])
     rhs = w[:, None] * h.conj()
     step = max(1, _CHUNK_BYTES // (16 * h.shape[1]))
@@ -375,8 +379,8 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     to a factor sqrt(1 + m^2 / ||J_phi||^2), and the base decomposition is
     returned as a certificate too.
     """
-    if m < 1:
-        raise ValidationError("block dimension m must be a positive integer")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValidationError(f"block dimension m must be a positive integer, got {m!r}")
     profile = channel_profile(phi, tol)
     _require_unital_square(profile.minimal, tol, "certified_gap_rank")
     r = profile.r
@@ -483,8 +487,9 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     ``U Phi(V D V*) U* = D`` for every diagonal D are constructed: V is the
     eigenbasis of one Hermitian combination of the family, with
     standard-normal coefficients from a generator seeded with 0 (one
-    ``eigh``, :func:`_joint_eigenbasis`), and U aligns the rank-one images
-    Phi(V E_kk V*).  A witness that misses its residual bound,
+    ``eigh``, :func:`_joint_eigenbasis`), and U* is the eigenbasis of
+    sum_k k Phi(V E_kk V*) = U* diag(0, .., n-1) U (a second ``eigh``, whose
+    ascending order is k's).  A witness that misses its residual bound,
     max(100 eps_eq n, ``_SCHUR_WITNESS_FLOOR``), raises
     :class:`NumericalError` rather than being silently accepted; this is
     also what catches a V that does not diagonalize the family.
@@ -504,13 +509,7 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     v = _joint_eigenbasis(_hermitian_parts(basis))
     units = [np.diag(e) for e in np.eye(n, dtype=complex)]
     images = [apply(phi, v @ d @ dagger(v)) for d in units]
-    ws = []
-    for image in images:
-        w = np.linalg.eigh(image)[1][:, -1]
-        i0 = int(np.argmax(np.abs(w)))
-        ws.append(np.conj(w * (np.conj(w[i0]) / abs(w[i0]))))
-    uu, _, vvh = np.linalg.svd(np.array(ws))
-    u = uu @ vvh
+    u = dagger(np.linalg.eigh(sum(k * image for k, image in enumerate(images)))[1])
     resid = max(float(np.linalg.norm(u @ image @ dagger(u) - d))
                 for image, d in zip(images, units))
     if resid > max(100 * tol.eps_eq * n, _SCHUR_WITNESS_FLOOR):

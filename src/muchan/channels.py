@@ -267,12 +267,12 @@ def _block_svd(rows: np.ndarray):
     an edge at each nonzero entry, so this factors the very same matrix.
     Returns (U, S, Vh, shapes) as ``svd(rows, full_matrices=False)`` would,
     except that a right vector of a zero S may be zero; ``shapes`` is the
-    sorted (rows, columns) of each block.  One block over every row and
-    column is that one ``svd`` call.  Otherwise the blocks of each shape
-    are factored by one batched ``svd``, full U only where a block has more
+    sorted (rows, columns) of each block.  The blocks of each shape are
+    factored by one batched ``svd``, full U only where a block has more
     rows than columns (its left null space), and an all-zero row gives
     S = 0 and a unit left vector.  S is descending, ties in a fixed order:
-    blocks by shape, then by least column index; zero rows last."""
+    blocks by shape, then by least column index; zero rows last.  Dense
+    rows are one block and give the bytes of that one ``svd`` call."""
     n_rows, n_cols = rows.shape
     nz = rows != 0
     # each row and column takes the least column index of its block (a
@@ -285,8 +285,6 @@ def _block_svd(rows: np.ndarray):
         if (new == row).all():
             break
         row = new
-    if not row.any() and not col.any():
-        return (*np.linalg.svd(rows, full_matrices=False), ((n_rows, n_cols),))
     # slots: rows sorted by block shape, then by label, zero rows last
     r_cnt = np.bincount(row, minlength=n_cols + 1)
     c_cnt = np.bincount(col, minlength=n_cols + 1)

@@ -8,6 +8,7 @@ decompositions, and seeded random fixture generators.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -61,7 +62,7 @@ def weyl_channel(p: int) -> KrausChannel:
     Choi rank and mixed-unitary rank are both p, the operator system has
     dimension p^2 - p + 1, and the decomposition is unique.
     """
-    if p % 2 == 0 or not _is_prime(p):
+    if not _is_prime(p) or p % 2 == 0:
         raise ValidationError(f"p must be an odd prime, got {p}")
     u, v = weyl_generators(p)
     ops = []
@@ -74,8 +75,8 @@ def weyl_channel(p: int) -> KrausChannel:
 def gap_channel(p: int, m: int) -> KrausChannel:
     """weyl_channel(p) (+) identity on M_m: Choi rank p+1, mixed-unitary
     rank 2p."""
-    if m < 1:
-        raise ValidationError("m must be a positive integer")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValidationError(f"m must be a positive integer, got {m!r}")
     return direct_sum(weyl_channel(p), identity_channel(m))
 
 

@@ -51,10 +51,6 @@ def _from_pairs(lit, ndim: int) -> Optional[np.ndarray]:
         return None
 
 
-def _bad(msg: str, path: Optional[str] = None) -> FileFormatError:
-    return FileFormatError(msg, path)
-
-
 def _number(x) -> float:
     if type(x) not in (int, float):  # type(), not isinstance(): a bool is refused
         raise TypeError(f"{x!r} is not a number")
@@ -73,22 +69,21 @@ def _check_dims(obj: dict, path: Optional[str], **dims):
     for key, want in dims.items():
         got = obj.get(key)
         if type(got) is not int or got != want:
-            raise _bad(f"declared {key} {got!r} disagrees with the contents ({want})", path)
+            raise FileFormatError(
+                f"declared {key} {got!r} disagrees with the contents ({want})", path)
 
 
 def matrix_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     if not isinstance(lit, list) or not lit:
-        raise _bad("matrix literal must be a nonempty list of rows", path)
+        raise FileFormatError("matrix literal must be a nonempty list of rows", path)
     m = _from_pairs(lit, 2)
     if m is not None:
         return m
     try:
-        m = np.array([[_entry(e) for e in row] for row in lit], dtype=complex)
+        # ragged rows raise here: numpy >= 2 refuses an inhomogeneous shape
+        return np.array([[_entry(e) for e in row] for row in lit], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _bad(f"malformed matrix literal: {exc}", path) from exc
-    if m.ndim != 2:
-        raise _bad("matrix literal rows have inconsistent lengths", path)
-    return m
+        raise FileFormatError(f"malformed matrix literal: {exc}", path) from exc
 
 
 def vector_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
@@ -98,7 +93,7 @@ def vector_from_literal(lit, path: Optional[str] = None) -> np.ndarray:
     try:
         return np.array([_entry(e) for e in lit], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _bad(f"malformed vector literal: {exc}", path) from exc
+        raise FileFormatError(f"malformed vector literal: {exc}", path) from exc
 
 
 def channel_to_obj(phi: KrausChannel) -> dict:
@@ -115,7 +110,7 @@ def channel_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
                      path: Optional[str] = None) -> KrausChannel:
     lits = obj.get("operators")
     if not isinstance(lits, list) or not lits:
-        raise _bad("channel file's operators must be a nonempty list", path)
+        raise FileFormatError("channel file's operators must be a nonempty list", path)
     ops = _from_pairs(lits, 3)
     if ops is None:
         ops = [matrix_from_literal(o, path) for o in lits]
@@ -181,7 +176,7 @@ def _terms_from_obj(obj: dict, key: str, ndim: int, read, cls, tol: Tolerance,
         if terms is None:
             terms = [read(t, path) for t in obj[key]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _bad(f"malformed {cls.__name__}: {exc}", path) from exc
+        raise FileFormatError(f"malformed {cls.__name__}: {exc}", path) from exc
     d = cls(probs, terms, tol)
     _check_dims(obj, path, dim=d.dim)
     return d
@@ -216,11 +211,11 @@ def load(path: str, tol: Tolerance = DEFAULT_TOL):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise _bad(f"cannot read file: {exc}", path) from exc
+        raise FileFormatError(f"cannot read file: {exc}", path) from exc
     except (ValueError, RecursionError) as exc:  # also non-UTF-8, huge ints, deep nesting
-        raise _bad(f"not valid JSON: {exc}", path) from exc
+        raise FileFormatError(f"not valid JSON: {exc}", path) from exc
     if not isinstance(obj, dict) or obj.get("format") != FORMAT:
-        raise _bad(f"missing or unsupported format version "
+        raise FileFormatError(f"missing or unsupported format version "
                    f"(expected {FORMAT!r})", path)
     kind = obj.get("kind")
     if kind == "kraus":
@@ -233,13 +228,13 @@ def load(path: str, tol: Tolerance = DEFAULT_TOL):
         m = matrix_from_literal(obj.get("matrix"), path)
         _check_dims(obj, path, dim=m.shape[0])
         return kind, m
-    raise _bad(f"unknown kind {kind!r}", path)
+    raise FileFormatError(f"unknown kind {kind!r}", path)
 
 
 def _load_kind(path: str, tol: Tolerance, what: str, kinds: tuple):
     kind, obj = load(path, tol)
     if kind not in kinds:
-        raise _bad(f"expected a {what} file, found kind {kind!r}", path)
+        raise FileFormatError(f"expected a {what} file, found kind {kind!r}", path)
     return obj
 
 

@@ -69,7 +69,6 @@ ARMIJO_C1 = 1e-4
 OBJECTIVE_TOL = 1e-16
 STALL_PATIENCE = 30
 STALL_REL = 1e-9
-_STALL_SCALE_FLOOR = 1e-300  # the stall test is relative to max(f, this): positive at f = 0
 POLISH_TOL = 1e-28
 GRAD_FLOOR = 1e-30
 MAX_BACKTRACKS = 40
@@ -305,7 +304,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         fn, dn = _objective(trial, bf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
         delta_new, g2_new = _descent_direction(trial, bf, dn)
-        stalled = f - fn <= STALL_REL * np.maximum(f, _STALL_SCALE_FLOOR)
+        stalled = f - fn <= STALL_REL * f  # live rows only: f > target > 0
         stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
         iters = iters + acc
         tau = np.where(acc, _bb_step(trial - v, delta_new - delta, iters), tau * ARMIJO_BETA)

@@ -71,6 +71,14 @@ def test_verify_identity_trivial():
     assert res.ok and res.choi_residual == 0.0
 
 
+def test_verify_counts_columns_where_only_the_decomposition_is_nonzero():
+    # vec X = (0, 1, 1, 0) and vec I = (1, 0, 0, 1) share no column, so the
+    # difference J - vec X vec X* has 8 unit entries: sqrt(8) / ||J|| = sqrt(2)
+    d = MixedUnitaryDecomposition([1.0], [np.array([[0, 1], [1, 0]])])
+    res = verify_decomposition(identity_channel(2), d)
+    assert not res.ok and res.choi_residual == np.sqrt(2)
+
+
 def test_verify_rejects_contraction():
     # built under a loose tolerance, the 0.99 I term fails the default one:
     # verify re-checks the decomposition's invariants under its own tol
@@ -112,10 +120,16 @@ def _mub5_base():
     return phi, certified_gap_rank(phi, 1).base_decomposition
 
 
+def _weyl13_base():
+    return weyl_channel(13), certified_gap_rank(weyl_channel(13), 1).base_decomposition
+
+
+# chunk counts at the default budget, over the columns where H is nonzero
 _CHUNK_FIXTURES = {
-    "wh_sym3": lambda: (wh_channels(3).phi0, wh_sym3_decomposition()),  # n = 3
-    "weyl11_gap": _weyl11_gap,  # n = 12: 2 chunks at the default budget
-    "mub5_base": _mub5_base,  # n = 25: 25 chunks at the default budget
+    "wh_sym3": lambda: (wh_channels(3).phi0, wh_sym3_decomposition()),  # 9 columns: 1 chunk
+    "weyl11_gap": _weyl11_gap,  # 122 of 144 columns: 1 chunk
+    "weyl13_base": _weyl13_base,  # 169 columns: 2 chunks
+    "mub5_base": _mub5_base,  # a Schur channel's 25 of 625 columns: 1 chunk
 }
 
 
@@ -239,6 +253,17 @@ def test_certified_gap_rank_refuses_unitary():
 def test_certified_gap_rank_refuses_without_certificate():
     with pytest.raises(ValidationError):
         certified_gap_rank(dephasing_channel(4), 1)
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, True, "2"])
+def test_certified_gap_rank_refuses_a_block_size_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValidationError, match="m must be a positive integer, got"):
+        certified_gap_rank(weyl_channel(3), m)
+
+
+def test_certified_gap_rank_takes_a_numpy_integer_block_size():
+    cert = certified_gap_rank(weyl_channel(3), np.int64(2))
+    assert (cert.choi_rank, cert.mu_rank) == (4, 6)
 
 
 def test_certified_gap_rank_mub2():

@@ -494,8 +494,10 @@ _SYSTEM_FIXTURES = {
     "corr3x3rank3": lambda: schur_channel(random_correlation(3, 3, seed=5)),
     "random": lambda: random_channel(3, 3, 3, seed=11),
     "haar-weyl:5": lambda: _conjugated(weyl_channel(5), haar_unitary(5, seed=3)),
+    # r = 4 > n = 3: 16 dense rows on 9 columns, one block taller than wide
+    "random-tall": lambda: random_channel(3, 3, 4, seed=7),
 }
-_DENSE_FIXTURES = ("random", "haar-weyl:5")
+_DENSE_FIXTURES = ("random", "haar-weyl:5", "random-tall")
 
 
 def _system_rows(phi):
@@ -655,3 +657,7 @@ def test_schur_rejects_bad_inputs():
         schur_channel(np.diag([1.0, 2.0]))        # non-unit diagonal
     with pytest.raises(ValidationError):
         schur_channel(np.array([[1, 2], [2, 1]], dtype=complex))  # not PSD
+    with pytest.raises(ValidationError, match="must be square"):
+        schur_channel(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="must be Hermitian"):
+        schur_channel(np.array([[1, 0.5], [0, 1]], dtype=complex))

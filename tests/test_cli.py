@@ -382,6 +382,28 @@ def test_gen_unknown_name(capsys):
     assert obj["error"]["code"] == "invalid"
 
 
+@pytest.mark.parametrize("name, message", [
+    ("gap:3:x", "non-integer parameter in gallery name 'gap:3:x'"),
+    ("gap:3:0", "m must be a positive integer, got 0"),
+])
+def test_gen_bad_parameter(name, message, capsys):
+    code, obj = run_cli(capsys, "gen", name)
+    assert code == 2
+    assert obj["error"] == {"code": "invalid", "message": message, "path": None}
+
+
+def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(*_):
+        raise muchan.NumericalError("forced")
+
+    p = tmp_path / "w.json"
+    io.save(weyl_channel(3), str(p))
+    monkeypatch.setattr(muchan.cli, "rank_bounds", fail)
+    code, obj = run_cli(capsys, "analyze", str(p))
+    assert code == 4
+    assert obj["error"] == {"code": "numerical", "message": "forced", "path": None}
+
+
 def test_gen_all_stable_names(tmp_path, capsys):
     names = ["weyl:3", "gap:3:1", "wh0:5", "wh1:6", "mubcorr:3", "corrB3",
              "corrC4", "ctensor2", "wh0sym3", "wh0even:4", "wh0odd:3",

@@ -40,7 +40,7 @@ def test_weyl_operator_system_dimensions():
 
 
 def test_weyl_rejects_bad_p():
-    for bad in (1, 2, 4, 6, 9):
+    for bad in (1, 2, 4, 6, 9, 3.0, "3"):
         with pytest.raises(ValidationError):
             weyl_channel(bad)
 
@@ -83,6 +83,17 @@ def test_weyl_operator_system_separation():
 def test_gap_channel_choi_rank():
     assert numerical_rank(choi_of(gap_channel(3, 1))) == 4
     assert numerical_rank(choi_of(gap_channel(5, 1))) == 6
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, True, "2"])
+def test_gap_channel_refuses_a_block_size_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValidationError, match="m must be a positive integer, got"):
+        gap_channel(3, m)
+
+
+def test_gap_channel_takes_a_numpy_integer_block_size():
+    phi = gap_channel(3, np.int64(2))
+    assert (phi.dim_in, len(phi)) == (5, 4)
 
 
 # ---------------------------------------------------------- correlations
@@ -148,9 +159,11 @@ def test_mub_rejects_composite():
         mub_family(4)
     with pytest.raises(ValidationError):
         mub_correlation(6)
+    with pytest.raises(ValidationError):
+        mub_correlation(3.0)
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
 def test_mub_gap_certificate(d, count_calls):
     # the paper's headline ranks (d + 1, 2d), on C^(d^2), in closed form
     calls = [count_calls(muchan.search, "search_isometry"),

@@ -625,6 +625,18 @@ def test_murank_weyl3_starts_at_certified_rank():
     assert len(rep.results) == 1  # the scan started at the certified value
 
 
+def test_murank_scan_that_finds_nothing():
+    # one iteration per size finds nothing: every N from r = 4 to the bound 9
+    # is tried once, and the report carries no size and no decomposition
+    rep = murank_search(gap_channel(3, 1), SearchConfig(restarts=1, max_iters=1))
+    assert rep.n_found is None and rep.decomposition is None
+    assert (rep.bounds.lower, rep.bounds.upper) == (4, 9)
+    assert [res.n_terms for res in rep.results] == list(range(4, 10))
+    for res in rep.results:
+        assert res.status == "not_found" and res.decomposition is None
+        assert [rec.stop for rec in res.restart_trace] == ["max_iters"]
+
+
 def test_murank_symmetric_werner_holevo_n3():
     from muchan.gallery import wh_channels
     phi0 = wh_channels(3).phi0

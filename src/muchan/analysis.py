@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (ChannelProfile, KrausChannel, apply, channel_profile,
+from .channels import (ChannelProfile, KrausChannel, channel_profile,
                        direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix_stack, dagger, dirsum, frob_inner, unitarity_defect
@@ -457,6 +457,18 @@ def _hermitian_parts(mats) -> list:
     return list(parts[np.linalg.norm(parts, axis=(1, 2)) > _HERMITIAN_PART_FLOOR])
 
 
+def _hermitian_basis(mats, k: int):
+    """The k leading orthonormal Hermitian directions spanned by the Hermitian
+    parts of ``mats`` (m, n, n), as (k, n, n), and all singular values of the
+    parts: one real SVD of the parts as rows [Re vec; Im vec], whose leading
+    right singular vectors are real combinations of Hermitian rows."""
+    n = np.shape(mats)[-1]
+    parts = np.reshape(_hermitian_parts(mats), (-1, n * n))
+    _, sv, vh = np.linalg.svd(np.concatenate([parts.real, parts.imag], axis=1),
+                              full_matrices=False)
+    return (vh[:k, :n * n] + 1j * vh[:k, n * n:]).reshape(k, n, n), sv
+
+
 def _max_commutator(basis) -> float:
     """Largest Frobenius norm of B_i T - T B_i over ``basis``, for the one
     element T = sum_i c_i B_i / ||c|| with c standard normal from a
@@ -474,6 +486,15 @@ def _max_commutator(basis) -> float:
     return float(np.linalg.norm(b @ t - t @ b, axis=(1, 2)).max())
 
 
+def _diagonal_images(phi: KrausChannel, v: np.ndarray) -> np.ndarray:
+    """Phi(V E_kk V*) for k = 0..n-1 as an (n, n, n) stack, from rank-one
+    terms: Phi(v_k v_k*) = sum_j (A_j v_k)(A_j v_k)* with v_k column k of V.
+    One stacked product A_j V and one batched product make all n images in
+    O(r n^3), the cost of one dense ``apply``."""
+    w = (phi.stacked() @ v).transpose(2, 1, 0)
+    return w @ np.conj(w.transpose(0, 2, 1))
+
+
 def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
                             *, witnesses: bool = True) -> SchurEquivalence:
     """Decide whether the channel is unitarily equivalent to a Schur map.
@@ -489,7 +510,8 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
     standard-normal coefficients from a generator seeded with 0 (one
     ``eigh``, :func:`_joint_eigenbasis`), and U* is the eigenbasis of
     sum_k k Phi(V E_kk V*) = U* diag(0, .., n-1) U (a second ``eigh``, whose
-    ascending order is k's).  A witness that misses its residual bound,
+    ascending order is k's; the images come from rank-one terms,
+    :func:`_diagonal_images`).  A witness that misses its residual bound,
     max(100 eps_eq n, ``_SCHUR_WITNESS_FLOOR``), raises
     :class:`NumericalError` rather than being silently accepted; this is
     also what catches a V that does not diagonalize the family.
@@ -507,11 +529,13 @@ def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,
         return SchurEquivalence(equivalent=True, witnesses=None,
                                 max_commutator=max_comm)
     v = _joint_eigenbasis(_hermitian_parts(basis))
-    units = [np.diag(e) for e in np.eye(n, dtype=complex)]
-    images = [apply(phi, v @ d @ dagger(v)) for d in units]
-    u = dagger(np.linalg.eigh(sum(k * image for k, image in enumerate(images)))[1])
-    resid = max(float(np.linalg.norm(u @ image @ dagger(u) - d))
-                for image, d in zip(images, units))
+    images = _diagonal_images(phi, v)
+    u = dagger(np.linalg.eigh(np.tensordot(np.arange(n), images, 1))[1])
+    resid = 0.0
+    for k, image in enumerate(images):  # one n x n product at a time: O(n^2) memory
+        dev = u @ image @ dagger(u)
+        dev[k, k] -= 1  # U Phi(V E_kk V*) U* - E_kk
+        resid = max(resid, float(np.linalg.norm(dev)))
     if resid > max(100 * tol.eps_eq * n, _SCHUR_WITNESS_FLOOR):
         raise NumericalError(
             f"Schur-equivalence witnesses missed tolerance: residual {resid:.3e} "

@@ -46,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict):
-    print(json.dumps(obj, sort_keys=True))
+    # every command builds a fresh dict: no cycle to check
+    print(json.dumps(obj, sort_keys=True, check_circular=False))
 
 
 def _tol(args) -> Tolerance:

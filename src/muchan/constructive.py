@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .analysis import (MixedUnitaryDecomposition, _fill, _hermitian_parts,
+from .analysis import (MixedUnitaryDecomposition, _fill, _hermitian_basis,
                        _require_unital_square, decomposition_from_isometry)
 from .channels import KrausChannel, _conjugation_sum, channel_profile, schur_channel
 from .exceptions import NumericalError, ValidationError
@@ -178,21 +178,6 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return u
 
 
-def _traceless_hermitian_directions(basis, k: int) -> np.ndarray:
-    """The k leading orthonormal traceless Hermitian directions of an
-    operator-system basis (k = s - 1 spans them with the identity), as a
-    (k, n, n) array: the Hermitian parts of the basis with its trace
-    removed, embedded isometrically as real rows [Re vec; Im vec], whose
-    principal right singular vectors stay Hermitian."""
-    b = np.asarray(basis)
-    n = b.shape[-1]
-    c = b - (np.trace(b, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    parts = np.reshape(_hermitian_parts(c), (-1, n * n))
-    vh = np.linalg.svd(np.concatenate([parts.real, parts.imag], axis=1),
-                       full_matrices=False)[2]
-    return (vh[:k, :n * n] + 1j * vh[:k, n * n:]).reshape(k, n, n)
-
-
 def decompose_low_dim(phi: KrausChannel,
                       tol: Tolerance = DEFAULT_TOL) -> MixedUnitaryDecomposition:
     """Mixed-unitary decomposition with N = Choi rank, for s <= 3.
@@ -215,7 +200,9 @@ def decompose_low_dim(phi: KrausChannel,
     if profile.s > 3:
         raise ValidationError(
             f"refusal: operator system has dimension {profile.s} > 3")
-    dirs = _traceless_hermitian_directions(profile.system.basis, profile.s - 1)
+    b, n = np.asarray(profile.system.basis), phi.dim_in
+    traceless = b - (np.trace(b, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    dirs = _hermitian_basis(traceless, profile.s - 1)[0]
     psi_kraus = phi.stacked().transpose(1, 0, 2)
     zmat = np.zeros((r, r), dtype=complex)
     for coeff, h in zip((1, 1j), dirs):

@@ -195,7 +195,9 @@ def to_obj(thing) -> dict:
 
 
 def dumps(thing) -> str:
-    return json.dumps(to_obj(thing), sort_keys=True)
+    """The muchan/1 JSON text of ``thing``: :func:`to_obj` builds fresh dicts
+    and lists, so the encoder's cycle check is skipped."""
+    return json.dumps(to_obj(thing), sort_keys=True, check_circular=False)
 
 
 def save(thing, path: str):

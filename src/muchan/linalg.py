@@ -145,10 +145,10 @@ def _phased_q(a: np.ndarray) -> np.ndarray:
                      under="ignore"):
         tau = _umath_linalg.qr_r_raw(a, signature="D->D")
         q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
-    ph = np.diagonal(a, axis1=-2, axis2=-1)
-    mag = np.abs(ph)
-    ph = np.divide(ph, mag, out=np.ones_like(ph), where=mag > 0)
-    return q * ph[..., None, :]
+    ph = a.diagonal(0, -2, -1)
+    mag = abs(ph)
+    q *= np.divide(ph, mag, out=np.ones_like(ph), where=mag > 0)[..., None, :]
+    return q
 
 
 def _qr_failed(err, flag):

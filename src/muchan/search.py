@@ -4,18 +4,27 @@ A channel with Choi rank r and complementary channel Psi is mixed unitary
 with at most N terms iff some isometry V (N x r) makes V Psi(X) V* have
 vanishing diagonal for every traceless X.  The search minimizes
 
-    f(V) = sum_k sum_j |(V B_k V*)(j, j)|^2
+    f(V) = sum_k sum_j (V H_k V*)(j, j)^2
 
-over the Stiefel manifold {V : V* V = I_r}, where B_1..B_{s-1} is an
-orthonormal basis of the image of the traceless subspace under Psi, read
-off the profile's SVD, by Riemannian gradient descent (Wirtinger
-gradient, tangent projection, QR retraction) from Haar-random starts;
-the diagonals of all V B_k V* are one product of the rows vec(v_j v_j*)
-with the flattened basis.  The first trial step after each accepted step
-is the alternating Barzilai-Borwein step (Barzilai & Borwein, IMA J.
-Numer. Anal. 8 (1988) 141; on the Stiefel manifold, Wen & Yin, Math.
-Program. 142 (2013) 397), and a monotone Armijo test with backtracking
-guards it, so f never increases.  A restart gives up once
+over the Stiefel manifold {V : V* V = I_r}, where H_1..H_{s-1} is an
+orthonormal basis of Hermitian matrices of the image of the traceless
+subspace under Psi, by Riemannian gradient descent (Wirtinger gradient,
+tangent projection, QR retraction) from Haar-random starts.  Psi is
+completely positive, so Psi(X)* = Psi(X*): the image is closed under
+adjoints and has such a basis, read off the profile's SVD with one small
+real SVD more.  On it every diagonal entry d_jk = v_j^T H_k conj(v_j) is
+real, so the diagonals are one real product of the rows conj(v_j) v_j^T
+(as floats) with the basis as float rows, and the Euclidean gradient
+4 v_j^T C_j, with the Hermitian C_j = sum_k d_jk H_k, is one more real
+product and a batched matvec.  Every product is made per matrix of the
+stack, never over the flattened rows of several restarts, whose BLAS
+blocking (and so rounding) depends on the row count.
+
+The first trial step after each accepted step is the alternating
+Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988)
+141; on the Stiefel manifold, Wen & Yin, Math. Program. 142 (2013) 397),
+and a monotone Armijo test with backtracking guards it, so f never
+increases.  A restart gives up once
 f - tau |grad f|^2 rounds to f: no smaller step can show a decrease.
 
 The restarts of one search run in lockstep along a leading batch axis:
@@ -46,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (MixedUnitaryDecomposition, RankBoundsReport,
+from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _hermitian_basis,
                        _require_unital_square, decomposition_from_isometry, rank_bounds,
                        verify_decomposition)
 from .channels import KrausChannel, channel_profile
@@ -165,24 +174,37 @@ class MurankReport:
 
 
 def traceless_image_basis(phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {Psi(X) : Tr X = 0}, Psi the complementary
-    channel of ``phi`` (a channel or its profile), as an (s - 1, r, r) array.
+    """Orthonormal basis of Hermitian matrices spanning {Psi(X) : Tr X = 0},
+    Psi the complementary channel of ``phi`` (a channel or its profile), as
+    an (s - 1, r, r) array.
 
     From the profile's SVD R = U S Vh of the rows conj(vec(A_k* A_j)),
     vec Psi(X) = conj(R) vec(X^T) = conj(U_s) z with z_i = sigma_i Tr(B_i X)
     for the operator-system basis B_i.  The identity lies in their span, so
     X is traceless iff z is orthogonal to d_i = Tr(B_i) / sigma_i: the image
-    is conj(U_s) times columns 1..s-1 of the QR of [d, I_s].  An element's
-    |Tr| above max(eps_eq, ``_TRACELESS_FLOOR``) raises NumericalError.
+    is spanned by conj(U_s) times columns 1..s-1 of the QR of [d, I_s].
+    Psi is completely positive, so Psi(X)* = Psi(X*) and the image is closed
+    under adjoints: the Hermitian parts of that orthonormal basis span its
+    Hermitian elements, a real space of dimension s - 1, and one small real
+    SVD of the parts (``analysis._hermitian_basis``) gives an orthonormal
+    basis of it, which spans the image over the complex numbers.  On that
+    basis every conjugated diagonal the search reads is real.  An element's
+    |Tr|, or the s-th singular value of the parts (the distance of the span
+    from adjoint closure), above max(eps_eq, ``_TRACELESS_FLOOR``) raises
+    NumericalError.
     """
     profile = channel_profile(phi, tol)
     system, r, s = profile.system, profile.r, profile.s
     d = np.trace(np.array(system.basis), axis1=1, axis2=2) / system.singular[:s]
     q = np.linalg.qr(np.column_stack([d, np.eye(s)]))[0][:, 1:]
-    basis = (q.T @ system.left[:, :s].T.conj()).reshape(s - 1, r, r)
+    basis, sv = _hermitian_basis((q.T @ system.left[:, :s].T.conj()).reshape(s - 1, r, r),
+                                 s - 1)
+    bound = max(tol.eps_eq, _TRACELESS_FLOOR)
     worst = np.abs(np.trace(basis, axis1=1, axis2=2)).max(initial=0.0)
-    if worst > max(tol.eps_eq, _TRACELESS_FLOOR):
+    if worst > bound:
         raise NumericalError(f"image basis not traceless: |Tr| = {worst:.3e}")
+    if sv[s - 1:].max(initial=0.0) > bound:
+        raise NumericalError(f"image not closed under adjoints: {sv[s - 1]:.3e}")
     return basis
 
 
@@ -191,28 +213,48 @@ def _h(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _objective(v: np.ndarray, bf: np.ndarray):
-    """f and d[..., j, k] = (V B_k V*)(j, j) = vec(v_j v_j*) . vec(B_k) for V
-    of shape (..., N, r) with rows v_j; ``bf`` is the basis as (m, r*r).
-    The rows of the whole stack make one flat product with ``bf``."""
-    w = (v[..., :, None] * v.conj()[..., None, :]).reshape(v.size // v.shape[-1], -1)
-    d = (w @ bf.T).reshape(*v.shape[:-1], len(bf))
-    return np.add.reduce(np.abs(d) ** 2, axis=(-2, -1)), d
+def _float_rows(basis: np.ndarray) -> np.ndarray:
+    """The basis H_1..H_m as real rows (m, 2 r^2): vec(H_k) with real and
+    imaginary parts interleaved, the layout of a complex array's float view."""
+    m, r = len(basis), basis.shape[-1]
+    return np.ascontiguousarray(basis, dtype=complex).reshape(m, r * r).view(float)
 
 
-def _euclidean_gradient(v, bf, d):
-    """g_j = 2 v_j^T (C_j + C_j*) with C_j = unvec(conj(d_j) @ bf), any basis,
-    from one flat product over the rows of the stack."""
-    c = (d.reshape(v.size // v.shape[-1], len(bf)).conj() @ bf).reshape(*v.shape, v.shape[-1])
-    return 2 * np.einsum("...ja,...jaq->...jq", v, c + _h(c))
+def _objective(v: np.ndarray, hf: np.ndarray):
+    """f and d[..., j, k] = (V H_k V*)(j, j) = v_j^T H_k conj(v_j) for V of
+    shape (..., N, r) with rows v_j; ``hf`` is a Hermitian basis as
+    :func:`_float_rows`.  Each d is real: the float dot of conj(v_j) v_j^T
+    with H_k, Re sum_ab v_ja H_k(a, b) conj(v_jb).  Each matrix of the stack
+    makes its own product with ``hf``, so a restart's d does not depend on
+    the batch it runs in (one flat product over all rows does)."""
+    w = (v.conj()[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1).view(float)
+    d = w @ hf.T
+    return _re_inner(d, d), d
 
 
-def _descent_direction(v, bf, d):
+def _euclidean_gradient(v, hf, d):
+    """g_j = 4 v_j^T C_j with C_j = sum_k d_jk H_k, from one product of d
+    with the float rows and one batched matvec; C_j is Hermitian for a
+    Hermitian basis, so this is 2 v_j^T (C_j + C_j*)."""
+    c = (d @ hf).view(complex).reshape(*v.shape, v.shape[-1])
+    return 4 * (v[..., None, :] @ c)[..., 0, :]
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a, b> over the trailing two axes (a squared norm when ``b`` is
+    ``a``): one dot of the float views per matrix of the stack, so each
+    entry is computed as if on its own."""
+    shape = a.shape[:-2] + (-1,)
+    x = a.reshape(shape).view(float)
+    return np.vecdot(x, x if b is a else b.reshape(shape).view(float))
+
+
+def _descent_direction(v, hf, d):
     """Riemannian gradient at each V (tangent projection) and its squared norm."""
-    g = _euclidean_gradient(v, bf, d)
+    g = _euclidean_gradient(v, hf, d)
     a = _h(v) @ g
     delta = g - v @ (a + _h(a)) / 2
-    return delta, np.add.reduce(np.abs(delta) ** 2, axis=(-2, -1))
+    return delta, _re_inner(delta, delta)
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
@@ -223,13 +265,10 @@ def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
     <s, s> / |Re<s, y>|, after an even number |Re<s, y>| / <y, y>.  A ratio
     that is not finite and positive falls back to ``STEP_INIT``.
     """
-    ss = np.add.reduce(np.abs(s) ** 2, axis=(-2, -1))
-    yy = np.add.reduce(np.abs(y) ** 2, axis=(-2, -1))
-    sy = np.abs(np.add.reduce((s.conj() * y).real, axis=(-2, -1)))
-    odd = iters % 2 == 1
-    num, den = np.where(odd, ss, sy), np.where(odd, sy, yy)
-    step = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return np.where(np.isfinite(step) & (step > 0), step, STEP_INIT)
+    sy, odd = np.abs(_re_inner(s, y)), iters & 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 falls back below
+        step = np.where(odd, _re_inner(s, s), sy) / np.where(odd, sy, _re_inner(y, y))
+    return np.where((step > 0) & (step < np.inf), step, STEP_INIT)
 
 
 def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
@@ -259,13 +298,13 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     ran out.
     """
     b, r = len(indices), basis.shape[1]
-    bf = basis.reshape(len(basis), r * r)
+    hf = _float_rows(basis)
     v = _haar_stack(n_terms, r, [cfg.seed + i for i in indices])
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
     target = min(OBJECTIVE_TOL, POLISH_TOL)
-    f, d = _objective(v, bf)
-    delta, g2 = _descent_direction(v, bf, d)
+    f, d = _objective(v, hf)
+    delta, g2 = _descent_direction(v, hf, d)
     pos = np.arange(b)                       # block position of each live restart
     tau = np.full(b, STEP_INIT)
     stall, iters, backtracks = (np.zeros(b, dtype=int) for _ in range(3))
@@ -278,7 +317,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
                  g2 <= GRAD_FLOOR,
                  (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
-        done = np.logical_or.reduce(tests)
+        done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
         ok = f <= OBJECTIVE_TOL
         if ok.any():
             first_ok = min(first_ok, int(pos[ok.argmax()]))
@@ -301,14 +340,14 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
-        fn, dn = _objective(trial, bf)
+        fn, dn = _objective(trial, hf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
-        delta_new, g2_new = _descent_direction(trial, bf, dn)
-        stalled = f - fn <= STALL_REL * f  # live rows only: f > target > 0
-        stall = np.where(acc, np.where(stalled, stall + 1, 0), stall)
+        delta_new, g2_new = _descent_direction(trial, hf, dn)
+        # relative to f, which is > target > 0 on live rows
+        stall = np.where(acc, (stall + 1) * (f - fn <= STALL_REL * f), stall)
         iters = iters + acc
         tau = np.where(acc, _bb_step(trial - v, delta_new - delta, iters), tau * ARMIJO_BETA)
-        backtracks = np.where(acc, 0, backtracks + 1)
+        backtracks = (backtracks + 1) * ~acc
         f, g2 = np.where(acc, fn, f), np.where(acc, g2_new, g2)
         moved = acc[:, None, None]
         v, delta = np.where(moved, trial, v), np.where(moved, delta_new, delta)

@@ -262,19 +262,25 @@ def test_criterion_11_property_suite():
                     for x in basis)
         assert resid <= 1e-8
 
-    # Wirtinger gradient vs central finite differences, 100 instances
-    from muchan.search import _euclidean_gradient, _objective
+    # Wirtinger gradient vs central finite differences, 100 instances, on
+    # random adjoint-closed spans: the kernel takes an orthonormal Hermitian
+    # basis, here m random traceless Hermitian matrices orthonormalized as
+    # real vectors
+    from muchan.search import _euclidean_gradient, _float_rows, _objective
     from muchan import haar_isometry
     rng = np.random.default_rng(11)
     worst = 0.0
     for trial in range(100):
         r = int(rng.integers(2, 5))
         n_terms = int(rng.integers(r, 9))
-        m = int(rng.integers(1, 5))
-        basis = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
-        basis -= np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
+        m = min(int(rng.integers(1, 5)), r * r - 1)
+        h = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
+        h += h.conj().transpose(0, 2, 1)
+        h -= np.trace(h, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
+        q = np.linalg.qr(h.reshape(m, r * r).view(float).T)[0]
+        basis = np.ascontiguousarray(q.T).view(complex).reshape(m, r, r)
         v = haar_isometry(n_terms, r, seed=trial + 777)
-        bf = basis.reshape(m, r * r)
+        bf = _float_rows(basis)
         f, d = _objective(v, bf)
         g = _euclidean_gradient(v, bf, d)
         j, k = int(rng.integers(n_terms)), int(rng.integers(r))

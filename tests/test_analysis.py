@@ -6,7 +6,7 @@ import muchan.channels
 import muchan.constructive
 import muchan.linalg
 import muchan.search
-from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition,
+from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, apply,
                     NumericalError, Tolerance, ValidationError, certified_gap_rank,
                     channel_profile, dagger,
                     decompositions_equivalent, dephasing_channel, direct_sum,
@@ -386,6 +386,24 @@ def test_schur_equivalence_random_unital_rank2():
         d = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         out = u @ phi(v @ d @ dagger(v)) @ dagger(u)
         assert np.linalg.norm(out - d) <= 1e-7
+
+
+@pytest.mark.parametrize("make", [lambda: schur_channel(corr_B3()),
+                                  lambda: schur_channel(mub_correlation(3).matrix),
+                                  lambda: random_unital_rank2(4, seed=2),
+                                  lambda: random_channel(3, 3, 2, seed=5)],
+                         ids=["B3", "mub3", "unital-rank2", "random"])
+def test_diagonal_images_match_apply(make):
+    # Phi(V E_kk V*) from the rank-one terms against the dense apply, for a
+    # Haar V; no Schur structure is needed
+    phi = make()
+    n = phi.dim_in
+    v = haar_unitary(n, seed=n)
+    images = muchan.analysis._diagonal_images(phi, v)
+    assert images.shape == (n, n, n)
+    for k in range(n):
+        want = apply(phi, np.outer(v[:, k], v[:, k].conj()))
+        assert np.linalg.norm(images[k] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_schur_equivalence_has_no_seed_option():

@@ -352,6 +352,15 @@ def test_save_writes_dumps_text(tmp_path, thing):
     assert p.read_text(encoding="utf-8") == io.dumps(thing) + "\n"
 
 
+@pytest.mark.parametrize("name", ["weyl:3", "gap:3:1", "wh0:3", "wh1:3", "wh0sym3", "wh0even:4",
+                                  "wh0odd:5", "wh1anti:4", "corrB3", "corrC4", "ctensor2",
+                                  "mubcorr:3", "mubdec:3"])
+def test_dumps_is_the_checked_encoding(name):
+    # the encoder's cycle check is skipped: the text is the same bytes
+    thing = muchan.cli._gen_object(name)
+    assert io.dumps(thing) == json.dumps(io.to_obj(thing), sort_keys=True)
+
+
 def test_load_rejects_missing_format(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"kind": "correlation", "matrix": [[[1.0, 0.0]]]}))

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from muchan import (KrausChannel, SearchConfig, ValidationError, dagger,
-                    decomposition_from_isometry, dephasing_channel,
+from muchan import (KrausChannel, SearchConfig, ValidationError, channel_profile, dagger,
+                    decomposition_from_isometry, dephasing_channel, haar_unitary,
                     identity_channel, minimize_kraus, murank_search,
                     search_isometry, traceless_image_basis,
                     verify_decomposition)
 from muchan import search as search_mod
 from muchan import haar_isometry, schur_channel
-from muchan.gallery import corr_C4, gap_channel, random_channel, weyl_channel
-from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _euclidean_gradient,
-                           _objective, _run_block)
+from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation, random_channel,
+                            random_unital_rank2, weyl_channel, wh_channels)
+from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _descent_direction,
+                           _euclidean_gradient, _float_rows, _objective, _run_block)
 
 
 def _assert_verified(phi, res):
@@ -20,9 +21,22 @@ def _assert_verified(phi, res):
     assert check.choi_residual <= DECOMP_RESIDUAL
 
 
-def _flat(basis):
-    """The (m, r*r) form the objective kernel takes."""
-    return basis.reshape(basis.shape[0], basis.shape[1] ** 2)
+def _random_hermitian_basis(rng, m, r):
+    """An orthonormal Hermitian basis of a random adjoint-closed traceless
+    span: min(m, r^2 - 1) random traceless Hermitian matrices, orthonormalized
+    as real vectors [Re vec; Im vec]."""
+    m = min(m, r * r - 1)
+    a = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
+    h = a + a.conj().transpose(0, 2, 1)
+    h -= np.trace(h, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
+    q = np.linalg.qr(h.reshape(m, r * r).view(float).T)[0]
+    return np.ascontiguousarray(q.T).view(complex).reshape(m, r, r)
+
+
+def _mixed(basis, seed):
+    """A non-Hermitian orthonormal basis of the same span: the basis mixed by
+    a Haar unitary."""
+    return np.einsum("ab,bjk->ajk", haar_unitary(len(basis), seed), basis)
 
 
 # ------------------------------------------------------ traceless_image_basis
@@ -61,35 +75,77 @@ def test_image_basis_weyl3():
         assert abs(np.trace(b)) <= 1e-10
 
 
+def _complex_image_basis(phi):
+    """The orthonormal (not Hermitian) image basis the Hermitian step starts
+    from: conj(U_s) times columns 1..s-1 of the QR of [d, I_s]."""
+    profile = channel_profile(phi)
+    system, r, s = profile.system, profile.r, profile.s
+    d = np.trace(np.array(system.basis), axis1=1, axis2=2) / system.singular[:s]
+    q = np.linalg.qr(np.column_stack([d, np.eye(s)]))[0][:, 1:]
+    return (q.T @ system.left[:, :s].T.conj()).reshape(s - 1, r, r)
+
+
+def _projector(basis):
+    v = basis.reshape(len(basis), basis.shape[-1] ** 2)
+    return v.T @ v.conj()
+
+
+_GALLERY = {
+    "weyl3": lambda: weyl_channel(3), "weyl5": lambda: weyl_channel(5),
+    "gap3": lambda: gap_channel(3, 1), "gap5": lambda: gap_channel(5, 1),
+    "schurB3": lambda: schur_channel(corr_B3()), "schurC4": lambda: schur_channel(corr_C4()),
+    "schurMUB3": lambda: schur_channel(mub_correlation(3).matrix),
+    "wh0_3": lambda: wh_channels(3).phi0, "wh1_3": lambda: wh_channels(3).phi1,
+    "wh0_4": lambda: wh_channels(4).phi0, "dephasing3": lambda: dephasing_channel(3),
+    "unital_rank2": lambda: random_unital_rank2(3, seed=1),
+    "identity3": lambda: identity_channel(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY))
+def test_image_basis_hermitian_orthonormal_same_span(name):
+    # each element Hermitian and traceless, real Gram = I, and the span the
+    # one the complex construction gives; identity(3) gives the empty basis
+    phi = _GALLERY[name]()
+    basis, ref = traceless_image_basis(phi), _complex_image_basis(phi)
+    assert basis.shape == ref.shape
+    assert np.abs(basis - basis.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-14
+    rows = _float_rows(basis)
+    assert np.abs(rows @ rows.T - np.eye(len(basis))).max(initial=0.0) <= 1e-14
+    assert np.abs(np.trace(basis, axis1=1, axis2=2)).max(initial=0.0) <= 1e-14
+    assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
+    if name == "identity3":
+        assert basis.shape == (0, 1, 1)
+
+
 # -------------------------------------------------------------- the objective
 
 def test_objective_zero_at_hadamard_for_dephasing():
     basis = traceless_image_basis(dephasing_channel(2))
     v = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    f, _ = _objective(v, _flat(basis))
+    f, _ = _objective(v, _float_rows(basis))
     assert f <= 1e-28
 
 
 def test_gradient_matches_finite_differences():
+    # the kernel takes an orthonormal Hermitian basis: random adjoint-closed spans
     rng = np.random.default_rng(123)
     worst = 0.0
     for trial in range(100):
         r = int(rng.integers(2, 5))
         n_terms = int(rng.integers(r, 9))
-        m = int(rng.integers(1, 5))
-        basis = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
-        basis -= np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
+        basis = _random_hermitian_basis(rng, int(rng.integers(1, 5)), r)
         v = haar_isometry(n_terms, r, seed=trial)[None]   # a batch of one
-        f, d = _objective(v, _flat(basis))
-        g = _euclidean_gradient(v, _flat(basis), d)
+        f, d = _objective(v, _float_rows(basis))
+        g = _euclidean_gradient(v, _float_rows(basis), d)
         assert f.shape == (1,) and g.shape == v.shape
         eps = 1e-6
         j, k = int(rng.integers(n_terms)), int(rng.integers(r))
         for direction in (1.0, 1j):
             e = np.zeros_like(v)
             e[0, j, k] = direction
-            fp, _ = _objective(v + eps * e, _flat(basis))
-            fm, _ = _objective(v - eps * e, _flat(basis))
+            fp, _ = _objective(v + eps * e, _float_rows(basis))
+            fm, _ = _objective(v - eps * e, _float_rows(basis))
             fd = float(fp[0] - fm[0]) / (2 * eps)
             an = float(np.real(np.conj(g[0, j, k]) * direction))
             if abs(fd) > 1e-10:
@@ -98,22 +154,25 @@ def test_gradient_matches_finite_differences():
 
 
 def test_objective_invariant_under_basis_reorthonormalization():
-    from muchan import haar_isometry
     basis = traceless_image_basis(weyl_channel(3))
     m, r = basis.shape[0], basis.shape[1]
     rng = np.random.default_rng(3)
-    # rotate the basis by a random unitary mixing (same span, orthonormal)
-    from muchan import haar_unitary
-    q = haar_unitary(m, seed=11)
-    mixed = np.einsum("ab,bjk->ajk", q, basis)
+    # a real orthogonal mixing keeps the basis Hermitian and orthonormal, so
+    # the kernel takes it; a unitary mixing (same span, orthonormal, not
+    # Hermitian) goes through the complex reference below
+    o = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    rotated = np.einsum("ab,bjk->ajk", o, basis)
     v = haar_isometry(7, r, seed=2)
-    f1, _ = _objective(v, _flat(basis))
-    f2, _ = _objective(v, _flat(mixed))
+    f1, _ = _objective(v, _float_rows(basis))
+    f2, _ = _objective(v, _float_rows(rotated))
+    f3 = _t_objective(v, _mixed(basis, 11))[0]
     assert abs(f1 - f2) <= 1e-12 * max(1.0, f1)
+    assert abs(f1 - f3) <= 1e-12 * max(1.0, f1)
 
 
 # The objective and gradient written with t[k, j, :] = row j of V B_k, the
-# form the search used before the flat kernel: a maths reference only.
+# form the search used before the flat kernel: a maths reference only, for
+# any orthonormal basis, Hermitian or not.
 
 def _t_objective(v, basis):
     t = np.matmul(v[..., None, :, :], basis)
@@ -129,28 +188,52 @@ def _t_gradient(v, basis, d, t):
 
 
 def _random_traceless_basis(rng, m, r):
-    # non-Hermitian and not orthonormal: the kernel must not rely on either
+    # non-Hermitian and not orthonormal: the starts do not depend on the basis
     basis = rng.standard_normal((m, r, r)) + 1j * rng.standard_normal((m, r, r))
     return basis - np.trace(basis, axis1=1, axis2=2)[:, None, None] * np.eye(r) / r
 
 
 def test_flat_kernel_matches_t_reference():
+    # the real kernel on a Hermitian basis against the complex reference on a
+    # non-Hermitian orthonormal basis of the same span: f and the gradient do
+    # not depend on the basis
     rng = np.random.default_rng(5)
     gallery = [traceless_image_basis(phi)
                for phi in (gap_channel(3, 1), schur_channel(corr_C4()), weyl_channel(3),
                            weyl_channel(5), dephasing_channel(3))]
-    randoms = [_random_traceless_basis(rng, int(rng.integers(1, 8)), r)
+    randoms = [_random_hermitian_basis(rng, int(rng.integers(1, 8)), r)
                for r in (2, 3, 4, 5) for _ in range(3)]
-    for basis in gallery + randoms:
-        r = basis.shape[1]
+    for i, basis in enumerate(gallery + randoms):
+        r, mixed = basis.shape[1], _mixed(basis, 100 + i)
         for n_terms in (r, r + 1, 2 * r):
             v = np.array([haar_isometry(n_terms, r, seed=s) for s in range(4)])
-            f_ref, d_ref, t = _t_objective(v, basis)
-            f, d = _objective(v, _flat(basis))
+            f_ref, d_ref, t = _t_objective(v, mixed)
+            f, d = _objective(v, _float_rows(basis))
             assert np.all(np.abs(f - f_ref) <= 1e-13 * f_ref)
-            g_ref = _t_gradient(v, basis, d_ref, t)
-            g = _euclidean_gradient(v, _flat(basis), d)
+            g_ref = _t_gradient(v, mixed, d_ref, t)
+            g = _euclidean_gradient(v, _float_rows(basis), d)
             assert np.linalg.norm(g - g_ref) <= 1e-13 * np.linalg.norm(g_ref)
+
+
+@pytest.mark.parametrize("name, n_terms", [
+    ("gap3", 4), ("gap3", 5), ("gap3", 6), ("schurC4", 3), ("schurC4", 4), ("wh0_4", 10),
+    ("wh0_5", 15)])
+def test_kernel_on_a_batch_equals_one_restart_calls(name, n_terms):
+    # each restart's f, descent direction and g2 are the same bits in a
+    # batch of 25 as in a batch of one and unbatched: no product may mix
+    # the rows of several restarts
+    phi = wh_channels(5).phi0 if name == "wh0_5" else _GALLERY[name]()
+    hf = _float_rows(traceless_image_basis(phi))
+    v = np.array([haar_isometry(n_terms, channel_profile(phi).r, seed=s) for s in range(25)])
+    f, d = _objective(v, hf)
+    delta, g2 = _descent_direction(v, hf, d)
+    for k in range(25):
+        for one in (v[k:k + 1], v[k]):
+            fk, dk = _objective(one, hf)
+            delta_k, g2_k = _descent_direction(one, hf, dk)
+            assert np.array_equal(fk, f[k:k + 1].reshape(fk.shape))
+            assert np.array_equal(delta_k, delta[k:k + 1].reshape(delta_k.shape))
+            assert np.array_equal(g2_k, g2[k:k + 1].reshape(g2_k.shape))
 
 
 # ------------------------------------------------------------ search_isometry
@@ -413,18 +496,25 @@ def test_restart_trace_max_iters():
 # Armijo backtracking that gives up once f - tau g2 rounds to f.  Every
 # restart of the lockstep batch must end exactly here.
 
-def _seq_objective(v, bf):
-    w = (v[:, :, None] * v.conj()[:, None, :]).reshape(v.shape[0], -1)
-    d = w @ bf.T
-    return float(np.sum(np.abs(d) ** 2)), d
+def _dot(a, b):
+    """Re<a, b> of two arrays, from their float views."""
+    return np.vecdot(a.reshape(-1).view(float), b.reshape(-1).view(float))
 
 
-def _seq_direction(v, bf, d):
-    c = (d.conj() @ bf).reshape(*v.shape, v.shape[1])
-    g = 2 * np.einsum("ja,jaq->jq", v, c + c.conj().transpose(0, 2, 1))
+def _seq_objective(v, hf):
+    # d_jk = v_j^T H_k conj(v_j), real on the Hermitian basis
+    w = (v.conj()[:, :, None] * v[:, None, :]).reshape(v.shape[0], -1).view(float)
+    d = w @ hf.T
+    return _dot(d, d), d
+
+
+def _seq_direction(v, hf, d):
+    # g_j = 4 v_j^T C_j with the Hermitian C_j = sum_k d_jk H_k
+    c = (d @ hf).view(complex).reshape(*v.shape, v.shape[1])
+    g = 4 * (v[:, None, :] @ c)[:, 0, :]
     a = dagger(v) @ g
     delta = g - v @ (a + dagger(a)) / 2
-    return delta, float(np.sum(np.abs(delta) ** 2))
+    return delta, _dot(delta, delta)
 
 
 def _seq_retract(v):
@@ -436,10 +526,10 @@ def _seq_retract(v):
 
 def _seq_run_restart(basis, n_terms, r, cfg, index):
     """Final objective, isometry, accepted steps and objective evaluations."""
-    bf = _flat(basis)
+    hf = _float_rows(basis)
     v = haar_isometry(n_terms, r, cfg.seed + index)
-    f, d = _seq_objective(v, bf)
-    delta, g2 = _seq_direction(v, bf, d)
+    f, d = _seq_objective(v, hf)
+    delta, g2 = _seq_direction(v, hf, d)
     tau = search_mod.STEP_INIT
     stall, evals = 0, 1
     target = min(search_mod.OBJECTIVE_TOL, 1e-28)
@@ -448,7 +538,7 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
             return f, v, it - 1, evals
         for _ in range(40):
             vn = _seq_retract(v - tau * delta)
-            fn, dn = _seq_objective(vn, bf)
+            fn, dn = _seq_objective(vn, hf)
             evals += 1
             if fn <= f - 1e-4 * tau * g2:
                 break
@@ -458,10 +548,9 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
         else:
             return f, v, it - 1, evals
         stall = stall + 1 if f - fn <= 1e-9 * max(f, 1e-300) else 0
-        delta_n, g2 = _seq_direction(vn, bf, dn)
+        delta_n, g2 = _seq_direction(vn, hf, dn)
         s, y = vn - v, delta_n - delta
-        ss, yy = np.sum(np.abs(s) ** 2), np.sum(np.abs(y) ** 2)
-        sy = abs(np.sum((s.conj() * y).real))
+        ss, yy, sy = _dot(s, s), _dot(y, y), abs(_dot(s, y))
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = ss / sy if it % 2 == 1 else sy / yy
         if not (np.isfinite(tau) and tau > 0):
@@ -568,9 +657,8 @@ def test_bb_step_ratios_and_fallback():
     s[4] = 0                                       # even: 0 / yy
     iters = np.array([1, 2, 3, 5, 4, 6])
     step = search_mod._bb_step(s, y, iters)
-    ss = np.sum(np.abs(s) ** 2, axis=(1, 2))
-    yy = np.sum(np.abs(y) ** 2, axis=(1, 2))
-    sy = np.abs(np.sum((s.conj() * y).real, axis=(1, 2)))
+    ss, yy = np.array([[_dot(a, a) for a in x] for x in (s, y)])
+    sy = np.abs([_dot(a, b) for a, b in zip(s, y)])
     assert step[0] == ss[0] / sy[0] and step[1] == sy[1] / yy[1]
     assert step[5] == sy[5] / yy[5]
     assert list(step[2:5]) == [search_mod.STEP_INIT] * 3

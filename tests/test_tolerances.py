@@ -175,6 +175,40 @@ def test_traceless_floor_is_the_bound_applied(scale, traceless):
             traceless_image_basis(moved(eps))
 
 
+@pytest.mark.parametrize("scale, closed", [(0.9, True), (1.1, False)])
+def test_adjoint_closure_floor_is_the_bound_applied(scale, closed, monkeypatch):
+    # Moving the profile's left singular vectors by eps at row (0, 3), an
+    # off-diagonal entry outside gap(3,1)'s image, adds eps * sum_i q[i, l]
+    # E_03 to image element l and nothing at E_30: the span leaves adjoint
+    # closure by O(eps) and the traces stay.  The s-th singular value of the Hermitian parts is read
+    # from the helper; eps sets it to scale * the floor, which decides at
+    # the default eps_eq = 1e-9.
+    floor = muchan.search._TRACELESS_FLOOR
+    p = channel_profile(gap_channel(3, 1))
+    helper, seen = muchan.search._hermitian_basis, []
+
+    def recording(mats, k):
+        out = helper(mats, k)
+        seen.append(out[1][k])
+        return out
+    monkeypatch.setattr(muchan.search, "_hermitian_basis", recording)
+
+    def moved(eps):
+        left = np.array(p.system.left)
+        left[3] += eps
+        return ChannelProfile(p.minimal, dataclasses.replace(p.system, left=left), p.tol)
+
+    traceless_image_basis(moved(1e-10))
+    eps = scale * floor / seen[-1] * 1e-10
+    if closed:
+        traceless_image_basis(moved(eps))
+        assert seen[-1] == pytest.approx(scale * floor, rel=1e-6)
+    else:
+        with pytest.raises(NumericalError,
+                           match=f"not closed under adjoints: {scale * floor:.3e}"):
+            traceless_image_basis(moved(eps))
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_group_weight_slack_boundary(above):
     # d2 moves weight k units of 2^-53 from X to I: each group is off by
@@ -196,11 +230,12 @@ def test_schur_witness_floor_is_the_bound_applied(scale, passes, monkeypatch):
     # every image Phi(V D V*) by delta I leaves its eigenvectors, and so the
     # witnesses, as they are and gives residual ||delta I_3|| = delta sqrt 3.
     # At eps_eq = 1e-12, 100 eps_eq n = 3e-10 is below the floor, which decides.
+    # The images Phi(V E_kk V*) are made as one stack, shifted here as a whole.
     floor = muchan.analysis._SCHUR_WITNESS_FLOOR
     delta = scale * floor / np.sqrt(3)
-    apply = muchan.analysis.apply
-    monkeypatch.setattr(muchan.analysis, "apply",
-                        lambda phi, x: apply(phi, x) + delta * np.eye(3))
+    images = muchan.analysis._diagonal_images
+    monkeypatch.setattr(muchan.analysis, "_diagonal_images",
+                        lambda phi, v: images(phi, v) + delta * np.eye(3))
     tol = Tolerance(eps_eq=1e-12)
     if passes:
         assert schur_equivalence_check(dephasing_channel(3), tol).equivalent

@@ -91,6 +91,8 @@ def _fill(d: MixedUnitaryDecomposition, p: np.ndarray, us, tol: Tolerance):
     of weights p and a stack of unitaries, after every rule but unitarity."""
     if isinstance(us, list) or us.shape[1] != us.shape[2]:
         raise ValidationError("all unitaries must be square of one dimension")
+    if not np.isfinite(p).all():  # before the drop, which a NaN would pass
+        raise ValidationError("weights must be finite")
     keep = np.abs(p) > tol.eps_eq
     if not np.any(keep):
         raise ValidationError("all weights vanish")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .linalg import (as_matrix, as_matrix_stack, dagger, dirsum, unitarity_defect,
                      unvec, vec)
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -247,7 +247,7 @@ def _operator_system(phi: KrausChannel, tol: Tolerance) -> OperatorSystemBasis:
     try:
         u, sv, vh, shapes = _block_svd(rows)
     except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"operator system SVD failed: {exc}") from exc
+        raise NumericalError(f"operator system SVD failed: {exc}") from exc
     keep = tol.rank(sv)
     if not keep:
         raise ValidationError("operator system is empty; invalid channel")

@@ -62,6 +62,8 @@ class ToroidalDecomposition:
         n = vs[0].size
         if n == 0 or any(v.size != n for v in vs):
             raise ValidationError("all vectors must share one nonzero length")
+        if not (np.isfinite(p).all() and all(np.isfinite(v).all() for v in vs)):
+            raise ValidationError("weights and vector entries must be finite")
         slack = max(tol.eps_eq, _TOROIDAL_WEIGHT_SLACK)
         if np.any(p < -tol.eps_eq) or abs(p.sum() - 1.0) > slack:
             raise ValidationError("weights must be a probability vector")

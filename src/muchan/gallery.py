@@ -4,7 +4,9 @@ Discrete Weyl channels and their direct-sum gap channels, the explicit
 correlation-matrix examples, mutually unbiased bases and the correlation
 matrices they induce, the Hermitian matrix basis, one-factorizations of
 complete graphs, Werner-Holevo channels with all four mixed-unitary
-decompositions, and seeded random fixture generators.
+decompositions, and seeded random fixture generators.  Every root of
+unity is exp(2 pi i (e mod m) / m) for an integer exponent e of the
+construction, from one helper, so equal residues give equal bits.
 """
 from __future__ import annotations
 
@@ -46,14 +48,25 @@ def _is_prime(p: int) -> bool:
 
 # ---------------------------------------------------------------- Weyl
 
+def _roots(m: int, e) -> np.ndarray:
+    """exp(2 pi i (e mod m) / m) for an integer array e: the one place a root
+    of unity is computed, so equal residues give equal bits."""
+    return np.exp(2j * np.pi * (np.asarray(e) % m) / m)
+
+
+def _weyl(p: int, a, b) -> np.ndarray:
+    """The stack of Weyl words U^{a_i} V^{b_i}, which map e_x to
+    w^{b_i x} e_{x + a_i} with w = exp(2 pi i / p)."""
+    a, b = np.asarray(a)[:, None], np.asarray(b)[:, None]
+    x = np.arange(p)
+    w = np.zeros((a.size, p, p), dtype=complex)
+    w[np.arange(a.size)[:, None], (x + a) % p, x] = _roots(p, b * x)
+    return w
+
+
 def weyl_generators(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic shift U (e_a -> e_{a+1 mod p}) and modulation V = diag(z^a)."""
-    z = np.exp(2j * np.pi / p)
-    u = np.zeros((p, p), dtype=complex)
-    for a in range(p):
-        u[(a + 1) % p, a] = 1
-    v = np.diag(z ** np.arange(p))
-    return u, v
+    return tuple(_weyl(p, [1, 0], [0, 1]))
 
 
 def weyl_channel(p: int) -> KrausChannel:
@@ -64,12 +77,8 @@ def weyl_channel(p: int) -> KrausChannel:
     """
     if not _is_prime(p) or p % 2 == 0:
         raise ValidationError(f"p must be an odd prime, got {p}")
-    u, v = weyl_generators(p)
-    ops = []
-    for a in range(p):
-        w = np.linalg.matrix_power(u, a) @ np.linalg.matrix_power(v, (a * a) % p)
-        ops.append(w / np.sqrt(p))
-    return KrausChannel(ops)
+    x = np.arange(p)
+    return KrausChannel(_weyl(p, x, x * x) / np.sqrt(p))
 
 
 def gap_channel(p: int, m: int) -> KrausChannel:
@@ -115,14 +124,10 @@ def toroidal_CtensorI2() -> ToroidalDecomposition:
     Witnesses that toroidal rank is not multiplicative: the factors have
     toroidal ranks 4 and 2, the product has toroidal rank 6.
     """
-    us = np.exp(2j * np.pi * _CTENSOR_EXPONENTS / 24)
     # stored rows index pairs (i, c) with c fastest; kron(C, I_2) indexes
     # (c, i) with i fastest
-    perm = np.empty(8, dtype=int)
-    for i in range(2):
-        for c in range(4):
-            perm[c * 2 + i] = i * 4 + c
-    return ToroidalDecomposition([1 / 6] * 6, [u[perm] for u in us])
+    us = _roots(24, _CTENSOR_EXPONENTS).reshape(6, 2, 4).transpose(0, 2, 1)
+    return ToroidalDecomposition([1 / 6] * 6, us.reshape(6, 8))
 
 
 # ----------------------------------------------------------------- MUB
@@ -156,13 +161,8 @@ def mub_family(d: int) -> MubFamily:
         bases.append(np.array([[s, s], [s, -s]], dtype=complex))
         bases.append(np.array([[s, s], [1j * s, -1j * s]], dtype=complex))
     else:
-        z = np.exp(2j * np.pi / d)
-        a = np.arange(d)
-        for k in range(d):
-            b = np.empty((d, d), dtype=complex)
-            for j in range(d):
-                b[:, j] = z ** ((k * a * a + j * a) % d) / np.sqrt(d)
-            bases.append(b)
+        k, a, j = np.ogrid[:d, :d, :d]
+        bases.extend(_roots(d, k * a * a + j * a) / np.sqrt(d))
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
             ov = np.abs(dagger(bases[i]) @ bases[j])
@@ -180,13 +180,10 @@ def mub_correlation(d: int) -> MubCorrelation:
     has a unique mixed-unitary decomposition.
     """
     fam = mub_family(d)
-    a = np.zeros((d * d, d), dtype=complex)
-    for k in range(d):
-        for j in range(d):
-            a[k * d + j, :] = fam.bases[k][:, j].conj()
+    # row k d + j is the conjugate of vector j of basis k
+    a = np.array(fam.bases[:d]).transpose(0, 2, 1).conj().reshape(d * d, d)
     c = a @ dagger(a)
-    vs = [np.sqrt(d) * a @ fam.bases[d][:, k] for k in range(d)]
-    dec = ToroidalDecomposition([1 / d] * d, vs)
+    dec = ToroidalDecomposition([1 / d] * d, (np.sqrt(d) * a @ fam.bases[d]).T)
     return MubCorrelation(matrix=c, decomposition=dec)
 
 
@@ -308,14 +305,11 @@ def wh_channels(n: int) -> WernerHolevoPair:
 def _matching_unitaries(fac: OneFactorization, element) -> list:
     """sqrt(2) sum_b zeta^{2ab} element(pair_b) over the pairs pair_b of each
     matching of ``fac``, for a = 1..n/2, with zeta = exp(2 pi i / n)."""
-    zeta = np.exp(2j * np.pi / fac.n)
-    half = fac.n // 2
+    b = np.arange(1, fac.n // 2 + 1)
+    phases = _roots(fac.n, 2 * np.outer(b, b))
     us = []
     for pairs in fac.matchings:
-        fs = [element(pair) for pair in pairs]
-        for a in range(1, half + 1):
-            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
-                                       for bb in range(1, half + 1)))
+        us.extend(np.sqrt(2) * np.tensordot(phases, [element(pair) for pair in pairs], axes=1))
     return us
 
 
@@ -346,9 +340,8 @@ def wh_sym_even_decomposition(n: int) -> MixedUnitaryDecomposition:
         raise ValidationError("refusal: even n only; use the odd construction")
     basis = hermitian_basis(n)
     us = _matching_unitaries(one_factorization(n), basis.__getitem__)  # symmetric
-    zeta = np.exp(2j * np.pi / n)
-    for j in range(1, n + 1):
-        us.append(sum(zeta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
+    k = np.arange(1, n + 1)
+    us += [np.diag(v) for v in _roots(n, np.outer(k, k))]
     count = n * (n + 1) // 2
     return MixedUnitaryDecomposition([1 / count] * count, us)
 
@@ -371,10 +364,9 @@ def wh_sym_odd_decomposition(n: int) -> MixedUnitaryDecomposition:
 
     us = _matching_unitaries(one_factorization(n + 1), element)
     ps = [2 / (n + 1) ** 2] * len(us)
-    eta = np.exp(2j * np.pi / n)
-    for j in range(1, n + 1):
-        us.append(sum(eta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1)))
-        ps.append(1 / (n * (n + 1)))
+    k = np.arange(1, n + 1)
+    us += [np.diag(v) for v in _roots(n, np.outer(k, k))]
+    ps += [1 / (n * (n + 1))] * n
     return MixedUnitaryDecomposition(ps, us)
 
 
@@ -382,9 +374,7 @@ def wh_sym3_decomposition() -> MixedUnitaryDecomposition:
     """The six symmetric, pairwise-orthogonal unitaries decomposing the
     n = 3 symmetric channel at uniform weight 1/6 (its minimal rank)."""
     alpha = 3 / 8 + 1j * np.sqrt(15) / 8
-    zeta = np.exp(2j * np.pi / 3)
-    u1 = np.diag([1, zeta, zeta ** 2])
-    u2 = np.diag([1, zeta ** 2, zeta])
+    u1, u2 = map(np.diag, _roots(3, [[0, 1, 2], [0, 2, 1]]))
 
     def core(s12, s13, s23):
         m = np.full((3, 3), 0j)

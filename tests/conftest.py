@@ -2,6 +2,10 @@ import sys
 
 import pytest
 
+import muchan.search
+from muchan import NumericalError
+from muchan.analysis import VerificationResult
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -27,3 +31,23 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def demote_found(monkeypatch):
+    """``demote(how)`` makes the decomposition of a found search isometry
+    fail: its reader raises :class:`NumericalError` (``"reader"``), or its
+    Choi residual reads twice ``DECOMP_RESIDUAL`` (``"residual"``)."""
+
+    def fail(*_):
+        raise NumericalError("forced")
+
+    def demote(how):
+        if how == "reader":
+            monkeypatch.setattr(muchan.search, "decomposition_from_isometry", fail)
+        else:
+            residual = 2 * muchan.search.DECOMP_RESIDUAL
+            monkeypatch.setattr(muchan.search, "verify_decomposition",
+                                lambda *_: VerificationResult(True, residual))
+
+    return demote

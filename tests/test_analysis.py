@@ -14,6 +14,7 @@ from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, apply,
                     operator_system, rank_bounds,
                     schur_channel, schur_equivalence_check,
                     uniqueness_certificate, verify_decomposition)
+from muchan.analysis import VerificationResult
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
                             random_channel, random_unital_rank2, weyl_channel,
                             wh_channels, wh_sym3_decomposition)
@@ -55,6 +56,14 @@ def test_decomposition_refuses_negative_weight():
     # a weight below -eps_eq is refused, not dropped with the near-zero ones
     with pytest.raises(ValidationError, match="nonnegative"):
         MixedUnitaryDecomposition([1.0, -1e-3], [np.eye(2), np.diag([1, -1])])
+
+
+@pytest.mark.parametrize("probs", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf],
+                                   [np.inf, -np.inf]])
+def test_decomposition_refuses_non_finite_weights(probs):
+    # a NaN passes neither |p| > eps_eq nor the weight rules: refused before the drop
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        MixedUnitaryDecomposition(probs, [np.eye(2), np.diag([1, -1])])
 
 
 # -------------------------------------------------------- verify_decomposition
@@ -248,6 +257,34 @@ def test_certified_gap_rank_refuses_unitary():
         certified_gap_rank(identity_channel(1), 1)
     with pytest.raises(ValidationError):
         certified_gap_rank(identity_channel(3), 2)
+
+
+def _fail_verification(monkeypatch, which):
+    """Make call ``which`` (1-based) of analysis.verify_decomposition report
+    not ok with its true residual."""
+    real, calls = muchan.analysis.verify_decomposition, []
+
+    def verify(*args):
+        calls.append(args)
+        res = real(*args)
+        return VerificationResult(False, res.choi_residual) if len(calls) == which else res
+    monkeypatch.setattr(muchan.analysis, "verify_decomposition", verify)
+
+
+@pytest.mark.parametrize("guard, message", [
+    ("base", r"rank-r decomposition failed verification: residual \d\.\d{3}e-\d+"),
+    ("gap", r"gap decomposition failed verification: residual \d\.\d{3}e-\d+"),
+    ("choi", "direct sum has Choi rank 5, expected 4"),
+])
+def test_certified_gap_rank_numerical_guards(guard, message, monkeypatch):
+    # no input reaches these guards: each check is made to fail in turn
+    if guard == "choi":
+        monkeypatch.setattr(muchan.analysis, "minimize_kraus",
+                            lambda phi, tol: list(phi.kraus) + [phi.kraus[0]])
+    else:
+        _fail_verification(monkeypatch, 1 if guard == "base" else 2)
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        certified_gap_rank(weyl_channel(3), 1)
 
 
 def test_certified_gap_rank_refuses_without_certificate():

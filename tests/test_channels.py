@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 import muchan.analysis
 import muchan.channels
 import muchan.constructive
-from muchan import (DEFAULT_TOL, KrausChannel, Tolerance, ValidationError, apply, choi_of,
-                    channel_profile, complementary, dagger, dephasing_channel, direct_sum,
-                    frob_inner, haar_isometry, haar_unitary, identity_channel,
-                    kraus_from_choi, minimize_kraus, numerical_rank, operator_system,
-                    schur_channel, vec)
+from muchan import (DEFAULT_TOL, KrausChannel, NumericalError, Tolerance, ValidationError,
+                    apply, choi_of, channel_profile, complementary, dagger,
+                    dephasing_channel, direct_sum, frob_inner, haar_isometry, haar_unitary,
+                    identity_channel, kraus_from_choi, minimize_kraus, numerical_rank,
+                    operator_system, schur_channel, vec)
 from muchan.channels import _block_svd, _kraus_from_spectrum
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation, random_channel,
                             random_correlation, weyl_channel, wh_channels)
@@ -625,6 +625,16 @@ def test_direct_sum_requires_square():
 
 
 # ------------------------------------------------------------ schur_channel
+
+def test_operator_system_svd_failure_is_numerical(monkeypatch):
+    def fail(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError,
+                       match="^operator system SVD failed: SVD did not converge$"):
+        channel_profile(weyl_channel(3))
+
 
 def test_schur_allones_is_identity_channel():
     phi = schur_channel(np.ones((3, 3)))

@@ -413,6 +413,34 @@ def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
     assert obj["error"] == {"code": "numerical", "message": "forced", "path": None}
 
 
+def test_operator_system_svd_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    p = tmp_path / "w.json"
+    io.save(weyl_channel(3), str(p))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, obj = run_cli(capsys, "analyze", str(p))
+    assert code == 4
+    assert obj["error"] == {"code": "numerical", "path": None,
+                            "message": "operator system SVD failed: SVD did not converge"}
+
+
+def test_verify_refuses_a_nan_weight(tmp_path, capsys):
+    # Python's json reads NaN; dropped as a small weight it would leave a
+    # one-term decomposition that verifies
+    cpath, dpath = tmp_path / "c.json", tmp_path / "d.json"
+    io.save(identity_channel(2), str(cpath))
+    obj = io.to_obj(MixedUnitaryDecomposition([0.5, 0.5], [np.eye(2), np.diag([1, -1])]))
+    obj["probs"] = [1.0, float("nan")]
+    dpath.write_text(json.dumps(obj))
+    assert "NaN" in dpath.read_text()
+    code, out = run_cli(capsys, "verify", str(cpath), str(dpath))
+    assert code == 2
+    assert out["error"] == {"code": "invalid", "message": "weights must be finite",
+                            "path": None}
+
+
 def test_gen_all_stable_names(tmp_path, capsys):
     names = ["weyl:3", "gap:3:1", "wh0:5", "wh1:6", "mubcorr:3", "corrB3",
              "corrC4", "ctensor2", "wh0sym3", "wh0even:4", "wh0odd:3",
@@ -781,6 +809,18 @@ def test_search_not_found_exits_3(tmp_path, capsys):
                         "--restarts", "4", "--seed", "0")
     assert code == 3
     assert obj["status"] == "not_found"
+
+
+@pytest.mark.parametrize("how", ["reader", "residual"])
+def test_search_found_without_a_verified_decomposition_exits_3(how, tmp_path, capsys,
+                                                                demote_found):
+    demote_found(how)
+    p = tmp_path / "c.json"
+    io.save(weyl_channel(3), str(p))
+    code, obj = run_cli(capsys, "search", str(p), "--N", "3",
+                        "--restarts", "5", "--seed", "0")
+    assert code == 3
+    assert (obj["status"], obj["decomposition"]) == ("not_found", None)
 
 
 def test_search_non_unital_exits_2(tmp_path, capsys):

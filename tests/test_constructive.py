@@ -365,6 +365,15 @@ def test_toroidal_type_validates_unimodularity():
         ToroidalDecomposition([1.0], [np.array([1.0, 0.5])])
 
 
+@pytest.mark.parametrize("probs, vectors", [
+    ([np.nan], [[1, 1]]), ([1.0], [[1, np.nan]]), ([0.5, np.nan], [[1, 1], [1, -1]]),
+    ([1.0], [[np.inf, 1]]), ([1.0], [[1, complex(1, np.nan)]]),
+])
+def test_toroidal_type_refuses_non_finite_values(probs, vectors):
+    with pytest.raises(ValidationError, match="weights and vector entries must be finite"):
+        ToroidalDecomposition(probs, vectors)
+
+
 @pytest.mark.parametrize("vectors", [[[]], [[], []]])
 def test_toroidal_type_refuses_empty_vectors(vectors):
     with pytest.raises(ValidationError, match="nonzero length"):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import muchan.constructive
+import muchan.gallery
 import muchan.search
-from muchan import (ValidationError, certified_gap_rank, choi_of, dagger,
-                    direct_sum, frob_inner, identity_channel, kron, numerical_rank,
-                    operator_system, schur_channel, verify_decomposition)
+from muchan import (KrausChannel, ValidationError, certified_gap_rank, channel_profile,
+                    choi_of, dagger, direct_sum, frob_inner, identity_channel, kron,
+                    numerical_rank, operator_system, schur_channel, verify_decomposition)
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, hermitian_basis,
                             mub_correlation, mub_family, one_factorization,
                             toroidal_CtensorI2, weyl_channel, weyl_generators,
@@ -342,3 +343,175 @@ def test_known_decompositions_respect_bounds():
     for phi, n_known in cases:
         b = rank_bounds(phi)
         assert b.lower <= n_known <= b.upper
+
+
+# ------------------------------------------------------ roots of unity
+# The constructions before every root came from one integer-exponent helper,
+# kept as oracles: matrix powers and zeta powers of exp(2 pi i / m).
+
+def _old_weyl_channel(p):
+    z = np.exp(2j * np.pi / p)
+    u = np.zeros((p, p), dtype=complex)
+    for a in range(p):
+        u[(a + 1) % p, a] = 1
+    v = np.diag(z ** np.arange(p))
+    return [np.linalg.matrix_power(u, a) @ np.linalg.matrix_power(v, (a * a) % p) / np.sqrt(p)
+            for a in range(p)]
+
+
+def _old_mub_bases(d):
+    z = np.exp(2j * np.pi / d)
+    a = np.arange(d)
+    bases = [np.eye(d, dtype=complex)]
+    for k in range(d):
+        b = np.empty((d, d), dtype=complex)
+        for j in range(d):
+            b[:, j] = z ** ((k * a * a + j * a) % d) / np.sqrt(d)
+        bases.append(b)
+    return bases
+
+
+def _old_mub_correlation(d):
+    bases = _old_mub_bases(d)
+    a = np.zeros((d * d, d), dtype=complex)
+    for k in range(d):
+        for j in range(d):
+            a[k * d + j, :] = bases[k][:, j].conj()
+    return a @ dagger(a)
+
+
+def _old_ctensor2():
+    us = np.exp(2j * np.pi * muchan.gallery._CTENSOR_EXPONENTS / 24)
+    perm = np.empty(8, dtype=int)
+    for i in range(2):
+        for c in range(4):
+            perm[c * 2 + i] = i * 4 + c
+    return [u[perm] for u in us]
+
+
+def _old_matching_unitaries(fac, element):
+    zeta = np.exp(2j * np.pi / fac.n)
+    half = fac.n // 2
+    us = []
+    for pairs in fac.matchings:
+        fs = [element(pair) for pair in pairs]
+        for a in range(1, half + 1):
+            us.append(np.sqrt(2) * sum(zeta ** (2 * a * bb) * fs[bb - 1]
+                                       for bb in range(1, half + 1)))
+    return us
+
+
+def _old_fourier_diagonals(n, basis):
+    zeta = np.exp(2j * np.pi / n)
+    return [sum(zeta ** (j * k) * basis[(k - 1, k - 1)] for k in range(1, n + 1))
+            for j in range(1, n + 1)]
+
+
+def _old_wh(name, n):
+    basis = hermitian_basis(n)
+    if name == "wh1anti":
+        return _old_matching_unitaries(one_factorization(n), lambda pair: basis[pair[::-1]])
+    if name == "wh0even":
+        return (_old_matching_unitaries(one_factorization(n), basis.__getitem__)
+                + _old_fourier_diagonals(n, basis))
+
+    def element(pair):
+        lo, hi = pair[0] - 1, pair[1] - 1
+        return basis[(hi, hi)] / np.sqrt(2) if lo < 0 else basis[(lo, hi)]
+    return (_old_matching_unitaries(one_factorization(n + 1), element)
+            + _old_fourier_diagonals(n, basis))
+
+
+def _old_wh_sym3():
+    zeta = np.exp(2j * np.pi / 3)
+    return [np.diag([1, zeta, zeta ** 2]), np.diag([1, zeta ** 2, zeta])]
+
+
+_WH = {"wh1anti": wh_antisym_decomposition, "wh0even": wh_sym_even_decomposition,
+       "wh0odd": wh_sym_odd_decomposition}
+
+
+def _root_table(m, k):
+    """exp(2 pi i (k mod m) / m), computed as the reference formula reads."""
+    return np.exp(2j * np.pi * (k % m) / m)
+
+
+def _same_fixture(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old)) <= 1e-14
+    assert np.array_equal(new == 0, old == 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_weyl_entries_are_the_correctly_computed_roots(p):
+    a, x = np.ogrid[:p, :p]
+    want = np.zeros((p, p, p), dtype=complex)
+    want[a, (x + a) % p, x] = _root_table(p, a * a * x) / np.sqrt(p)
+    assert np.array_equal(weyl_channel(p).stacked(), want)
+    u, v = weyl_generators(p)
+    assert np.array_equal(np.diag(v), _root_table(p, np.arange(p)))
+    assert np.array_equal(u, np.roll(np.eye(p), 1, axis=0))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_mub_entries_are_the_correctly_computed_roots(d):
+    k, a, j = np.ogrid[:d, :d, :d]
+    want = _root_table(d, k * a * a + j * a) / np.sqrt(d)
+    assert np.array_equal(np.array(mub_family(d).bases[1:]), want)
+
+
+@pytest.mark.parametrize("name, n", [("wh0even", 2), ("wh0even", 4), ("wh0even", 8),
+                                     ("wh0odd", 3), ("wh0odd", 5), ("wh0odd", 7)])
+def test_wh_fourier_diagonals_are_the_correctly_computed_roots(name, n):
+    k = np.arange(1, n + 1)
+    diagonals = _WH[name](n).stacked()[-n:]
+    assert np.array_equal(np.array([np.diag(u) for u in diagonals]),
+                          _root_table(n, np.outer(k, k)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_weyl_matches_the_matrix_power_construction(p):
+    _same_fixture(weyl_channel(p).stacked(), _old_weyl_channel(p))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_mub_matches_the_zeta_power_construction(d):
+    _same_fixture(np.array(mub_family(d).bases), _old_mub_bases(d))
+    # C's zeros are rounding residues in both constructions: values only
+    assert np.max(np.abs(mub_correlation(d).matrix - _old_mub_correlation(d))) <= 1e-14
+
+
+def test_ctensor2_matches_the_angle_construction():
+    _same_fixture(np.array(toroidal_CtensorI2().vectors), _old_ctensor2())
+
+
+@pytest.mark.parametrize("name, n", [("wh1anti", 2), ("wh1anti", 4), ("wh1anti", 6),
+                                     ("wh1anti", 8), ("wh0even", 2), ("wh0even", 4),
+                                     ("wh0even", 6), ("wh0even", 8), ("wh0odd", 3),
+                                     ("wh0odd", 5), ("wh0odd", 7)])
+def test_wh_matches_the_zeta_power_construction(name, n):
+    _same_fixture(_WH[name](n).stacked(), _old_wh(name, n))
+
+
+def test_wh_sym3_diagonals_are_roots_and_match_the_zeta_power_construction():
+    diagonals = wh_sym3_decomposition().stacked()[:2]
+    assert np.array_equal(np.array([np.diag(u) for u in diagonals]),
+                          _root_table(3, np.array([[0, 1, 2], [0, 2, 1]])))
+    _same_fixture(diagonals, _old_wh_sym3())
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_weyl_words_have_the_exact_ranks_of_their_point_set(seed):
+    # r = |D| and s = |D - D| for any D in Z_n^2 and positive weights: distinct
+    # Weyl words are orthogonal and W(g)* W(h) is a phase times W(h - g)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    size = int(rng.integers(1, min(12, n * n) + 1))
+    a, b = np.divmod(rng.choice(n * n, size, replace=False), n)
+    w = rng.uniform(0.5, 2.0, size)
+    w /= w.sum()
+    phi = KrausChannel(np.sqrt(w)[:, None, None] * muchan.gallery._weyl(n, a, b))
+    diffs = {((a[i] - a[j]) % n, (b[i] - b[j]) % n) for i in range(size) for j in range(size)}
+    profile = channel_profile(phi)
+    assert (profile.r, profile.s) == (size, len(diffs))

@@ -679,6 +679,14 @@ def test_decomposition_from_isometry_checks_isometry():
                                     np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("how", ["reader", "residual"])
+def test_found_without_a_verified_decomposition_is_not_found(how, demote_found):
+    demote_found(how)
+    res = search_isometry(weyl_channel(3), 3, SearchConfig(restarts=5, seed=0))
+    assert res.objective <= search_mod.OBJECTIVE_TOL  # the search itself succeeded
+    assert (res.status, res.isometry, res.decomposition) == ("not_found", None, None)
+
+
 def test_decomposition_from_isometry_flags_bad_unitaries():
     from muchan import NumericalError
     phi = dephasing_channel(2)

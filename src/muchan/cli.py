@@ -131,10 +131,11 @@ def _search_config(args) -> SearchConfig:
 
 
 def _result_obj(res) -> dict:
+    # the objective is inf when no restart finished: JSON has no Infinity
     out = {
         "status": res.status,
         "N": res.n_terms,
-        "objective": res.objective,
+        "objective": res.objective if np.isfinite(res.objective) else None,
         "restart_log": list(res.restart_log),
         "restart_trace": [dataclasses.asdict(rec) for rec in res.restart_trace],
         "decomposition": None if res.decomposition is None

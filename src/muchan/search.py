@@ -220,16 +220,24 @@ def _float_rows(basis: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(basis, dtype=complex).reshape(m, r * r).view(float)
 
 
-def _objective(v: np.ndarray, hf: np.ndarray):
-    """f and d[..., j, k] = (V H_k V*)(j, j) = v_j^T H_k conj(v_j) for V of
-    shape (..., N, r) with rows v_j; ``hf`` is a Hermitian basis as
-    :func:`_float_rows`.  Each d is real: the float dot of conj(v_j) v_j^T
-    with H_k, Re sum_ab v_ja H_k(a, b) conj(v_jb).  Each matrix of the stack
-    makes its own product with ``hf``, so a restart's d does not depend on
-    the batch it runs in (one flat product over all rows does)."""
-    w = (v.conj()[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1).view(float)
+def _evaluate(v: np.ndarray, hf: np.ndarray):
+    """f, the diagonals d, the Riemannian gradient Delta and its squared
+    norm g2 at each V of shape (..., N, r) with rows v_j; ``hf`` is a
+    Hermitian basis as :func:`_float_rows`.
+
+    d[..., j, k] = (V H_k V*)(j, j) = v_j^T H_k conj(v_j) is real: the float
+    dot of conj(v_j) v_j^T with H_k, Re sum_ab v_ja H_k(a, b) conj(v_jb).
+    Delta is the tangent projection G - V (V* G + G* V) / 2 of the Euclidean
+    gradient G, and one conj(V) serves d and V* G.  Each matrix of the stack
+    makes its own products, so a restart's values do not depend on the batch
+    it runs in (one flat product over all rows does)."""
+    vc = v.conj()
+    w = (vc[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1).view(float)
     d = w @ hf.T
-    return _re_inner(d, d), d
+    g = _euclidean_gradient(v, hf, d)
+    a = np.swapaxes(vc, -1, -2) @ g
+    delta = g - v @ (a + _h(a)) / 2
+    return _re_inner(d, d), d, delta, _re_inner(delta, delta)
 
 
 def _euclidean_gradient(v, hf, d):
@@ -249,26 +257,29 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(x, x if b is a else b.reshape(shape).view(float))
 
 
-def _descent_direction(v, hf, d):
-    """Riemannian gradient at each V (tangent projection) and its squared norm."""
-    g = _euclidean_gradient(v, hf, d)
-    a = _h(v) @ g
-    delta = g - v @ (a + _h(a)) / 2
-    return delta, _re_inner(delta, delta)
-
-
 def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
     """Alternating Barzilai-Borwein steps for a stack of accepted moves.
 
     ``s`` and ``y`` are the ambient differences of the iterates and of the
     Riemannian gradients; after an odd number of accepted steps the step is
     <s, s> / |Re<s, y>|, after an even number |Re<s, y>| / <y, y>.  A ratio
-    that is not finite and positive falls back to ``STEP_INIT``.
+    that is not finite and positive falls back to ``STEP_INIT``.  The three
+    dots are taken from one float view each of s and y.
     """
-    sy, odd = np.abs(_re_inner(s, y)), iters & 1
+    shape = s.shape[:-2] + (-1,)
+    s, y = s.reshape(shape).view(float), y.reshape(shape).view(float)
+    ss, sy, yy = np.vecdot(s, s), np.abs(np.vecdot(s, y)), np.vecdot(y, y)
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 falls back below
-        step = np.where(odd, _re_inner(s, s), sy) / np.where(odd, sy, _re_inner(y, y))
-    return np.where((step > 0) & (step < np.inf), step, STEP_INIT)
+        step = np.where(iters & 1, ss / sy, sy / yy)
+    return np.where((step > 0) & np.isfinite(step), step, STEP_INIT)
+
+
+def _stop_tests(f, g2, tau, stall, iters, backtracks, max_iters):
+    """The stop tests of ``STOP_REASONS`` but ``budget``, in that order, on
+    each restart's state."""
+    return (f <= min(OBJECTIVE_TOL, POLISH_TOL), stall >= STALL_PATIENCE, iters >= max_iters,
+            g2 <= GRAD_FLOOR,
+            (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
 
 
 def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
@@ -286,12 +297,15 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     restarts above i are dropped: the log ends at the first success.
 
     The starts come from one ``_haar_stack`` call, so restart i starts at
-    ``haar_isometry(N, r, seed + i)`` bit for bit.  Every round computes
-    the direction and BB step at each trial point, rejected or not, and
-    ``np.where`` on the Armijo mask picks each row's new state: a round has
-    one update path.  The stop tests give one done mask per round; stop
-    reasons are read only in rounds where a restart stops, and the state
-    arrays are compacted only when a restart stops or is dropped.
+    ``haar_isometry(N, r, seed + i)`` bit for bit.  Every round evaluates
+    each trial point once (:func:`_evaluate`) and takes the BB step of
+    every row, rejected or not; ``np.where`` on the Armijo mask picks each
+    row's new state, so a round has one update path.  The stop mask comes
+    from the update: a restart was live, so an accepted one can newly meet
+    only the target, stall, max_iters or grad test, and a rejected one only
+    the armijo test.  Stop reasons (:func:`_stop_tests`) are read, and the
+    state arrays compacted, only in rounds where a restart stops or is
+    dropped.
 
     Returns the records and final isometries of restarts ``indices[0]``
     up to the first success (or all of them), and whether the time budget
@@ -303,54 +317,65 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     # successful restarts keep polishing well below the acceptance
     # threshold so the induced unitaries come out at machine precision
     target = min(OBJECTIVE_TOL, POLISH_TOL)
-    f, d = _objective(v, hf)
-    delta, g2 = _descent_direction(v, hf, d)
+    f, _, delta, g2 = _evaluate(v, hf)
     pos = np.arange(b)                       # block position of each live restart
     tau = np.full(b, STEP_INIT)
     stall, iters, backtracks = (np.zeros(b, dtype=int) for _ in range(3))
+    done = np.logical_or.reduce(_stop_tests(f, g2, tau, stall, iters, backtracks,
+                                            cfg.max_iters))
     out_v, records = np.empty_like(v), [None] * b
     first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
+    n_ok = 0                                 # rows with f <= OBJECTIVE_TOL
     exhausted = False
     for rounds in itertools.count():
-        # a rejected trial leaves f, g2, stall and iters as they were, so
-        # one test serves the start and every round; in STOP_REASONS order
-        tests = (f <= target, stall >= STALL_PATIENCE, iters >= cfg.max_iters,
-                 g2 <= GRAD_FLOOR,
-                 (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
-        done = tests[0] | tests[1] | tests[2] | tests[3] | tests[4]
         ok = f <= OBJECTIVE_TOL
-        if ok.any():
+        n_ok_now = np.count_nonzero(ok)
+        if n_ok_now > n_ok:                  # f never increases: a new row is below
             first_ok = min(first_ok, int(pos[ok.argmax()]))
-        live = ~done & (pos <= first_ok)
-        n_live = np.count_nonzero(live)
-        if n_live and expired():
-            exhausted, n_live = True, 0
-            done |= live
-        if n_live < len(pos):
+            done |= pos > first_ok           # dropped, and never recorded
+        n_ok, n_done = n_ok_now, np.count_nonzero(done)
+        if n_done < len(pos) and expired():
+            exhausted, n_done = True, len(pos)
+            done[:] = True
+        if n_done:
+            tests = _stop_tests(f, g2, tau, stall, iters, backtracks, cfg.max_iters)
             for k in np.flatnonzero(done):
                 p, i = pos[k], indices[pos[k]]
+                if p > first_ok:
+                    continue
                 out_v[p] = v[k]
                 stop = next((name for name, hit in zip(STOP_REASONS, tests) if hit[k]),
                             "budget")
                 records[p] = RestartRecord(index=i, seed=cfg.seed + i,
                                            iterations=int(iters[k]), evaluations=rounds + 1,
                                            stop=stop, objective=float(f[k]))
-            if not n_live:
+            if n_done == len(pos):
                 break
+            live = ~done
+            n_ok = np.count_nonzero(ok[live])
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
-        fn, dn = _objective(trial, hf)
+        fn, _, delta_n, g2n = _evaluate(trial, hf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
-        delta_new, g2_new = _descent_direction(trial, hf, dn)
+        iters += acc
+        step = _bb_step(trial - v, delta_n - delta, iters)
         # relative to f, which is > target > 0 on live rows
-        stall = np.where(acc, (stall + 1) * (f - fn <= STALL_REL * f), stall)
-        iters = iters + acc
-        tau = np.where(acc, _bb_step(trial - v, delta_new - delta, iters), tau * ARMIJO_BETA)
-        backtracks = (backtracks + 1) * ~acc
-        f, g2 = np.where(acc, fn, f), np.where(acc, g2_new, g2)
+        np.copyto(stall, (stall + 1) * (f - fn <= STALL_REL * f), where=acc)
+        backtracks += 1
+        np.copyto(backtracks, 0, where=acc)
+        tau *= ARMIJO_BETA
+        stop_moved = (fn <= target) | (stall >= STALL_PATIENCE) | (g2n <= GRAD_FLOOR)
+        if rounds + 1 >= cfg.max_iters:      # iters <= rounds + 1
+            stop_moved |= iters >= cfg.max_iters
+        done = np.where(acc, stop_moved,
+                        (backtracks >= MAX_BACKTRACKS) | (f - tau * g2 == f))
+        np.copyto(tau, step, where=acc)
+        np.copyto(f, fn, where=acc)
+        np.copyto(g2, g2n, where=acc)
         moved = acc[:, None, None]
-        v, delta = np.where(moved, trial, v), np.where(moved, delta_new, delta)
+        np.copyto(v, trial, where=moved)
+        np.copyto(delta, delta_n, where=moved)
     records = records[:first_ok + 1]
     return records, list(out_v[:len(records)]), exhausted
 
@@ -380,7 +405,9 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     _require_unital_square(profile.minimal, tol, "search_isometry")
     if n_terms < profile.r:
         raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
-    basis = traceless_image_basis(profile, tol)
+    basis = profile._derived.get("search_basis")
+    if basis is None:  # one build serves every candidate size of a scan
+        basis = profile._derived["search_basis"] = traceless_image_basis(profile, tol)
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     def expired():

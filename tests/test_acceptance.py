@@ -266,7 +266,7 @@ def test_criterion_11_property_suite():
     # random adjoint-closed spans: the kernel takes an orthonormal Hermitian
     # basis, here m random traceless Hermitian matrices orthonormalized as
     # real vectors
-    from muchan.search import _euclidean_gradient, _float_rows, _objective
+    from muchan.search import _euclidean_gradient, _evaluate, _float_rows
     from muchan import haar_isometry
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -281,14 +281,14 @@ def test_criterion_11_property_suite():
         basis = np.ascontiguousarray(q.T).view(complex).reshape(m, r, r)
         v = haar_isometry(n_terms, r, seed=trial + 777)
         bf = _float_rows(basis)
-        f, d = _objective(v, bf)
+        f, d, *_ = _evaluate(v, bf)
         g = _euclidean_gradient(v, bf, d)
         j, k = int(rng.integers(n_terms)), int(rng.integers(r))
         for direction in (1.0, 1j):
             e = np.zeros_like(v)
             e[j, k] = direction
-            fp, _ = _objective(v + 1e-6 * e, bf)
-            fm, _ = _objective(v - 1e-6 * e, bf)
+            fp = _evaluate(v + 1e-6 * e, bf)[0]
+            fm = _evaluate(v - 1e-6 * e, bf)[0]
             fd = (fp - fm) / 2e-6
             an = float(np.real(np.conj(g[j, k]) * direction))
             if abs(fd) > 1e-10:

@@ -867,6 +867,26 @@ def test_search_scan(tmp_path, capsys):
     assert obj["bounds"]["r"] == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode", [("--N", "6"), ("--scan",)], ids=["N", "scan"])
+def test_search_with_no_finished_restart_emits_json(tmp_path, capsys, mode):
+    # a zero time budget finishes no restart, so each objective is inf: it
+    # is emitted as null, never as the non-JSON Infinity
+    p = tmp_path / "gap.json"
+    io.save(gap_channel(3, 1), str(p))
+    code = main(["search", str(p), *mode, "--time-budget", "0"])
+    obj = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 3
+    results = obj["results"] if mode == ("--scan",) else [obj]
+    assert [res["N"] for res in results][0] == (4 if mode == ("--scan",) else 6)
+    for res in results:
+        assert res["status"] == "budget_exhausted"
+        assert (res["objective"], res["restart_log"]) == (None, [])
+
+
 def test_search_reports_reproducible(tmp_path, capsys, monkeypatch):
     from muchan import search
     p = tmp_path / "c.json"

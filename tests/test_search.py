@@ -10,8 +10,8 @@ from muchan import search as search_mod
 from muchan import haar_isometry, schur_channel
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation, random_channel,
                             random_unital_rank2, weyl_channel, wh_channels)
-from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _descent_direction,
-                           _euclidean_gradient, _float_rows, _objective, _run_block)
+from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _euclidean_gradient,
+                           _evaluate, _float_rows, _run_block)
 
 
 def _assert_verified(phi, res):
@@ -123,7 +123,7 @@ def test_image_basis_hermitian_orthonormal_same_span(name):
 def test_objective_zero_at_hadamard_for_dephasing():
     basis = traceless_image_basis(dephasing_channel(2))
     v = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    f, _ = _objective(v, _float_rows(basis))
+    f = _evaluate(v, _float_rows(basis))[0]
     assert f <= 1e-28
 
 
@@ -136,7 +136,7 @@ def test_gradient_matches_finite_differences():
         n_terms = int(rng.integers(r, 9))
         basis = _random_hermitian_basis(rng, int(rng.integers(1, 5)), r)
         v = haar_isometry(n_terms, r, seed=trial)[None]   # a batch of one
-        f, d = _objective(v, _float_rows(basis))
+        f, d, *_ = _evaluate(v, _float_rows(basis))
         g = _euclidean_gradient(v, _float_rows(basis), d)
         assert f.shape == (1,) and g.shape == v.shape
         eps = 1e-6
@@ -144,8 +144,8 @@ def test_gradient_matches_finite_differences():
         for direction in (1.0, 1j):
             e = np.zeros_like(v)
             e[0, j, k] = direction
-            fp, _ = _objective(v + eps * e, _float_rows(basis))
-            fm, _ = _objective(v - eps * e, _float_rows(basis))
+            fp = _evaluate(v + eps * e, _float_rows(basis))[0]
+            fm = _evaluate(v - eps * e, _float_rows(basis))[0]
             fd = float(fp[0] - fm[0]) / (2 * eps)
             an = float(np.real(np.conj(g[0, j, k]) * direction))
             if abs(fd) > 1e-10:
@@ -163,8 +163,8 @@ def test_objective_invariant_under_basis_reorthonormalization():
     o = np.linalg.qr(rng.standard_normal((m, m)))[0]
     rotated = np.einsum("ab,bjk->ajk", o, basis)
     v = haar_isometry(7, r, seed=2)
-    f1, _ = _objective(v, _float_rows(basis))
-    f2, _ = _objective(v, _float_rows(rotated))
+    f1 = _evaluate(v, _float_rows(basis))[0]
+    f2 = _evaluate(v, _float_rows(rotated))[0]
     f3 = _t_objective(v, _mixed(basis, 11))[0]
     assert abs(f1 - f2) <= 1e-12 * max(1.0, f1)
     assert abs(f1 - f3) <= 1e-12 * max(1.0, f1)
@@ -208,7 +208,7 @@ def test_flat_kernel_matches_t_reference():
         for n_terms in (r, r + 1, 2 * r):
             v = np.array([haar_isometry(n_terms, r, seed=s) for s in range(4)])
             f_ref, d_ref, t = _t_objective(v, mixed)
-            f, d = _objective(v, _float_rows(basis))
+            f, d, *_ = _evaluate(v, _float_rows(basis))
             assert np.all(np.abs(f - f_ref) <= 1e-13 * f_ref)
             g_ref = _t_gradient(v, mixed, d_ref, t)
             g = _euclidean_gradient(v, _float_rows(basis), d)
@@ -225,12 +225,10 @@ def test_kernel_on_a_batch_equals_one_restart_calls(name, n_terms):
     phi = wh_channels(5).phi0 if name == "wh0_5" else _GALLERY[name]()
     hf = _float_rows(traceless_image_basis(phi))
     v = np.array([haar_isometry(n_terms, channel_profile(phi).r, seed=s) for s in range(25)])
-    f, d = _objective(v, hf)
-    delta, g2 = _descent_direction(v, hf, d)
+    f, _, delta, g2 = _evaluate(v, hf)
     for k in range(25):
         for one in (v[k:k + 1], v[k]):
-            fk, dk = _objective(one, hf)
-            delta_k, g2_k = _descent_direction(one, hf, dk)
+            fk, _, delta_k, g2_k = _evaluate(one, hf)
             assert np.array_equal(fk, f[k:k + 1].reshape(fk.shape))
             assert np.array_equal(delta_k, delta[k:k + 1].reshape(delta_k.shape))
             assert np.array_equal(g2_k, g2[k:k + 1].reshape(g2_k.shape))
@@ -561,12 +559,17 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
     return f, v, it, evals
 
 
+# the scan's channels, and two with a larger r: weyl(5) (r = 5) and the
+# Werner-Holevo channel wh0:3 (r = 6)
+_ORACLE_CHANNELS = {**_SCAN_CHANNELS, "weyl5": lambda: weyl_channel(5),
+                    "wh0_3": lambda: wh_channels(3).phi0}
+
+
 @pytest.mark.parametrize("fixture, n_terms", [
-    ("gap", 4), ("gap", 5), ("gap", 6), ("c4", 3)])
+    ("gap", 4), ("gap", 5), ("gap", 6), ("c4", 3), ("weyl5", 5), ("wh0_3", 6)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed, monkeypatch):
-    phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
-    basis = traceless_image_basis(phi)
+    basis = traceless_image_basis(_ORACLE_CHANNELS[fixture]())
     cfg = SearchConfig(restarts=4, seed=seed)
     # the default tolerance drops restarts after the first success; a
     # tolerance no restart reaches runs all four to their own stop
@@ -602,8 +605,7 @@ def test_lockstep_restarts_match_sequential_oracle_at_bench_width(fixture, n_ter
     # reaches: every restart runs to its own stop, through rounds where all
     # live restarts pass Armijo, rounds with both passing and rejected
     # restarts, and compactions
-    phi = gap_channel(3, 1) if fixture == "gap" else schur_channel(corr_C4())
-    basis = traceless_image_basis(phi)
+    basis = traceless_image_basis(_ORACLE_CHANNELS[fixture]())
     cfg = SearchConfig(restarts=25, seed=3)
     monkeypatch.setattr(search_mod, "OBJECTIVE_TOL", 1e-300)
     log = []
@@ -629,13 +631,43 @@ def test_lockstep_restarts_match_sequential_oracle_at_bench_width(fixture, n_ter
     assert widths[0] == 25 and len(set(widths)) > 2
 
 
+@pytest.mark.parametrize("fixture, n_terms, seed, max_iters", [
+    ("gap", 6, 3, 2000), ("c4", 4, 3, 2000), ("gap", 6, 5, 30)])
+def test_lockstep_first_success_matches_sequential_oracle(fixture, n_terms, seed, max_iters,
+                                                          monkeypatch):
+    # 25 restarts at the known rank with the default OBJECTIVE_TOL: the round
+    # a restart gets below it drops every restart above it, and that restart
+    # polishes on to the target.  At max_iters=30 and seed 5, restart 1
+    # succeeds while restart 0 is still running; restart 0 ends at max_iters
+    basis = traceless_image_basis(_ORACLE_CHANNELS[fixture]())
+    cfg = SearchConfig(restarts=25, seed=seed, max_iters=max_iters)
+    log = []
+    _recording(monkeypatch, "_phased_q", log)
+    records, finals, exhausted = _run_block(basis, n_terms, cfg, range(25), lambda: False)
+    assert not exhausted and records[-1].stop == "target"
+    assert records[-1].objective <= search_mod.POLISH_TOL
+    for rec, v in zip(records, finals):
+        f_ref, v_ref, iters, evals = _seq_run_restart(basis, n_terms, basis.shape[1],
+                                                      cfg, rec.index)
+        assert rec.objective == f_ref
+        assert np.array_equal(v, v_ref)
+        assert (rec.iterations, rec.evaluations) == (iters, evals)
+    # one trial per round; the block ends with its last recorded restart, so
+    # no restart above the success ran on
+    widths = [len(a) for _, a in log]
+    assert widths[0] == 25 and len(widths) == max(rec.evaluations for rec in records) - 1
+    if max_iters == 30:
+        assert [rec.stop for rec in records] == ["max_iters", "target"]
+        assert records[0].evaluations > records[1].evaluations
+
+
 @pytest.mark.parametrize("n_terms, r, first, seed", [
     (5, 4, 0, 0), (3, 3, 0, 7), (9, 2, 256, 11), (15, 15, 25, 2 ** 40)])
 def test_block_starts_are_haar_isometry(n_terms, r, first, seed, monkeypatch):
     # restart i of a block starts at haar_isometry(N, r, seed + i), bit for
     # bit, though the block draws and factors its starts as one stack
     log = []
-    _recording(monkeypatch, "_objective", log)
+    _recording(monkeypatch, "_evaluate", log)
     basis = _random_traceless_basis(np.random.default_rng(r), 2, r)
     cfg = SearchConfig(restarts=first + 25, seed=seed, max_iters=1)
     _run_block(basis, n_terms, cfg, range(first, first + 25), lambda: False)

@@ -58,7 +58,7 @@ import numpy as np
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _hermitian_basis,
                        _require_unital_square, decomposition_from_isometry, rank_bounds,
                        verify_decomposition)
-from .channels import KrausChannel, channel_profile
+from .channels import ChannelProfile, KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
 from .linalg import _haar_stack, _phased_q
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -208,11 +208,6 @@ def traceless_image_basis(phi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return basis
 
 
-def _h(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the trailing two axes."""
-    return np.swapaxes(a.conj(), -1, -2)
-
-
 def _float_rows(basis: np.ndarray) -> np.ndarray:
     """The basis H_1..H_m as real rows (m, 2 r^2): vec(H_k) with real and
     imaginary parts interleaved, the layout of a complex array's float view."""
@@ -236,8 +231,10 @@ def _evaluate(v: np.ndarray, hf: np.ndarray):
     d = w @ hf.T
     g = _euclidean_gradient(v, hf, d)
     a = np.swapaxes(vc, -1, -2) @ g
-    delta = g - v @ (a + _h(a)) / 2
-    return _re_inner(d, d), d, delta, _re_inner(delta, delta)
+    delta = g - v @ (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    rows = v.shape[:-2] + (-1,)             # f and g2: one float dot per matrix
+    dd, dl = d.reshape(rows), delta.reshape(rows).view(float)
+    return np.vecdot(dd, dd), d, delta, np.vecdot(dl, dl)
 
 
 def _euclidean_gradient(v, hf, d):
@@ -246,15 +243,6 @@ def _euclidean_gradient(v, hf, d):
     Hermitian basis, so this is 2 v_j^T (C_j + C_j*)."""
     c = (d @ hf).view(complex).reshape(*v.shape, v.shape[-1])
     return 4 * (v[..., None, :] @ c)[..., 0, :]
-
-
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re<a, b> over the trailing two axes (a squared norm when ``b`` is
-    ``a``): one dot of the float views per matrix of the stack, so each
-    entry is computed as if on its own."""
-    shape = a.shape[:-2] + (-1,)
-    x = a.reshape(shape).view(float)
-    return np.vecdot(x, x if b is a else b.reshape(shape).view(float))
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
@@ -269,16 +257,16 @@ def _bb_step(s: np.ndarray, y: np.ndarray, iters: np.ndarray) -> np.ndarray:
     shape = s.shape[:-2] + (-1,)
     s, y = s.reshape(shape).view(float), y.reshape(shape).view(float)
     ss, sy, yy = np.vecdot(s, s), np.abs(np.vecdot(s, y)), np.vecdot(y, y)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 falls back below
+    # both ratios for every row: x / 0, 0 / 0 and overflow fall back below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = np.where(iters & 1, ss / sy, sy / yy)
     return np.where((step > 0) & np.isfinite(step), step, STEP_INIT)
 
 
-def _stop_tests(f, g2, tau, stall, iters, backtracks, max_iters):
+def _stop_tests(f, g2, tau, stall, iters, backtracks, max_iters, target):
     """The stop tests of ``STOP_REASONS`` but ``budget``, in that order, on
     each restart's state."""
-    return (f <= min(OBJECTIVE_TOL, POLISH_TOL), stall >= STALL_PATIENCE, iters >= max_iters,
-            g2 <= GRAD_FLOOR,
+    return (f <= target, stall >= STALL_PATIENCE, iters >= max_iters, g2 <= GRAD_FLOOR,
             (backtracks >= MAX_BACKTRACKS) | (backtracks > 0) & (f - tau * g2 == f))
 
 
@@ -299,13 +287,12 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     The starts come from one ``_haar_stack`` call, so restart i starts at
     ``haar_isometry(N, r, seed + i)`` bit for bit.  Every round evaluates
     each trial point once (:func:`_evaluate`) and takes the BB step of
-    every row, rejected or not; ``np.where`` on the Armijo mask picks each
-    row's new state, so a round has one update path.  The stop mask comes
-    from the update: a restart was live, so an accepted one can newly meet
-    only the target, stall, max_iters or grad test, and a rejected one only
-    the armijo test.  Stop reasons (:func:`_stop_tests`) are read, and the
-    state arrays compacted, only in rounds where a restart stops or is
-    dropped.
+    every row, rejected or not; the Armijo mask picks each row's new state
+    in place, so a round has one update path.  The stop mask comes from the
+    update: a restart was live, so an accepted one can newly meet only the
+    target, stall, max_iters or grad test, and a rejected one only the
+    armijo test.  Stop reasons (:func:`_stop_tests`) are read, and the state
+    arrays compacted, only in rounds where a restart stops or is dropped.
 
     Returns the records and final isometries of restarts ``indices[0]``
     up to the first success (or all of them), and whether the time budget
@@ -322,7 +309,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     tau = np.full(b, STEP_INIT)
     stall, iters, backtracks = (np.zeros(b, dtype=int) for _ in range(3))
     done = np.logical_or.reduce(_stop_tests(f, g2, tau, stall, iters, backtracks,
-                                            cfg.max_iters))
+                                            cfg.max_iters, target))
     out_v, records = np.empty_like(v), [None] * b
     first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
     n_ok = 0                                 # rows with f <= OBJECTIVE_TOL
@@ -338,7 +325,7 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
             exhausted, n_done = True, len(pos)
             done[:] = True
         if n_done:
-            tests = _stop_tests(f, g2, tau, stall, iters, backtracks, cfg.max_iters)
+            tests = _stop_tests(f, g2, tau, stall, iters, backtracks, cfg.max_iters, target)
             for k in np.flatnonzero(done):
                 p, i = pos[k], indices[pos[k]]
                 if p > first_ok:
@@ -351,10 +338,11 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
                                            stop=stop, objective=float(f[k]))
             if n_done == len(pos):
                 break
-            live = ~done
-            n_ok = np.count_nonzero(ok[live])
+            keep = np.flatnonzero(~done)
+            n_ok = np.count_nonzero(ok[keep])
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
-                x[live] for x in (pos, v, f, delta, g2, tau, stall, iters, backtracks))
+                x.take(keep, axis=0) for x in (pos, v, f, delta, g2, tau, stall, iters,
+                                               backtracks))
         trial = _phased_q(v - tau[:, None, None] * delta)  # QR retraction
         fn, _, delta_n, g2n = _evaluate(trial, hf)
         acc = fn <= f - ARMIJO_C1 * tau * g2
@@ -365,11 +353,12 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         backtracks += 1
         np.copyto(backtracks, 0, where=acc)
         tau *= ARMIJO_BETA
+        # the row was live, so it met no stop test: a move can meet only the
+        # first four, a rejection (f, g2, stall and iters unchanged) only armijo
         stop_moved = (fn <= target) | (stall >= STALL_PATIENCE) | (g2n <= GRAD_FLOOR)
         if rounds + 1 >= cfg.max_iters:      # iters <= rounds + 1
             stop_moved |= iters >= cfg.max_iters
-        done = np.where(acc, stop_moved,
-                        (backtracks >= MAX_BACKTRACKS) | (f - tau * g2 == f))
+        done = np.where(acc, stop_moved, (backtracks >= MAX_BACKTRACKS) | (f - tau * g2 == f))
         np.copyto(tau, step, where=acc)
         np.copyto(f, fn, where=acc)
         np.copyto(g2, g2n, where=acc)
@@ -446,14 +435,19 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
                         restart_trace=tuple(trace))
 
 
-def murank_search(phi: KrausChannel, cfg: SearchConfig = SearchConfig(),
+def murank_search(phi: KrausChannel | ChannelProfile, cfg: SearchConfig = SearchConfig(),
                   tol: Tolerance = DEFAULT_TOL) -> MurankReport:
     """Scan candidate sizes N for the smallest successful search.
 
+    ``phi`` is a channel or its profile (:func:`muchan.channels.channel_profile`).
     Starts at the Choi rank (or at the theorem-certified exact value when
-    available) and walks up to the rank bound.  Failures at smaller N are
+    available) and walks up to the rank bound, with one
+    :func:`search_isometry` call per size.  Failures at smaller N are
     recorded as diagnostics; they are soft evidence only and never certify
-    a lower bound.  The bounds and the search basis come from one profile.
+    a lower bound.  The bounds and the search basis come from one profile:
+    the basis is built once and serves every size.  ``cfg.time_budget``
+    applies to each candidate size on its own, so a scan may run for up to
+    the number of sizes times the budget.
     """
     profile = channel_profile(phi, tol)
     bounds = rank_bounds(profile, tol)

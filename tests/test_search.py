@@ -680,20 +680,26 @@ def test_block_starts_are_haar_isometry(n_terms, r, first, seed, monkeypatch):
 def test_bb_step_ratios_and_fallback():
     # odd accepted-step counts take <s, s> / |Re<s, y>|, even ones
     # |Re<s, y>| / <y, y>; a zero denominator or a zero ratio falls back to
-    # STEP_INIT, without a 0/0 warning (tier-1 turns those into errors)
+    # STEP_INIT, without a 0/0 warning (tier-1 turns those into errors).
+    # Both ratios are formed for every row, so an overflowing ss / sy falls
+    # back on an odd row and warns on neither
     rng = np.random.default_rng(4)
-    s = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
-    y = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    s = rng.standard_normal((8, 3, 2)) + 1j * rng.standard_normal((8, 3, 2))
+    y = rng.standard_normal((8, 3, 2)) + 1j * rng.standard_normal((8, 3, 2))
     s[2] = y[2] = 0                                # 0/0 either way
     y[3] = 0                                       # odd: ss / 0
     s[4] = 0                                       # even: 0 / yy
-    iters = np.array([1, 2, 3, 5, 4, 6])
+    s[6:] = y[6:] = 0                              # ss = yy = 1, sy = 1e-310
+    s[6:, 0, 0], y[6:, 0, 0], y[6:, 1, 0] = 1, 1e-310, 1
+    iters = np.array([1, 2, 3, 5, 4, 6, 8, 7])
     step = search_mod._bb_step(s, y, iters)
     ss, yy = np.array([[_dot(a, a) for a in x] for x in (s, y)])
     sy = np.abs([_dot(a, b) for a, b in zip(s, y)])
     assert step[0] == ss[0] / sy[0] and step[1] == sy[1] / yy[1]
     assert step[5] == sy[5] / yy[5]
+    assert step[6] == sy[6] / yy[6] == 1e-310     # even: ss / sy would overflow
     assert list(step[2:5]) == [search_mod.STEP_INIT] * 3
+    assert step[7] == search_mod.STEP_INIT         # odd: ss / sy overflows
 
 
 # -------------------------------------------- decomposition_from_isometry

@@ -40,6 +40,16 @@ Because f never increases, once restart i is below the objective
 tolerance every restart above i is dropped, and the log ends at the
 first success as if the restarts ran one after another.
 
+A round costs a fixed part plus a part per live restart.  The fixed part
+is the round's hundred or so small numpy calls: one evaluation of each
+trial point, sharing conj(V) between the diagonals and V* G; the three
+Barzilai-Borwein dots from one float view each of s and y; a stop mask
+built from the update; and in-place selects.  The part per restart is
+LAPACK's QR (about 1.3 us) and five per-matrix products (about 1.2 us).
+On a 2-core Xeon host with one BLAS thread, a round at the scan's sizes
+(gap(3,1) at N = 4..6, the C4 Schur channel at N = 3, 4) took about 69 us
+with one live restart and about 137 us with 25.
+
 ``found`` always carries a verified decomposition, read from the best
 isometry by :func:`muchan.analysis.decomposition_from_isometry`.  A failed
 search is never a certificate: ``not_found`` only reports that all
@@ -312,15 +322,13 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
                                             cfg.max_iters, target))
     out_v, records = np.empty_like(v), [None] * b
     first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
-    n_ok = 0                                 # rows with f <= OBJECTIVE_TOL
     exhausted = False
     for rounds in itertools.count():
         ok = f <= OBJECTIVE_TOL
-        n_ok_now = np.count_nonzero(ok)
-        if n_ok_now > n_ok:                  # f never increases: a new row is below
+        if np.count_nonzero(ok):
             first_ok = min(first_ok, int(pos[ok.argmax()]))
             done |= pos > first_ok           # dropped, and never recorded
-        n_ok, n_done = n_ok_now, np.count_nonzero(done)
+        n_done = np.count_nonzero(done)
         if n_done < len(pos) and expired():
             exhausted, n_done = True, len(pos)
             done[:] = True
@@ -339,7 +347,6 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
             if n_done == len(pos):
                 break
             keep = np.flatnonzero(~done)
-            n_ok = np.count_nonzero(ok[keep])
             pos, v, f, delta, g2, tau, stall, iters, backtracks = (
                 x.take(keep, axis=0) for x in (pos, v, f, delta, g2, tau, stall, iters,
                                                backtracks))

@@ -632,7 +632,8 @@ def test_lockstep_restarts_match_sequential_oracle_at_bench_width(fixture, n_ter
 
 
 @pytest.mark.parametrize("fixture, n_terms, seed, max_iters", [
-    ("gap", 6, 3, 2000), ("c4", 4, 3, 2000), ("gap", 6, 5, 30)])
+    ("gap", 6, 3, SearchConfig.max_iters), ("c4", 4, 3, SearchConfig.max_iters),
+    ("gap", 6, 5, 30)])
 def test_lockstep_first_success_matches_sequential_oracle(fixture, n_terms, seed, max_iters,
                                                           monkeypatch):
     # 25 restarts at the known rank with the default OBJECTIVE_TOL: the round
@@ -689,15 +690,16 @@ def test_bb_step_ratios_and_fallback():
     s[2] = y[2] = 0                                # 0/0 either way
     y[3] = 0                                       # odd: ss / 0
     s[4] = 0                                       # even: 0 / yy
-    s[6:] = y[6:] = 0                              # ss = yy = 1, sy = 1e-310
-    s[6:, 0, 0], y[6:, 0, 0], y[6:, 1, 0] = 1, 1e-310, 1
+    tiny = np.finfo(float).tiny / 4                # 2^-1024: 1 / tiny overflows
+    s[6:] = y[6:] = 0                              # ss = yy = 1, sy = tiny
+    s[6:, 0, 0], y[6:, 0, 0], y[6:, 1, 0] = 1, tiny, 1
     iters = np.array([1, 2, 3, 5, 4, 6, 8, 7])
     step = search_mod._bb_step(s, y, iters)
     ss, yy = np.array([[_dot(a, a) for a in x] for x in (s, y)])
     sy = np.abs([_dot(a, b) for a, b in zip(s, y)])
     assert step[0] == ss[0] / sy[0] and step[1] == sy[1] / yy[1]
     assert step[5] == sy[5] / yy[5]
-    assert step[6] == sy[6] / yy[6] == 1e-310     # even: ss / sy would overflow
+    assert step[6] == sy[6] / yy[6] == tiny       # even: ss / sy would overflow
     assert list(step[2:5]) == [search_mod.STEP_INIT] * 3
     assert step[7] == search_mod.STEP_INIT         # odd: ss / sy overflows
 

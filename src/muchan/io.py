@@ -203,8 +203,11 @@ def dumps(thing) -> str:
 def save(thing, path: str):
     """Write ``dumps(thing)`` and a newline to ``path`` in one write."""
     text = dumps(thing) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write file: {exc}", path) from exc
 
 
 def load(path: str, tol: Tolerance = DEFAULT_TOL):

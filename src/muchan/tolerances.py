@@ -34,8 +34,8 @@ class Tolerance:
 
     def __post_init__(self):
         for name in ("eps_rank", "eps_eq"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be strictly positive and finite")
         if self.eps_rank > 1:
             raise ValidationError("eps_rank must be at most 1")
 

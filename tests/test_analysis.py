@@ -449,6 +449,26 @@ def test_schur_equivalence_has_no_seed_option():
         schur_equivalence_check(schur_channel(corr_B3()), seed=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: MixedUnitaryDecomposition([0.5, 0.5], [np.eye(2)]),
+     "probs and unitaries must be matching nonempty lists"),
+    (lambda: MixedUnitaryDecomposition([0.0], [np.eye(2)]), "all weights vanish"),
+    (lambda: muchan.analysis.decomposition_from_isometry(
+        minimize_kraus(weyl_channel(3)), np.eye(3)[:, :2]),
+     "isometry must have 3 columns, got (3, 2)"),
+    (lambda: decompositions_equivalent(MixedUnitaryDecomposition([1.0], [np.eye(2)]),
+                                       MixedUnitaryDecomposition([1.0], [np.eye(3)])),
+     "decompositions have different dimensions"),
+    (lambda: schur_equivalence_check(random_channel(2, 3, 2, seed=0)),
+     "schur_equivalence_check requires a square channel"),
+], ids=["probs_and_unitaries_differ", "all_weights_zero", "isometry_columns",
+        "equivalent_across_dims", "schur_check_2_to_3"])
+def test_analysis_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_schur_equivalence_rejects_weyl():
     res = schur_equivalence_check(weyl_channel(3))
     assert not res.equivalent

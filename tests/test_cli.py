@@ -3,13 +3,13 @@ import copy
 import io as io_
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import muchan
 import muchan.cli
@@ -18,6 +18,7 @@ from muchan.cli import main
 from muchan.channels import identity_channel
 from muchan.gallery import (corr_B3, gap_channel, toroidal_CtensorI2, weyl_channel,
                             wh_channels, wh_sym3_decomposition)
+from seeded import seeded
 
 
 def run_cli(capsys, *argv):
@@ -52,21 +53,44 @@ def test_decomposition_roundtrip(tmp_path):
 
 
 # signed zeros, subnormals (the largest and the smallest), the smallest
-# normal, 1e-300 and its neighbours; a channel or decomposition entry has
-# modulus at most 1, so entries near 1e+300 are written in a matrix file
-_TINY = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-                     2.2250738585072014e-308, 1e-300, float(np.nextafter(1e-300, 1)),
-                     -float(np.nextafter(1e-300, 0))]),
-    st.floats(-1e-100, 1e-100))
-_ANY = st.one_of(
-    st.sampled_from([1e300, float(np.nextafter(1e300, np.inf)), -float(np.nextafter(1e300, 0)),
-                     1.7976931348623157e308]),
-    _TINY, st.floats(allow_nan=False, allow_infinity=False))
+# normal, 1e-300 and its neighbours, and +-1e-100, the ends of the range
+# _tiny draws from; a channel or decomposition entry has modulus at most 1,
+# so entries near 1e+300 are written in a matrix file
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+         1e-300, float(np.nextafter(1e-300, 1)), -float(np.nextafter(1e-300, 0)),
+         1e-100, -1e-100]
+_HUGE = [1e300, float(np.nextafter(1e300, np.inf)), -float(np.nextafter(1e300, 0)),
+         1.7976931348623157e308]
 
 
-def _matrix(draw, n, floats):
-    return np.array([[complex(draw(floats), draw(floats)) for _ in range(n)]
+def _random_bits_float(rng):
+    """A float64 with 64 random bits: any sign, exponent and mantissa."""
+    return struct.unpack("<d", rng.bytes(8))[0]
+
+
+def _tiny(rng):
+    """One of ``_TINY``, or a random sign times 10**U(-324, -100): normal,
+    subnormal, or 0 below the smallest subnormal."""
+    if rng.random() < 0.5:
+        return _TINY[rng.integers(len(_TINY))]
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-324, -100))
+
+
+def _any(rng):
+    """One of ``_HUGE``, a ``_tiny`` float, or a finite float with random bits."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return _HUGE[rng.integers(len(_HUGE))]
+    if kind == 1:
+        return _tiny(rng)
+    x = _random_bits_float(rng)
+    while not np.isfinite(x):
+        x = _random_bits_float(rng)
+    return x
+
+
+def _matrix(rng, n, floats):
+    return np.array([[complex(floats(rng), floats(rng)) for _ in range(n)]
                      for _ in range(n)])
 
 
@@ -81,33 +105,37 @@ def _saved_and_loaded(thing):
         return io.load(path)[1]
 
 
-@st.composite
-def _phase_matrices(draw, n):
+def _phase_matrix(rng, n):
     """A diagonal of unit phases (full-precision floats), off-diagonals tiny."""
-    m = _matrix(draw, n, _TINY)
-    for i in range(n):
-        m[i, i] = np.exp(1j * draw(st.floats(-4, 4)))
+    m = _matrix(rng, n, _tiny)
+    m[np.diag_indices(n)] = np.exp(1j * rng.uniform(-4, 4, n))
     return m
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 3), st.data())
-def test_channel_and_decomposition_floats_round_trip_bit_for_bit(n, data):
-    u = data.draw(_phase_matrices(n))
-    phi = KrausChannel([u, _matrix(data.draw, n, _TINY)])
+def _phase_case(rng):
+    # a unitary u, a tiny second Kraus operator t, a weight p, a unitary v
+    n = int(rng.integers(1, 4))
+    return (_phase_matrix(rng, n), _matrix(rng, n, _tiny), float(rng.uniform(1e-8, 1 - 1e-8)),
+            _phase_matrix(rng, n))
+
+
+@pytest.mark.parametrize("u, t, p, v", seeded(_phase_case, 100))
+def test_channel_and_decomposition_floats_round_trip_bit_for_bit(u, t, p, v):
+    phi = KrausChannel([u, t])
     assert _bits(_saved_and_loaded(phi).kraus) == _bits(phi.kraus)
 
-    p = data.draw(st.floats(1e-8, 1 - 1e-8))
-    d = MixedUnitaryDecomposition([p, 1 - p], [u, data.draw(_phase_matrices(n))])
+    d = MixedUnitaryDecomposition([p, 1 - p], [u, v])
     loaded = _saved_and_loaded(d)
     assert loaded.probs.tobytes() == d.probs.tobytes()
     assert _bits(loaded.unitaries) == _bits(d.unitaries)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 3), st.data())
-def test_matrix_floats_round_trip_bit_for_bit(n, data):
-    m = _matrix(data.draw, n, _ANY)
+def _any_case(rng):
+    return [_matrix(rng, int(rng.integers(1, 4)), _any)]
+
+
+@pytest.mark.parametrize("m", seeded(_any_case, 100))
+def test_matrix_floats_round_trip_bit_for_bit(m):
     assert _bits([_saved_and_loaded(m)]) == _bits([m])
 
 
@@ -153,21 +181,38 @@ def _outcome(read, lit):
 _READERS = {"matrix": (io.matrix_from_literal, _old_matrix_from_literal),
             "vector": (io.vector_from_literal, _old_vector_from_literal)}
 
-# ints of any size, both zeros, subnormals, the float extremes, 2**63
-_LITERAL_NUMBERS = st.one_of(
-    st.sampled_from([0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1e308, -1e308, 1.7976931348623157e308, 2 ** 63, -2 ** 63, 2 ** 63 - 1,
-                     2 ** 64 + 1, 10 ** 300]),
-    st.integers(-2 ** 80, 2 ** 80), st.floats())
-_PAIRS = st.lists(_LITERAL_NUMBERS, min_size=2, max_size=2)
+# ints of any size, both zeros, subnormals, the float extremes, 2**63,
+# +-2**80, NaN and both infinities
+_LITERAL_NUMBERS = [0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e308, -1e308, 1.7976931348623157e308, 2 ** 63, -2 ** 63, 2 ** 63 - 1,
+                    2 ** 64 + 1, 10 ** 300, 2 ** 80, -2 ** 80, float("nan"), float("inf"),
+                    float("-inf")]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_reader_matches_per_entry_loop(rows, cols, data):
-    matrix = data.draw(st.lists(st.lists(_PAIRS, min_size=cols, max_size=cols),
-                                min_size=rows, max_size=rows))
-    vector = data.draw(st.lists(_PAIRS, max_size=5))
+def _literal_number(rng):
+    """One of ``_LITERAL_NUMBERS``, an int in (-2**80, 2**80) of random bit
+    length, or a float with random bits (NaN and infinities included)."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return _LITERAL_NUMBERS[rng.integers(len(_LITERAL_NUMBERS))]
+    if kind == 1:
+        magnitude = int.from_bytes(rng.bytes(10), "little") >> int(rng.integers(81))
+        return magnitude if rng.random() < 0.5 else -magnitude
+    return _random_bits_float(rng)
+
+
+def _pairs(rng, count):
+    return [[_literal_number(rng), _literal_number(rng)] for _ in range(count)]
+
+
+def _literal_case(rng):
+    # a rows x cols matrix literal and a vector literal of 0..5 entries
+    rows, cols, length = rng.integers(1, 5), rng.integers(1, 5), rng.integers(6)
+    return [_pairs(rng, cols) for _ in range(rows)], _pairs(rng, length)
+
+
+@pytest.mark.parametrize("matrix, vector", seeded(_literal_case, 200))
+def test_reader_matches_per_entry_loop(matrix, vector):
     for kind, lit in (("matrix", matrix), ("vector", vector)):
         new, old = _READERS[kind]
         got = _outcome(new, lit)
@@ -376,6 +421,25 @@ def test_load_rejects_garbage(tmp_path):
         io.load(str(p))
 
 
+def _load_decomposition_as_channel(tmp):
+    path = str(tmp / "d.json")
+    io.save(wh_sym3_decomposition(), path)
+    return io.load_channel(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: io.load(str(tmp / "missing.json")), muchan.FileFormatError,
+     "cannot read file: "),
+    (_load_decomposition_as_channel, muchan.FileFormatError,
+     "expected a channel file, found kind 'mixed-unitary'"),
+    (lambda tmp: io.to_obj(3), TypeError, "cannot serialize int")],
+    ids=["missing_file", "decomposition_as_channel", "to_obj_int"])
+def test_io_refusals(tmp_path, call, error, message):
+    with pytest.raises(error) as refused:
+        call(tmp_path)
+    assert str(refused.value).startswith(message)
+
+
 # ---------------------------------------------------------------------- gen
 
 def test_gen_to_stdout(capsys):
@@ -399,6 +463,17 @@ def test_gen_bad_parameter(name, message, capsys):
     code, obj = run_cli(capsys, "gen", name)
     assert code == 2
     assert obj["error"] == {"code": "invalid", "message": message, "path": None}
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_gen_unwritable_output_is_format_error(tmp_path, capsys, target):
+    # a file under a missing directory, or a directory: one JSON object that
+    # names the path, exit 2, no traceback
+    out = tmp_path / "missing" / "w.json" if target == "missing_dir" else tmp_path
+    code, obj = run_cli(capsys, "gen", "weyl:3", "-o", str(out))
+    assert code == 2
+    assert obj["error"]["code"] == "format" and obj["error"]["path"] == str(out)
+    assert obj["error"]["message"].startswith("cannot write file: ")
 
 
 def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -683,36 +758,50 @@ def _json_slots(node, out):
     return out
 
 
-def _mutate(text: str, data) -> bytes:
+_FUZZ_TEXTS = {"channel": io.dumps(wh_channels(3).phi0),
+               "decomposition": io.dumps(wh_sym3_decomposition())}
+
+
+def _mutate(text: str, how: str, at: tuple) -> bytes:
+    """``text`` with byte ``at[0]`` set to ``at[1]`` ("flip"), cut to its
+    first ``at[0]`` bytes ("truncate"), or with the JSON values at slots
+    ``at[0]`` and ``at[1]`` of ``_json_slots`` swapped ("swap")."""
     raw = text.encode("utf-8")
-    how = data.draw(st.sampled_from(["flip", "truncate", "swap"]))
     if how == "flip":
-        i = data.draw(st.integers(0, len(raw) - 1))
-        b = data.draw(st.integers(0, 255))
+        i, b = at
         return raw[:i] + bytes([b]) + raw[i + 1:]
     if how == "truncate":
-        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+        return raw[:at[0]]
     obj = json.loads(text)
     slots = _json_slots(obj, [])
-    (ca, ka), (cb, kb) = (slots[data.draw(st.integers(0, len(slots) - 1))]
-                          for _ in range(2))
+    (ca, ka), (cb, kb) = (slots[i] for i in at)
     va, vb = copy.deepcopy(ca[ka]), copy.deepcopy(cb[kb])
     ca[ka], cb[kb] = vb, va
     return json.dumps(obj).encode("utf-8")
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.sampled_from(["channel", "decomposition"]), st.data())
-def test_fuzzed_files_never_raise(which, data):
+def _fuzz_case(rng):
+    which = ["channel", "decomposition"][rng.integers(2)]
+    how = ["flip", "truncate", "swap"][rng.integers(3)]
+    text = _FUZZ_TEXTS[which]
+    size = len(text.encode("utf-8"))
+    if how == "flip":
+        return which, how, (int(rng.integers(size)), int(rng.integers(256)))
+    if how == "truncate":
+        return which, how, (int(rng.integers(size)),)
+    slots = len(_json_slots(json.loads(text), []))
+    return which, how, tuple(int(i) for i in rng.integers(slots, size=2))
+
+
+@pytest.mark.parametrize("which, how, at", seeded(_fuzz_case, 150))
+def test_fuzzed_files_never_raise(which, how, at):
     # byte flips, truncations and swapped JSON values of saved files: the
     # CLI answers with one JSON object and an exit code, never a traceback
-    texts = {"channel": io.dumps(wh_channels(3).phi0),
-             "decomposition": io.dumps(wh_sym3_decomposition())}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, text in texts.items():
+        for name, text in _FUZZ_TEXTS.items():
             paths[name] = os.path.join(tmp, name + ".json")
-            contents = _mutate(text, data) if name == which else text.encode("utf-8")
+            contents = _mutate(text, how, at) if name == which else text.encode("utf-8")
             with open(paths[name], "wb") as fh:
                 fh.write(contents)
         argvs = [["verify", paths["channel"], paths["decomposition"]]]

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from muchan import (ToroidalDecomposition, ValidationError,
                     dagger, decompose_low_dim, decompositions_equivalent,
@@ -13,6 +11,7 @@ from muchan import io
 from muchan.analysis import MixedUnitaryDecomposition
 from muchan.constructive import _phase_fix_first_entry, _solve_bracketed_2x2
 from muchan.gallery import corr_B3, random_correlation, random_unital_rank2
+from seeded import seeded
 
 
 def _random_traceless(n, seed):
@@ -27,9 +26,12 @@ def _diag_residual(u, z):
 
 def _assert_zero_diag(u, z):
     # measured on z / max|z|: at extreme scales the Frobenius norm of z
-    # itself underflows to 0 (or overflows), which no residual can meet
+    # itself underflows to 0 (or overflows), which no residual can meet.
+    # The parts are divided as floats: complex division by a subnormal
+    # max|z| forms its overflowing reciprocal
     n = z.shape[0]
-    zn = z / (np.abs(z).max() or 1.0)
+    scale = np.abs(z).max() or 1.0
+    zn = z.real / scale + 1j * (z.imag / scale)
     assert np.linalg.norm(dagger(u) @ u - np.eye(n)) <= 1e-10
     assert _diag_residual(u, zn) <= 1e-8 * np.linalg.norm(zn)
 
@@ -156,22 +158,36 @@ def test_zero_diag_extreme_scale(scale):
     assert _diag_residual(u, zs) <= 1e-8 * scale * np.linalg.norm(z)
 
 
-_traceless = st.integers(2, 8).flatmap(lambda n: arrays(
-    np.complex128, (n, n),
-    elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                allow_infinity=False))).map(
-    lambda z: z - np.trace(z) / z.shape[0] * np.eye(z.shape[0]))
+def _traceless(rng):
+    """A traceless n x n matrix, n in 2..8: a fill value with a random share
+    of its entries redrawn, minus the trace.  Each real or imaginary part is
+    0 with a probability of 0, 1 or U(0, 1) per matrix, else a random sign
+    times 10**x, x uniform on [low, 6] with low = 6 - 330 u^2 per matrix (u
+    uniform on [0, 1]): all zero, one scale, or subnormal next to 1e6."""
+    n = int(rng.integers(2, 9))
+    low, p_zero = 6 - 330 * rng.uniform() ** 2, rng.choice([0.0, 1.0, rng.uniform()])
+
+    def parts(shape):
+        wild = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, 6, shape)
+        return np.where(rng.random(shape) < p_zero, 0.0, wild)
+
+    z = np.full((n, n), parts(2) @ [1, 1j])
+    redrawn = rng.random((n, n)) < rng.uniform()
+    z[redrawn] = (parts((n, n, 2)) @ [1, 1j])[redrawn]
+    return [z - np.trace(z) / n * np.eye(n)]
 
 
 # diagonal 5.2e-200 and off-diagonal 3.4e-184: trace at rounding level, and
 # ||z|| underflows to 0
 _TINY_FLAT = np.full((3, 3), 3.353326603563327e-184, dtype=complex)
 np.fill_diagonal(_TINY_FLAT, 5.225680706521042e-200)
+# zero diagonal, every other part -2.2e-309 (subnormal): 1 / max|z| overflows
+_SUBNORMAL_FILL = np.full((6, 6), -2.225073858507203e-309 * (1 + 1j))
+np.fill_diagonal(_SUBNORMAL_FILL, 0)
 
 
-@settings(derandomize=True, deadline=None)
-@given(_traceless)
-@example(_TINY_FLAT)
+@pytest.mark.parametrize("z", seeded(_traceless, 100) + [
+    pytest.param(_TINY_FLAT, id="tiny_flat"), pytest.param(_SUBNORMAL_FILL, id="subnormal_fill")])
 def test_zero_diag_property(z):
     _assert_zero_diag(zero_diagonal_unitary(z), z)
 

@@ -323,6 +323,20 @@ def test_wh_sym3_explicit():
     assert res.ok and res.choi_residual <= 1e-10
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: wh_sym_even_decomposition(5), "refusal: even n only; use the odd construction"),
+    (lambda: wh_sym_odd_decomposition(4), "refusal: odd n >= 3 only; use the even construction"),
+    (lambda: muchan.gallery.random_channel(4, 1, 2, seed=0),
+     "trace preservation needs rank * dim_out >= dim_in"),
+    (lambda: muchan.gallery.random_channel(2, 2, 5, seed=0), "rank cannot exceed dim_in * dim_out"),
+    (lambda: hermitian_basis(0), "n must be positive")],
+    ids=["wh_even_5", "wh_odd_4", "random_not_tp", "random_rank", "hermitian_basis_0"])
+def test_gallery_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_wh_rejects_n1():
     with pytest.raises(ValidationError):
         wh_channels(1)

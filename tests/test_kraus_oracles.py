@@ -5,7 +5,6 @@ verification, the basis-matrix loop for the traceless image and the
 per-operator sums of the trace-preservation, unital and unitarity checks."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, NumericalError,
                     ValidationError, certified_gap_rank, channel_profile, choi_of,
@@ -18,8 +17,7 @@ from muchan.gallery import (corr_B3, corr_C4, gap_channel, random_channel,
                             wh_channels, wh_sym3_decomposition, wh_sym_even_decomposition,
                             wh_sym_odd_decomposition)
 from muchan.linalg import unitarity_defect
-
-_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+from seeded import seeded
 
 
 def _old_residual(phi, d):
@@ -60,20 +58,42 @@ def _projector(basis):
     return v.T @ v.conj()
 
 
-@st.composite
-def _channels(draw):
-    """A random channel, n -> m with Kraus rank k, seeded."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
-    k = draw(st.integers(-(-n // m), min(n * m, 4)))
-    return random_channel(n, m, k, seed=draw(st.integers(0, 2 ** 32)))
+def _seed(rng):
+    return int(rng.integers(2 ** 32))
+
+
+def _channel_spec(rng):
+    """(n, m, k, seed) of a random channel n -> m with Kraus rank k, n and m
+    in 1..4, k from the least that trace preservation allows up to 4."""
+    n, m = (int(x) for x in rng.integers(1, 5, size=2))
+    k = int(rng.integers(-(-n // m), min(n * m, 4) + 1))
+    return n, m, k, _seed(rng)
+
+
+def _channel(spec):
+    n, m, k, seed = spec
+    return random_channel(n, m, k, seed=seed)
 
 
 # ------------------------------------------------------------ minimize_kraus
 
-@_SETTINGS
-@given(_channels(), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2 ** 32))
-def test_minimize_kraus_matches_choi_path(phi, extra, zeros, seed):
+def _minimize_case(rng):
+    # a channel, 0..3 extra operators and 0..2 zero operators
+    return _channel_spec(rng), int(rng.integers(4)), int(rng.integers(3)), _seed(rng)
+
+
+# Committed cases here and below: (n, m, k) shapes that the seeded cases
+# miss, kept from the inputs these tests drew before they were seeded.
+@pytest.mark.parametrize("spec, extra, zeros, seed", seeded(_minimize_case, 60) + [
+    pytest.param((1, 4, 1, 4170), 0, 0, 4170, id="n1m4k1"),
+    pytest.param((1, 4, 4, 720), 2, 1, 116, id="n1m4k4"),
+    pytest.param((2, 2, 1, 16868), 0, 0, 2028, id="n2m2k1"),
+    pytest.param((2, 2, 2, 46), 2, 2, 2 ** 32, id="n2m2k2"),
+    pytest.param((2, 4, 1, 327), 2, 2, 2719, id="n2m4k1"),
+    pytest.param((4, 2, 4, 224), 3, 1, 4631520, id="n4m2k4"),
+    pytest.param((4, 4, 1, 384), 3, 2, 0, id="n4m4k1")])
+def test_minimize_kraus_matches_choi_path(spec, extra, zeros, seed):
+    phi = _channel(spec)
     # remix the list by a Haar isometry onto more operators, then pad zeros
     k = len(phi)
     v = haar_isometry(k + extra, k, seed)
@@ -88,20 +108,27 @@ def test_minimize_kraus_matches_choi_path(phi, extra, zeros, seed):
 
 # ------------------------------------------------------- verify_decomposition
 
-@st.composite
-def _decompositions(draw):
-    n = draw(st.integers(1, 4))
-    terms = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+def _decomposition(spec):
+    """``terms`` Haar unitaries on C^n with Dirichlet weights, from ``seed``."""
+    n, terms, seed = spec
+    rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(terms))
-    us = [haar_unitary(n, int(rng.integers(2 ** 32))) for _ in range(terms)]
+    us = [haar_unitary(n, _seed(rng)) for _ in range(terms)]
     return MixedUnitaryDecomposition(probs, us)
 
 
-@_SETTINGS
-@given(_decompositions(), st.sampled_from([0.0, 1e-9, 1e-3, 0.5]),
-       st.integers(0, 2 ** 32))
-def test_verify_residual_matches_choi_path(d, shift, seed):
+_SHIFTS = [0.0, 1e-9, 1e-3, 0.5]
+
+
+def _verify_case(rng):
+    # n and the number of terms in 1..4, one of the weight shifts
+    n, terms = (int(x) for x in rng.integers(1, 5, size=2))
+    return (n, terms, _seed(rng)), _SHIFTS[rng.integers(len(_SHIFTS))], _seed(rng)
+
+
+@pytest.mark.parametrize("spec, shift, seed", seeded(_verify_case, 60))
+def test_verify_residual_matches_choi_path(spec, shift, seed):
+    d = _decomposition(spec)
     # the channel of d, its weights moved by up to ``shift`` (renormalized)
     rng = np.random.default_rng(seed)
     p = d.probs * (1 + shift * rng.uniform(-1, 1, d.n_terms))
@@ -124,9 +151,13 @@ def test_verify_residual_matches_choi_path(d, shift, seed):
 
 # ----------------------------------------------------- traceless_image_basis
 
-@_SETTINGS
-@given(_channels())
-def test_traceless_image_basis_matches_loop(phi):
+@pytest.mark.parametrize("spec", seeded(lambda rng: [_channel_spec(rng)], 60) + [
+    pytest.param((1, 4, 1, 0), id="n1m4k1"), pytest.param((2, 2, 1, 0), id="n2m2k1"),
+    pytest.param((2, 2, 2, 2), id="n2m2k2"), pytest.param((2, 2, 3, 17343), id="n2m2k3"),
+    pytest.param((3, 3, 3, 269), id="n3m3k3"), pytest.param((3, 4, 3, 3), id="n3m4k3"),
+    pytest.param((4, 4, 1, 1), id="n4m4k1")])
+def test_traceless_image_basis_matches_loop(spec):
+    phi = _channel(spec)
     # the closed form from phi's profile against the loop over the
     # complementary channel; random channels are not unital, n = 1 gives
     # the empty basis

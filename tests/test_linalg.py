@@ -5,6 +5,7 @@ from muchan import (Tolerance, ValidationError, dagger, dirsum, frob_inner,
                     haar_isometry, kron, numerical_rank, schur_product, unvec,
                     vec)
 from muchan.gallery import corr_C4
+from muchan.linalg import as_matrix
 
 
 def _eij(n, i, j):
@@ -200,6 +201,16 @@ def test_kron_matches_vec_convention():
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: unvec(np.ones(5), 2, 2), "cannot unvec length-5 vector to 2x2"),
+    (lambda: as_matrix(np.ones(3)), "matrix must be a 2-D matrix, got shape (3,)")],
+    ids=["unvec_size", "as_matrix_1d"])
+def test_shape_refusals(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_dirsum_blocks():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[5]], dtype=complex)
@@ -217,6 +228,8 @@ def test_tolerance_validation():
         Tolerance(eps_rank=2.0)
     with pytest.raises(ValidationError):
         Tolerance(eps_eq=-1e-9)
+    with pytest.raises(ValidationError, match="eps_eq must be strictly positive and finite"):
+        Tolerance(eps_eq=float("inf"))
 
 
 def test_tolerance_has_no_search_objective_field():

@@ -1,6 +1,8 @@
 """Source guards over ``src/muchan``: every small float literal is a named,
 documented module constant, and the package's modules import each other
-only at module level and without a cycle.
+only at module level and without a cycle.  One guard over ``tests/``: no
+test imports hypothesis, since property cases are seeded numpy draws
+(``tests/seeded.py``) and the ``test`` extra does not install it.
 
 Run as a script, it prints the number of unnamed small float literals.
 """
@@ -8,7 +10,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "muchan"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "muchan"
 SMALL = 1e-3  # literals in (0, SMALL] are tolerances, floors and slacks
 
 
@@ -95,6 +98,21 @@ def test_module_import_graph_is_acyclic():
     for module in sorted(graph):
         visit(module, [])
     assert len(order) == len(graph)
+
+
+def test_no_test_imports_hypothesis():
+    found = []
+    for path in sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "hypothesis"]
+    assert found == []
 
 
 def test_analysis_and_constructive_do_not_import_search():

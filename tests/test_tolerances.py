@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import muchan
 import muchan.analysis
@@ -24,6 +23,7 @@ from muchan import (DEFAULT_TOL, ChannelProfile, KrausChannel, MixedUnitaryDecom
                     toroidal_from_decomposition, traceless_image_basis, vec,
                     zero_diagonal_unitary)
 from muchan.gallery import gap_channel, weyl_channel
+from seeded import seeded
 
 SRC = Path(muchan.__file__).parent
 
@@ -359,9 +359,17 @@ def test_unbiased_bound_is_the_bound_applied(scale, passes, monkeypatch):
 _TOLS = [DEFAULT_TOL, Tolerance(eps_rank=1e-6, eps_eq=1e-6)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(st.sampled_from(_TOLS), st.integers(2, 3),
-       st.floats(min_value=-12.0, max_value=-2.0), st.integers(0, 2 ** 16))
+def _rank_case(rng):
+    # e = 10**log_e with log_e uniform on [-12, -2], across both cutoffs
+    return (_TOLS[rng.integers(len(_TOLS))], int(rng.integers(2, 4)),
+            float(rng.uniform(-12.0, -2.0)), int(rng.integers(2 ** 16 + 1)))
+
+
+# committed: two outcomes of the rank decisions at the default tolerance that
+# the seeded cases miss, kept from the inputs the test drew before it was seeded
+@pytest.mark.parametrize("tol, n, log_e, seed", seeded(_rank_case, 80) + [
+    pytest.param(DEFAULT_TOL, 2, -9.125149263195746, 52231, id="n2_e7.5e-10"),
+    pytest.param(DEFAULT_TOL, 3, -7.9381759404031484, 1940, id="n3_e1.2e-8")])
 def test_every_rank_decision_is_tol_rank(tol, n, log_e, seed):
     e = 10.0 ** log_e
     rng = np.random.default_rng(seed)

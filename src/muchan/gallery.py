@@ -409,7 +409,10 @@ def random_channel(dim_in: int, dim_out: int, rank: int, seed: int) -> KrausChan
 
 
 def random_correlation(dim: int, rank: int, seed: int) -> np.ndarray:
-    """Random rank-``rank`` correlation matrix (unit-row Gaussian factors)."""
+    """Random rank-``rank`` correlation matrix (unit-row Gaussian factors),
+    for ``rank`` in 1..dim."""
+    if not 1 <= rank <= dim:
+        raise ValidationError(f"rank must lie in 1..dim, got rank={rank}, dim={dim}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     g /= np.linalg.norm(g, axis=1, keepdims=True)

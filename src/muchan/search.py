@@ -43,8 +43,9 @@ first success as if the restarts ran one after another.
 A round costs a fixed part plus a part per live restart.  The fixed part
 is the round's hundred or so small numpy calls: one evaluation of each
 trial point, sharing conj(V) between the diagonals and V* G; the three
-Barzilai-Borwein dots from one float view each of s and y; a stop mask
-built from the update; and in-place selects.  The part per restart is
+Barzilai-Borwein dots from one float view each of s and y; the stop
+tests on the round's starting state (``_stop_tests``, the only code that
+holds the stop rules); and in-place selects.  The part per restart is
 LAPACK's QR (about 1.3 us) and five per-matrix products (about 1.2 us).
 On a 2-core Xeon host with one BLAS thread, a round at the scan's sizes
 (gap(3,1) at N = 4..6, the C4 Schur channel at N = 3, 4) took about 69 us
@@ -298,11 +299,11 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     ``haar_isometry(N, r, seed + i)`` bit for bit.  Every round evaluates
     each trial point once (:func:`_evaluate`) and takes the BB step of
     every row, rejected or not; the Armijo mask picks each row's new state
-    in place, so a round has one update path.  The stop mask comes from the
-    update: a restart was live, so an accepted one can newly meet only the
-    target, stall, max_iters or grad test, and a rejected one only the
-    armijo test.  Stop reasons (:func:`_stop_tests`) are read, and the state
-    arrays compacted, only in rounds where a restart stops or is dropped.
+    in place, so a round has one update path.  Each round opens with one
+    call of :func:`_stop_tests`, the only code that holds the stop rules, on
+    the current state: it decides which restarts stop and names each one's
+    reason.  The state arrays are compacted only in rounds where a restart
+    stops or is dropped.
 
     Returns the records and final isometries of restarts ``indices[0]``
     up to the first success (or all of them), and whether the time budget
@@ -318,12 +319,12 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     pos = np.arange(b)                       # block position of each live restart
     tau = np.full(b, STEP_INIT)
     stall, iters, backtracks = (np.zeros(b, dtype=int) for _ in range(3))
-    done = np.logical_or.reduce(_stop_tests(f, g2, tau, stall, iters, backtracks,
-                                            cfg.max_iters, target))
     out_v, records = np.empty_like(v), [None] * b
     first_ok = b                             # lowest position with f <= OBJECTIVE_TOL
     exhausted = False
     for rounds in itertools.count():
+        tests = _stop_tests(f, g2, tau, stall, iters, backtracks, cfg.max_iters, target)
+        done = np.logical_or.reduce(tests)
         ok = f <= OBJECTIVE_TOL
         if np.count_nonzero(ok):
             first_ok = min(first_ok, int(pos[ok.argmax()]))
@@ -333,7 +334,6 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
             exhausted, n_done = True, len(pos)
             done[:] = True
         if n_done:
-            tests = _stop_tests(f, g2, tau, stall, iters, backtracks, cfg.max_iters, target)
             for k in np.flatnonzero(done):
                 p, i = pos[k], indices[pos[k]]
                 if p > first_ok:
@@ -360,12 +360,6 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
         backtracks += 1
         np.copyto(backtracks, 0, where=acc)
         tau *= ARMIJO_BETA
-        # the row was live, so it met no stop test: a move can meet only the
-        # first four, a rejection (f, g2, stall and iters unchanged) only armijo
-        stop_moved = (fn <= target) | (stall >= STALL_PATIENCE) | (g2n <= GRAD_FLOOR)
-        if rounds + 1 >= cfg.max_iters:      # iters <= rounds + 1
-            stop_moved |= iters >= cfg.max_iters
-        done = np.where(acc, stop_moved, (backtracks >= MAX_BACKTRACKS) | (f - tau * g2 == f))
         np.copyto(tau, step, where=acc)
         np.copyto(f, fn, where=acc)
         np.copyto(g2, g2n, where=acc)
@@ -447,20 +441,19 @@ def murank_search(phi: KrausChannel | ChannelProfile, cfg: SearchConfig = Search
     """Scan candidate sizes N for the smallest successful search.
 
     ``phi`` is a channel or its profile (:func:`muchan.channels.channel_profile`).
-    Starts at the Choi rank (or at the theorem-certified exact value when
-    available) and walks up to the rank bound, with one
-    :func:`search_isometry` call per size.  Failures at smaller N are
-    recorded as diagnostics; they are soft evidence only and never certify
-    a lower bound.  The bounds and the search basis come from one profile:
-    the basis is built once and serves every size.  ``cfg.time_budget``
-    applies to each candidate size on its own, so a scan may run for up to
-    the number of sizes times the budget.
+    Starts at the lower bound (the Choi rank, which is also the
+    theorem-certified exact value whenever there is one) and walks up to
+    the rank bound, with one :func:`search_isometry` call per size.
+    Failures at smaller N are recorded as diagnostics; they are soft
+    evidence only and never certify a lower bound.  The bounds and the
+    search basis come from one profile: the basis is built once and serves
+    every size.  ``cfg.time_budget`` applies to each candidate size on its
+    own, so a scan may run for up to the number of sizes times the budget.
     """
     profile = channel_profile(phi, tol)
     bounds = rank_bounds(profile, tol)
-    start = bounds.exact if bounds.exact is not None else bounds.lower
     results = []
-    for n_candidate in range(start, bounds.upper + 1):
+    for n_candidate in range(bounds.lower, bounds.upper + 1):
         res = search_isometry(profile, n_candidate, cfg, tol)
         results.append(res)
         if res.status == "found":

@@ -329,8 +329,18 @@ def test_wh_sym3_explicit():
     (lambda: muchan.gallery.random_channel(4, 1, 2, seed=0),
      "trace preservation needs rank * dim_out >= dim_in"),
     (lambda: muchan.gallery.random_channel(2, 2, 5, seed=0), "rank cannot exceed dim_in * dim_out"),
-    (lambda: hermitian_basis(0), "n must be positive")],
-    ids=["wh_even_5", "wh_odd_4", "random_not_tp", "random_rank", "hermitian_basis_0"])
+    (lambda: hermitian_basis(0), "n must be positive"),
+    (lambda: muchan.gallery.random_correlation(3, 0, seed=0),
+     "rank must lie in 1..dim, got rank=0, dim=3"),
+    (lambda: muchan.gallery.random_correlation(3, -1, seed=0),
+     "rank must lie in 1..dim, got rank=-1, dim=3"),
+    (lambda: muchan.gallery.random_correlation(3, 5, seed=0),
+     "rank must lie in 1..dim, got rank=5, dim=3"),
+    (lambda: muchan.gallery.random_correlation(0, 1, seed=0),
+     "rank must lie in 1..dim, got rank=1, dim=0")],
+    ids=["wh_even_5", "wh_odd_4", "random_not_tp", "random_rank", "hermitian_basis_0",
+         "correlation_rank_0", "correlation_rank_negative", "correlation_rank_above_dim",
+         "correlation_dim_0"])
 def test_gallery_refusals(call, message):
     with pytest.raises(ValidationError) as refused:
         call()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -523,7 +525,9 @@ def _seq_retract(v):
 
 
 def _seq_run_restart(basis, n_terms, r, cfg, index):
-    """Final objective, isometry, accepted steps and objective evaluations."""
+    """Final objective, isometry, accepted steps, objective evaluations and
+    stop reason; each return point is one reason, tested in the order of
+    ``STOP_REASONS``."""
     hf = _float_rows(basis)
     v = haar_isometry(n_terms, r, cfg.seed + index)
     f, d = _seq_objective(v, hf)
@@ -531,9 +535,15 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
     tau = search_mod.STEP_INIT
     stall, evals = 0, 1
     target = min(search_mod.OBJECTIVE_TOL, 1e-28)
-    for it in range(1, cfg.max_iters + 1):
-        if f <= target or g2 <= 1e-30:
-            return f, v, it - 1, evals
+    for it in itertools.count():
+        if f <= target:
+            return f, v, it, evals, "target"
+        if stall >= 30:
+            return f, v, it, evals, "stall"
+        if it >= cfg.max_iters:
+            return f, v, it, evals, "max_iters"
+        if g2 <= 1e-30:
+            return f, v, it, evals, "grad"
         for _ in range(40):
             vn = _seq_retract(v - tau * delta)
             fn, dn = _seq_objective(vn, hf)
@@ -542,21 +552,18 @@ def _seq_run_restart(basis, n_terms, r, cfg, index):
                 break
             tau *= search_mod.ARMIJO_BETA
             if f - tau * g2 == f:
-                return f, v, it - 1, evals
+                return f, v, it, evals, "armijo"
         else:
-            return f, v, it - 1, evals
+            return f, v, it, evals, "armijo"
         stall = stall + 1 if f - fn <= 1e-9 * max(f, 1e-300) else 0
         delta_n, g2 = _seq_direction(vn, hf, dn)
         s, y = vn - v, delta_n - delta
         ss, yy, sy = _dot(s, s), _dot(y, y), abs(_dot(s, y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = ss / sy if it % 2 == 1 else sy / yy
+        with np.errstate(divide="ignore", invalid="ignore"):  # after it + 1 accepted steps
+            tau = ss / sy if it % 2 == 0 else sy / yy
         if not (np.isfinite(tau) and tau > 0):
             tau = search_mod.STEP_INIT
         v, f, delta = vn, fn, delta_n
-        if stall >= 30:
-            break
-    return f, v, it, evals
 
 
 # the scan's channels, and two with a larger r: weyl(5) (r = 5) and the
@@ -580,11 +587,11 @@ def test_lockstep_restarts_match_sequential_oracle(fixture, n_terms, seed, monke
         assert not exhausted
         assert len(records) == 4 or records[-1].objective <= objective_tol
         for rec, v in zip(records, finals):
-            f_ref, v_ref, iters, evals = _seq_run_restart(basis, n_terms, basis.shape[1],
-                                                          cfg, rec.index)
+            f_ref, v_ref, iters, evals, stop = _seq_run_restart(
+                basis, n_terms, basis.shape[1], cfg, rec.index)
             assert rec.objective == f_ref
             assert np.array_equal(v, v_ref)
-            assert (rec.iterations, rec.evaluations) == (iters, evals)
+            assert (rec.iterations, rec.evaluations, rec.stop) == (iters, evals, stop)
 
 
 def _recording(monkeypatch, name, log, arg=0):
@@ -614,11 +621,11 @@ def test_lockstep_restarts_match_sequential_oracle_at_bench_width(fixture, n_ter
     records, finals, exhausted = _run_block(basis, n_terms, cfg, range(25), lambda: False)
     assert not exhausted and len(records) == 25
     for rec, v in zip(records, finals):
-        f_ref, v_ref, iters, evals = _seq_run_restart(basis, n_terms, basis.shape[1],
-                                                      cfg, rec.index)
+        f_ref, v_ref, iters, evals, stop = _seq_run_restart(basis, n_terms, basis.shape[1],
+                                                            cfg, rec.index)
         assert rec.objective == f_ref
         assert np.array_equal(v, v_ref)
-        assert (rec.iterations, rec.evaluations) == (iters, evals)
+        assert (rec.iterations, rec.evaluations, rec.stop) == (iters, evals, stop)
     # every round passes each live restart's accepted-step count to
     # _bb_step.  Between two rounds of one width (no compaction between
     # them) a count that rose by 1 marks a restart that passed Armijo and
@@ -644,19 +651,23 @@ def test_lockstep_first_success_matches_sequential_oracle(fixture, n_terms, seed
     cfg = SearchConfig(restarts=25, seed=seed, max_iters=max_iters)
     log = []
     _recording(monkeypatch, "_phased_q", log)
+    _recording(monkeypatch, "_stop_tests", log)
     records, finals, exhausted = _run_block(basis, n_terms, cfg, range(25), lambda: False)
     assert not exhausted and records[-1].stop == "target"
     assert records[-1].objective <= search_mod.POLISH_TOL
     for rec, v in zip(records, finals):
-        f_ref, v_ref, iters, evals = _seq_run_restart(basis, n_terms, basis.shape[1],
-                                                      cfg, rec.index)
+        f_ref, v_ref, iters, evals, stop = _seq_run_restart(basis, n_terms, basis.shape[1],
+                                                            cfg, rec.index)
         assert rec.objective == f_ref
         assert np.array_equal(v, v_ref)
-        assert (rec.iterations, rec.evaluations) == (iters, evals)
+        assert (rec.iterations, rec.evaluations, rec.stop) == (iters, evals, stop)
     # one trial per round; the block ends with its last recorded restart, so
-    # no restart above the success ran on
-    widths = [len(a) for _, a in log]
-    assert widths[0] == 25 and len(widths) == max(rec.evaluations for rec in records) - 1
+    # no restart above the success ran on.  Each round opens with the one
+    # call of the stop tests, and the last round makes no trial
+    rounds = max(rec.evaluations for rec in records)
+    assert [name for name, _ in log] == ["_stop_tests", "_phased_q"] * (rounds - 1) + [
+        "_stop_tests"]
+    assert [len(a) for name, a in log if name == "_phased_q"][0] == 25
     if max_iters == 30:
         assert [rec.stop for rec in records] == ["max_iters", "target"]
         assert records[0].evaluations > records[1].evaluations

@@ -142,7 +142,7 @@ def decomposition_from_isometry(phi_minimal: KrausChannel, v: np.ndarray,
     Terms with p_j <= ``eps_eq`` are dropped; every other C_j / sqrt(p_j)
     must have unitarity defect ||U*U - I|| within ``tol.is_close`` at n = 1,
     i.e. at most ``eps_eq`` (unscaled: 1e-9 at the default ``tol``; the
-    search passes 1e-6), or :class:`NumericalError` names j.  The weights are
+    search passes its caller's), or :class:`NumericalError` names j.  The weights are
     renormalized.  That bound implies the constructor's (``tol.is_close`` at
     n), so the decomposition is built with the constructor's other rules and
     no second unitarity check.  The closed-form rank-r, low-dimension and

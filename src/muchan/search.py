@@ -51,10 +51,11 @@ On a 2-core Xeon host with one BLAS thread, a round at the scan's sizes
 (gap(3,1) at N = 4..6, the C4 Schur channel at N = 3, 4) took about 69 us
 with one live restart and about 137 us with 25.
 
-``found`` always carries a verified decomposition, read from the best
-isometry by :func:`muchan.analysis.decomposition_from_isometry`.  A failed
-search is never a certificate: ``not_found`` only reports that all
-restarts plateaued above the objective tolerance.
+``found`` means ``verify_decomposition(phi, d, tol).ok`` for the
+decomposition d read from the best isometry, under the caller's ``tol``,
+by :func:`muchan.analysis.decomposition_from_isometry`.  A failed search
+is never a certificate: ``not_found`` only reports that no restart found
+such an isometry.
 """
 from __future__ import annotations
 
@@ -92,8 +93,6 @@ STALL_REL = 1e-9
 POLISH_TOL = 1e-28
 GRAD_FLOOR = 1e-30
 MAX_BACKTRACKS = 40
-UNITARITY_SLACK = 1e-6
-DECOMP_RESIDUAL = 1e-8
 _TRACELESS_FLOOR = 1e-8  # image-basis |Tr| allowed beside eps_eq: rounding, dropped directions
 # Stop reasons, in the order they are tested (see RestartRecord).
 STOP_REASONS = ("target", "stall", "max_iters", "grad", "armijo", "budget")
@@ -379,12 +378,11 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     decomposition and is refused with :class:`ValidationError`, as
     :func:`murank_search` refuses it.  ``n_terms`` must be an integer (bool
     is refused) of at least the Choi rank r.  ``status="found"`` requires
-    the best objective to reach ``OBJECTIVE_TOL`` and the decomposition read
-    from the best isometry (unitarity within ``UNITARITY_SLACK`` = 1e-6) to
-    pass verification (Choi residual within ``DECOMP_RESIDUAL`` = 1e-8); it
-    is returned with the isometry.  Restarts run in index-ordered lockstep
-    blocks of at most ``_BLOCK``; the next block starts only while nothing
-    has succeeded.
+    the best objective to reach ``OBJECTIVE_TOL`` and the decomposition d
+    read from the best isometry under ``tol`` to give
+    ``verify_decomposition(phi, d, tol).ok``; it is returned with the
+    isometry.  Restarts run in index-ordered lockstep blocks of at most
+    ``_BLOCK``; the next block starts only while nothing has succeeded.
     The restart log holds each finished restart's final objective up to
     the first success; when the time budget runs out (checked before every
     round) it holds the longest index-ordered prefix of finished restarts.
@@ -423,12 +421,11 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     decomposition = None
     if status == "found":
         try:
-            decomposition = decomposition_from_isometry(profile.minimal, best_v, Tolerance(
-                eps_rank=tol.eps_rank, eps_eq=max(tol.eps_eq, UNITARITY_SLACK)))
+            decomposition = decomposition_from_isometry(profile.minimal, best_v, tol)
         except NumericalError:
             pass
-        if decomposition is None or verify_decomposition(
-                profile.minimal, decomposition, tol).choi_residual > DECOMP_RESIDUAL:
+        if decomposition is None or not verify_decomposition(
+                profile.minimal, decomposition, tol).ok:
             status, decomposition = "not_found", None
     return SearchResult(status=status, n_terms=n_terms, objective=float(best_f),
                         isometry=best_v if status == "found" else None,

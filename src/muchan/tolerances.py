@@ -3,8 +3,8 @@
 One object carries the two cutoffs used throughout the package, and its
 four methods are the rules that apply them: ``rank`` decides r, s and
 every numerical rank; ``is_psd``, ``is_close`` and ``is_hermitian`` make
-every PSD, closeness and Hermitian test.  The Stiefel search accepts on
-its own ``search.OBJECTIVE_TOL``, a sum of squared moduli.
+every PSD, closeness and Hermitian test.  The Stiefel search also gates
+on its own ``search.OBJECTIVE_TOL``, a sum of squared moduli.
 """
 from dataclasses import dataclass
 

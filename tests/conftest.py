@@ -37,7 +37,7 @@ def count_calls(monkeypatch):
 def demote_found(monkeypatch):
     """``demote(how)`` makes the decomposition of a found search isometry
     fail: its reader raises :class:`NumericalError` (``"reader"``), or its
-    Choi residual reads twice ``DECOMP_RESIDUAL`` (``"residual"``)."""
+    verification is not ok, at Choi residual 1 (``"residual"``)."""
 
     def fail(*_):
         raise NumericalError("forced")
@@ -46,8 +46,7 @@ def demote_found(monkeypatch):
         if how == "reader":
             monkeypatch.setattr(muchan.search, "decomposition_from_isometry", fail)
         else:
-            residual = 2 * muchan.search.DECOMP_RESIDUAL
             monkeypatch.setattr(muchan.search, "verify_decomposition",
-                                lambda *_: VerificationResult(True, residual))
+                                lambda *_: VerificationResult(False, 1.0))
 
     return demote

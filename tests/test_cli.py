@@ -912,6 +912,23 @@ def test_search_found_without_a_verified_decomposition_exits_3(how, tmp_path, ca
     assert (obj["status"], obj["decomposition"]) == ("not_found", None)
 
 
+def test_search_result_reads_back_through_verify(tmp_path, capsys):
+    # one restart cut off at 20 iterations reaches OBJECTIVE_TOL before its
+    # unitaries meet eps_eq: not found.  A found result's decomposition,
+    # written to a file, verifies against the channel
+    g, dec = str(tmp_path / "g.json"), tmp_path / "dec.json"
+    assert run_cli(capsys, "gen", "gap:3:1", "-o", g)[0] == 0
+    code, obj = run_cli(capsys, "search", g, "--N", "6", "--restarts", "1",
+                        "--max-iters", "20")
+    assert (code, obj["status"], obj["decomposition"]) == (3, "not_found", None)
+    assert obj["objective"] <= muchan.search.OBJECTIVE_TOL
+    code, obj = run_cli(capsys, "search", g, "--N", "6", "--restarts", "5")
+    assert (code, obj["status"]) == (0, "found")
+    dec.write_text(json.dumps(obj["decomposition"]))
+    code, obj = run_cli(capsys, "verify", g, str(dec))
+    assert (code, obj["ok"]) == (0, True)
+
+
 def test_search_non_unital_exits_2(tmp_path, capsys):
     # amplitude damping: trace-preserving, not unital, so no decomposition
     # exists and search --N refuses it as search --scan does

@@ -394,3 +394,11 @@ def test_toroidal_type_refuses_non_finite_values(probs, vectors):
 def test_toroidal_type_refuses_empty_vectors(vectors):
     with pytest.raises(ValidationError, match="nonzero length"):
         ToroidalDecomposition([1.0 / len(vectors)] * len(vectors), vectors)
+
+
+@pytest.mark.parametrize("probs, vectors", [
+    ([0.5, 0.5], [[1, 1]]), ([], []), ([[0.5, 0.5]], [[1, 1], [1, -1]]),
+], ids=["two_weights_one_vector", "empty", "weights_2d"])
+def test_toroidal_type_refuses_mismatched_lists(probs, vectors):
+    with pytest.raises(ValidationError, match="matching nonempty lists"):
+        ToroidalDecomposition(probs, vectors)

@@ -8,19 +8,20 @@ from muchan import (KrausChannel, SearchConfig, ValidationError, channel_profile
                     identity_channel, minimize_kraus, murank_search,
                     search_isometry, traceless_image_basis,
                     verify_decomposition)
+from muchan import io
 from muchan import search as search_mod
 from muchan import haar_isometry, schur_channel
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation, random_channel,
                             random_unital_rank2, weyl_channel, wh_channels)
-from muchan.search import (DECOMP_RESIDUAL, STOP_REASONS, _euclidean_gradient,
-                           _evaluate, _float_rows, _run_block)
+from muchan.search import (STOP_REASONS, _euclidean_gradient, _evaluate, _float_rows,
+                           _run_block)
 
 
 def _assert_verified(phi, res):
     """A ``found`` result carries a decomposition of ``phi`` that verifies."""
     assert res.status == "found"
     check = verify_decomposition(minimize_kraus(phi), res.decomposition)
-    assert check.choi_residual <= DECOMP_RESIDUAL
+    assert check.ok
 
 
 def _random_hermitian_basis(rng, m, r):
@@ -490,6 +491,55 @@ def test_restart_trace_max_iters():
     assert [rec.iterations for rec in res.restart_trace] == [3, 3]
 
 
+def test_stop_tests_on_states_where_several_hold():
+    # rows: every test holds; max_iters and grad; stall and armijo (a
+    # rejected trial whose f - tau g2 rounds to f); none; every count one
+    # below its limit, at a rejected trial whose first-order decrease shows
+    rows = np.array([
+        # f,   g2,    tau,   stall, iters, backtracks
+        [0.0,  0.0,   1.0,   30,    10,    40],
+        [1.0,  1e-31, 1.0,   0,     10,    0],
+        [1.0,  1.0,   1e-20, 30,    3,     1],
+        [1.0,  1.0,   0.1,   0,     0,     0],
+        [1.0,  1.0,   0.1,   29,    9,     39]])
+    f, g2, tau = rows[:, :3].T
+    stall, iters, backtracks = rows[:, 3:].T.astype(int)
+    tests = search_mod._stop_tests(f, g2, tau, stall, iters, backtracks, 10,
+                                   search_mod.POLISH_TOL)
+    assert len(tests) == len(STOP_REASONS) - 1            # all but budget
+    assert np.array(tests).T.tolist() == [
+        [True, True, True, True, True], [False, False, True, True, False],
+        [False, True, False, False, True], [False] * 5, [False] * 5]
+
+
+def test_run_block_records_the_first_stop_test_that_holds(monkeypatch):
+    # restart k's tests hold from STOP_REASONS[k] to the last but budget, so
+    # every restart but the last has several: each is recorded with the first
+    hold = np.arange(5)[:, None] >= np.arange(5)[None, :]     # hold[test, restart]
+    monkeypatch.setattr(search_mod, "_stop_tests", lambda *_: tuple(hold))
+    basis = traceless_image_basis(_SCAN_CHANNELS["gap"]())
+    records, _, _ = _run_block(basis, 6, SearchConfig(restarts=5), range(5), lambda: False)
+    assert [rec.stop for rec in records] == list(STOP_REASONS[:5])
+
+
+def test_success_at_the_gradient_floor_is_recorded_as_target(monkeypatch):
+    # C4 at N=4, seed 0: restart 0 ends with f = 3.07e-31 <= POLISH_TOL and
+    # g2 = 9.1e-31 <= GRAD_FLOOR, both tests hold, and target comes first
+    inner, log = search_mod._stop_tests, []
+
+    def recording(f, g2, *args):
+        log.append((f.copy(), g2.copy(), inner(f, g2, *args)))
+        return log[-1][2]
+    monkeypatch.setattr(search_mod, "_stop_tests", recording)
+    basis = traceless_image_basis(_SCAN_CHANNELS["c4"]())
+    records, _, _ = _run_block(basis, 4, SearchConfig(restarts=25, seed=0), range(25),
+                               lambda: False)
+    f, g2, tests = log[-1]
+    assert [rec.stop for rec in records] == ["target"]
+    assert f[0] <= search_mod.POLISH_TOL and g2[0] <= search_mod.GRAD_FLOOR
+    assert [hit[0] for hit in tests] == [True, False, False, True, False]
+
+
 # ------------------------------------------- sequential reference restarts
 # One restart on its own: gradient descent whose first trial after each
 # accepted step is the alternating Barzilai-Borwein step, with monotone
@@ -736,6 +786,24 @@ def test_found_without_a_verified_decomposition_is_not_found(how, demote_found):
     res = search_isometry(weyl_channel(3), 3, SearchConfig(restarts=5, seed=0))
     assert res.objective <= search_mod.OBJECTIVE_TOL  # the search itself succeeded
     assert (res.status, res.isometry, res.decomposition) == ("not_found", None, None)
+
+
+@pytest.mark.parametrize("fixture, n_terms", [("gap", 6), ("c4", 4), ("wh0_3", 6)])
+def test_found_at_any_max_iters_verifies_and_loads_back(fixture, n_terms, tmp_path):
+    # one restart cut off by max_iters 1..60: a cut restart can reach
+    # OBJECTIVE_TOL before its unitaries meet eps_eq (gap N=6 at 20 and 21
+    # iterations, C4 N=4 at 12, wh0:3 N=6 at 17 and 18); such a result reads
+    # not_found, and every found one verifies and reads back from its file
+    profile = channel_profile(_ORACLE_CHANNELS[fixture]())
+    path = str(tmp_path / "d.json")
+    for max_iters in range(1, 61):
+        res = search_isometry(profile, n_terms,
+                              SearchConfig(restarts=1, seed=0, max_iters=max_iters))
+        if res.status == "found":
+            assert verify_decomposition(profile.minimal, res.decomposition).ok
+            io.save(res.decomposition, path)
+            assert verify_decomposition(profile.minimal, io.load_decomposition(path)).ok
+    assert res.status == "found"
 
 
 def test_decomposition_from_isometry_flags_bad_unitaries():

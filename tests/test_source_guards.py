@@ -1,6 +1,8 @@
 """Source guards over ``src/muchan``: every small float literal is a named,
-documented module constant, and the package's modules import each other
-only at module level and without a cycle.  One guard over ``tests/``: no
+documented module constant, the package's modules import each other only
+at module level and without a cycle, and no code builds a ``Tolerance``
+but ``tolerances.py`` (``DEFAULT_TOL``) and the CLI's ``_tol``, so every
+library rule runs under the caller's tolerance.  One guard over ``tests/``: no
 test imports hypothesis, since property cases are seeded numpy draws
 (``tests/seeded.py``) and the ``test`` extra does not install it.
 
@@ -98,6 +100,23 @@ def test_module_import_graph_is_acyclic():
     for module in sorted(graph):
         visit(module, [])
     assert len(order) == len(graph)
+
+
+def test_tolerance_built_only_by_its_module_and_the_cli():
+    built = []
+    for name, tree in _trees().items():
+        if name == "tolerances":
+            continue
+        allowed = set()
+        if name == "cli":
+            tol = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_tol")
+            allowed.update(map(id, ast.walk(tol)))
+        built += [(f"{name}.py", node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and "Tolerance" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert built == []
 
 
 def test_no_test_imports_hypothesis():

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import (ChannelProfile, KrausChannel, channel_profile,
                        direct_sum, identity_channel, minimize_kraus)
 from .exceptions import NumericalError, ValidationError
-from .linalg import as_matrix_stack, dagger, dirsum, frob_inner, unitarity_defect
+from .linalg import as_matrix_stack, dagger, frob_inner, unitarity_defect
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # Memory budget of one chunk of verify_decomposition's signed product.
@@ -311,8 +311,8 @@ def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsRe
     upper = min(r^2 - s + 1, r^2 - r + 1), additionally clamped to 6 when
     r = 3; ``exact = r`` when s <= 3 or s = r^2 - r + 1 (see
     :class:`RankBoundsReport`).  (r, s) are read from the channel profile
-    and decide the bounds, and the commutator test of its operator system
-    gives ``schur_equivalent``.
+    and decide the bounds, and :func:`schur_equivalent` gives
+    ``schur_equivalent``.
     """
     profile = channel_profile(phi, tol)
     _require_unital_square(profile.minimal, tol, "rank_bounds")
@@ -321,8 +321,7 @@ def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsRe
     return RankBoundsReport(
         r=r, s=s, lower=r, upper=b.upper, exact=b.exact,
         extremal=b.extremal,
-        schur_equivalent=schur_equivalence_check(profile, tol,
-                                                 witnesses=False).equivalent,
+        schur_equivalent=schur_equivalent(profile, tol),
         unique_decomposition_certified=b.unique,
         exact_reason=b.exact_reason,
     )
@@ -374,9 +373,10 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     the direct sum provably has Choi rank r + 1 and mixed-unitary rank 2r.
     The r-term decomposition comes in closed form from the profile
     (:func:`_rank_r_decomposition`, no search).  The returned 2r-term one
-    pairs each U_k with +1 and -1 blocks at weight p_k / 2 and is verified
-    before being returned; the direct sum's Choi rank is the size of its
-    minimal Kraus list.  Both decompositions are verified, each against its
+    pairs each U_k with +1 and -1 blocks at weight p_k / 2, filled into one
+    stack whose unitarity is the reader's decision on the U_k, and is
+    verified before being returned; the direct sum's Choi rank is the size
+    of its minimal Kraus list.  Both decompositions are verified, each against its
     own channel: the gap check's phi block bounds the base residual only up
     to a factor sqrt(1 + m^2 / ||J_phi||^2), and the base decomposition is
     returned as a certificate too.
@@ -399,9 +399,14 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     if not check.ok:
         raise NumericalError(
             f"rank-r decomposition failed verification: residual {check.choi_residual:.3e}")
-    eye = np.eye(m, dtype=complex)
-    d2 = MixedUnitaryDecomposition(np.repeat(base.probs / 2, 2), [
-        dirsum(u, b) for u in base.unitaries for b in (eye, -eye)], tol)
+    # U_k (+) I and U_k (+) -I, filled in as a stack: each is unitary within
+    # the reader's decision on U_k, which is not made again
+    us, n, eye = base.stacked(), base.dim, np.eye(m, dtype=complex)
+    stack = np.zeros((2 * len(us), n + m, n + m), dtype=complex)
+    stack[:, :n, :n] = np.repeat(us, 2, axis=0)
+    stack[0::2, n:, n:], stack[1::2, n:, n:] = eye, -eye
+    d2 = object.__new__(MixedUnitaryDecomposition)
+    _fill(d2, np.repeat(base.probs / 2, 2), stack, tol)
     summed = direct_sum(profile.minimal, identity_channel(m), tol)
     check2 = verify_decomposition(summed, d2, tol)
     if not check2.ok:
@@ -495,6 +500,19 @@ def _diagonal_images(phi: KrausChannel, v: np.ndarray) -> np.ndarray:
     O(r n^3), the cost of one dense ``apply``."""
     w = (phi.stacked() @ v).transpose(2, 1, 0)
     return w @ np.conj(w.transpose(0, 2, 1))
+
+
+def schur_equivalent(phi, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """The verdict of :func:`schur_equivalence_check`, without witnesses,
+    with s > n decided first: a commuting family closed under adjoints is
+    diagonal in one basis, so it spans at most n dimensions, and s > n gives
+    False with no commutator probe.  :func:`rank_bounds` and CLI ``analyze``
+    take ``schur_equivalent`` from here."""
+    profile = channel_profile(phi, tol)
+    n = profile.minimal.dim_in
+    if profile.s > n and profile.minimal.dim_out == n:
+        return False
+    return schur_equivalence_check(profile, tol, witnesses=False).equivalent
 
 
 def schur_equivalence_check(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .linalg import (as_matrix, as_matrix_stack, dagger, dirsum, unitarity_defect,
+from .linalg import (as_matrix, as_matrix_stack, dagger, unitarity_defect,
                      unvec, vec)
 from .tolerances import DEFAULT_TOL, Tolerance
 
@@ -363,9 +363,9 @@ def direct_sum(phi: KrausChannel, psi: KrausChannel,
     """
     if phi.dim_in != phi.dim_out or psi.dim_in != psi.dim_out:
         raise ValidationError("direct_sum requires square channels")
-    n, m = phi.dim_in, psi.dim_in
-    ops = [dirsum(a, np.zeros((m, m))) for a in phi.kraus]
-    ops += [dirsum(np.zeros((n, n)), b) for b in psi.kraus]
+    n, m, k = phi.dim_in, psi.dim_in, len(phi)
+    ops = np.zeros((k + len(psi), n + m, n + m), dtype=complex)
+    ops[:k, :n, :n], ops[k:, n:, n:] = phi.stacked(), psi.stacked()
     return KrausChannel(ops, tol)
 
 

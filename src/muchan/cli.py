@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import gallery, io
-from .analysis import rank_bounds, schur_equivalence_check, verify_decomposition
+from .analysis import rank_bounds, schur_equivalent, verify_decomposition
 from .channels import channel_profile, minimize_kraus
 from .constructive import zero_diagonal_unitary
 from .exceptions import FileFormatError, MuchanError, NumericalError, ValidationError
@@ -110,13 +110,12 @@ def _cmd_analyze(args) -> int:
         report.update(rank_bounds(profile, tol).as_dict())
     else:
         r, s = profile.r, profile.s
-        sch = schur_equivalence_check(profile, tol, witnesses=False) \
-            if phi.dim_in == phi.dim_out else None
         report.update({
             "r": r, "s": s,
             "lower": r, "upper": None, "exact": None, "exact_reason": None,
             "extremal": s == r * r,
-            "schur_equivalent": None if sch is None else sch.equivalent,
+            "schur_equivalent": schur_equivalent(profile, tol)
+            if phi.dim_in == phi.dim_out else None,
             "uniqueness_certified": None,
         })
     _emit(report)

@@ -9,8 +9,9 @@
 * ``decompose_low_dim``: channels whose operator system has dimension at
   most 3 are mixed unitary with rank equal to their Choi rank; the proof
   is run as an algorithm on the channel profile alone: the complementary
-  channel is applied from the minimal Kraus list, and the decomposition
-  is read by :func:`~muchan.analysis.decomposition_from_isometry`.
+  channel is applied from the minimal Kraus list, the decomposition is
+  read by :func:`~muchan.analysis.decomposition_from_isometry`, and it is
+  returned only if it verifies against the channel.
 * ``toroidal_decompose_small``: convex decompositions of 2x2 and 3x3
   correlation matrices into unimodular rank-one factors.
 """
@@ -22,10 +23,11 @@ import math
 import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, _fill, _hermitian_basis,
-                       _require_unital_square, decomposition_from_isometry)
+                       _require_unital_square, decomposition_from_isometry,
+                       verify_decomposition)
 from .channels import KrausChannel, _conjugation_sum, channel_profile, schur_channel
 from .exceptions import NumericalError, ValidationError
-from .linalg import as_matrix, dagger
+from .linalg import as_matrix
 from .tolerances import DEFAULT_TOL, Tolerance
 
 # Toroidal weights may sum to 1 within max(eps_eq, this), and each vector
@@ -103,11 +105,12 @@ def _solve_bracketed_2x2(z0: complex, a: complex, b: complex, z1: complex):
     Hermitian matrix) every phase solves it: both atan2 arguments vanish in
     exact arithmetic, so the phase is the one their rounding residues pick.
     """
-    mu = abs(z1) / abs(z0)
-    psi = z0 / abs(z0)
+    r0 = abs(z0)
+    mu = abs(z1) / r0
+    psi = z0 / r0
     ap, bp = a / psi, b / psi
     phase = cmath.exp(1j * math.atan2(-(ap.imag + bp.imag), ap.real - bp.real))
-    g0 = (phase * ap + bp / phase).real / abs(z0)
+    g0 = (phase * ap + bp / phase).real / r0
     if g0 < 0:  # phase and -phase both make g0 real; g0 >= 0 avoids cancellation
         phase, g0 = -phase, -g0
     t = math.atan((g0 + math.sqrt(g0 * g0 + 4 * mu)) / (2 * mu))
@@ -125,33 +128,44 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     rotation.  After row i, M[i,i] is the trailing block's mean, 0, and
     the block below stays traceless.  U = W*; it is the identity when the
     diagonal already vanishes.
-    The sweep holds the rows of M and W as lists of Python complex numbers
-    and makes no numpy call per rotation.  Rotation (i, k) updates only
-    what later rotations read: columns i and k of M's rows i..n-1, then
-    rows i and k of M over columns i..n-1, and W's rows 0..k, outside
-    which W's columns i and k are still zero.  That is O(n^3) Python
-    arithmetic: faster than numpy for small n, slower for n in the tens.
-    Z is first scaled by the power of two that brings its largest real or
-    imaginary part into [1/2, 1): the scaling is exact, leaves U
-    unchanged, and keeps norms from underflowing or overflowing, so the
-    trace test and the residual guard are relative at every scale.
+    The sweep runs in Python: it holds the rows of M and W as lists of
+    Python complex numbers and makes no numpy call per rotation.  For each
+    i, one list holds M's rows i..n-1 and then W's rows, and rotation
+    (i, k) updates only what later rotations read: columns i and k of the
+    first n - i + k + 1 rows of that list (M's rows i..n-1 and W's rows
+    0..k, outside which W's columns i and k are still zero), then rows i
+    and k of M over columns i..n-1.  That is O(n^3) Python arithmetic:
+    faster than numpy for small n, slower for n in the tens.  numpy does
+    the O(n^2) work around the sweep, a few calls in all: Z is scaled by
+    the power of two that brings its largest real or imaginary part into
+    [1/2, 1) (exact, U unchanged, and no norm underflows or overflows, so
+    the trace test and the residual guard are relative at every scale),
+    ||Z|| is one dot product of its float parts, and the guard reads
+    diag(W* Z W) from one product.  |Tr Z| is summed from the row lists.
     """
     z = as_matrix(z, "matrix")
     n = z.shape[0]
     if z.shape != (n, n):
         raise ValidationError("zero_diagonal_unitary requires a square matrix")
     parts = np.ascontiguousarray(z).view(float)
-    e = int(np.frexp(np.max(np.abs(parts)))[1])
-    z = np.ldexp(parts, -e).view(complex)
-    nrm = float(np.linalg.norm(z))
-    if abs(np.trace(z)) > max(tol.eps_eq * nrm, _ZERO_DIAG_TRACE_FLOOR):
-        raise ValidationError(
-            f"matrix is not traceless: |Tr| = {np.ldexp(abs(np.trace(z)), e):.3e}")
+    e = math.frexp(np.abs(parts).max())[1]
+    scaled = np.ldexp(parts, -e)
+    z, flat = scaled.view(complex), scaled.reshape(-1)
+    nrm = math.sqrt(np.vecdot(flat, flat))
     # M's rows and W's rows as lists of Python complex numbers: a rotation
     # is a few dozen scalar multiply-adds, cheaper than any numpy call
-    m, w = z.tolist(), np.eye(n, dtype=complex).tolist()
+    m = z.tolist()
+    trace = abs(sum(row[i] for i, row in enumerate(m)))
+    if trace > max(tol.eps_eq * nrm, _ZERO_DIAG_TRACE_FLOOR):
+        raise ValidationError(
+            f"matrix is not traceless: |Tr| = {math.ldexp(trace, e):.3e}")
+    w = [[0j] * n for _ in range(n)]
+    for i, row in enumerate(w):
+        row[i] = 1 + 0j
     for i in range(n - 1):
         mi = m[i]
+        # M's rows i..n-1, then W's; rotation (i, k) reads the first n - i + k + 1
+        rows = m[i:] + w
         for k in range(i + 1, n):
             mk = m[k]
             step = (mk[k] - mi[i]) / (k - i + 1)
@@ -162,7 +176,7 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             # M <- M G and W <- W G with G = [[x0, -x1c], [x1, x0]] on columns
             # i, k; later rotations read M only at rows and columns >= i, and
             # W's columns i and k are still zero below row k
-            for row in m[i:] + w[:k + 1]:
+            for row in rows[:n - i + k + 1]:
                 a, b = row[i], row[k]
                 row[i] = a * x0 + b * x1
                 row[k] = b * x0 - a * x1c
@@ -171,13 +185,14 @@ def zero_diagonal_unitary(z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
                 a, b = mi[c], mk[c]
                 mi[c] = x0 * a + x1c * b
                 mk[c] = x0 * b - x1 * a
-    u = dagger(np.array(w))
-    resid = float(np.max(np.abs(np.diag(u @ z @ dagger(u)))))
+    w = np.array(w)
+    # diag(W* Z W) from one product; vecdot conjugates its first argument
+    resid = max(map(abs, np.vecdot(w, z @ w, axis=0).tolist()))
     if resid > _ZERO_DIAG_RESIDUAL * nrm:
         raise NumericalError(
             "zero-diagonal construction missed tolerance: residual "
             f"{resid / nrm:.3e} relative to the Frobenius norm")
-    return u
+    return w.conj().T
 
 
 def decompose_low_dim(phi: KrausChannel,
@@ -193,9 +208,13 @@ def decompose_low_dim(phi: KrausChannel,
     diagonal by a unitary U; read the decomposition with U as the remixing
     isometry (:func:`~muchan.analysis.decomposition_from_isometry`), which
     must keep all r terms or :class:`NumericalError` is raised; make each
-    unitary's first nonzero entry real positive.
+    unitary's first nonzero entry real positive; verify the result under
+    ``tol`` against the channel as given (a profile's minimal list), or
+    raise :class:`NumericalError`: near the Choi-rank cutoff the minimal
+    list drops a weight of order ``eps_rank``.
     """
     profile = channel_profile(phi, tol)
+    given = profile.minimal if phi is profile else phi
     phi = profile.minimal
     _require_unital_square(phi, tol, "decompose_low_dim")
     r = profile.r
@@ -217,6 +236,10 @@ def decompose_low_dim(phi: KrausChannel,
     # the reader's decision (defect <= eps_eq) stands and is not made again
     fixed = object.__new__(MixedUnitaryDecomposition)
     _fill(fixed, d.probs, np.array([_phase_fix_first_entry(u) for u in d.unitaries]), tol)
+    check = verify_decomposition(given, fixed, tol)
+    if not check.ok:
+        raise NumericalError(
+            f"low-dimension decomposition failed verification: residual {check.choi_residual:.3e}")
     return fixed
 
 

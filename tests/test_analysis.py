@@ -16,7 +16,8 @@ from muchan import (DEFAULT_TOL, KrausChannel, MixedUnitaryDecomposition, apply,
                     uniqueness_certificate, verify_decomposition)
 from muchan.analysis import VerificationResult
 from muchan.gallery import (corr_B3, corr_C4, gap_channel, mub_correlation,
-                            random_channel, random_unital_rank2, weyl_channel,
+                            random_channel, random_correlation,
+                            random_unital_rank2, weyl_channel,
                             wh_channels, wh_sym3_decomposition)
 
 
@@ -676,9 +677,54 @@ def test_certified_gap_rank_builds_operator_system_once(count_calls):
 
 
 def test_rank_bounds_builds_each_once(count_calls):
+    # weyl(3) has s = 7 > n = 3, which decides "not Schur-equivalent" with no
+    # commutator probe; schur(C4) (s = 3 <= n = 4) takes one probe
     systems = count_calls(muchan.channels, "_operator_system")
     commutators = count_calls(muchan.analysis, "_max_commutator")
     b = rank_bounds(weyl_channel(3))
     assert not b.schur_equivalent
     assert len(systems) == 1
+    assert commutators == []
+    b = rank_bounds(schur_channel(corr_C4()))
+    assert b.schur_equivalent
+    assert len(systems) == 2
     assert len(commutators) == 1
+
+
+def _conjugated(phi, seed):
+    """U A_k V for Haar U, V: unitarily equivalent to ``phi``."""
+    u, v = haar_unitary(phi.dim_in, seed), haar_unitary(phi.dim_in, seed + 1)
+    return KrausChannel([u @ a @ v for a in phi.kraus])
+
+
+def _mixed_haar(n, r, seed):
+    """Equal mixture of r Haar unitaries on M_n."""
+    return KrausChannel([haar_unitary(n, seed + k) / np.sqrt(r) for k in range(r)])
+
+
+SCHUR_FLAG_CASES = {
+    **{f"schur{n}_rank{k}_seed{seed}": _conjugated(
+        schur_channel(random_correlation(n, k, seed=seed)), seed)
+       for n, k in ((3, 2), (3, 3), (4, 3), (5, 4)) for seed in range(3)},
+    "schur_C4": schur_channel(corr_C4()),
+    **{f"mixed_haar8_rank3_seed{seed}": _mixed_haar(8, 3, seed) for seed in range(3)},
+    **{f"random4_rank2_seed{seed}": random_channel(4, 4, 2, seed=seed) for seed in range(3)},
+    "weyl3": weyl_channel(3),
+    "gap3_1": gap_channel(3, 1),
+    "mixed_haar3_rank3": _mixed_haar(3, 3, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_FLAG_CASES))
+def test_schur_flag_matches_probe(name):
+    # the dimension rule (s > n: not Schur-equivalent) agrees with the
+    # commutator probe: on Schur channels, on channels that are not Schur
+    # but have s <= n (the probe decides those), and where s > n decides
+    profile = channel_profile(SCHUR_FLAG_CASES[name])
+    flag = muchan.analysis.schur_equivalent(profile)
+    probe = schur_equivalence_check(profile, witnesses=False).equivalent
+    assert flag == probe == name.startswith("schur")
+    if name.startswith(("schur", "mixed_haar8", "random4")):
+        assert profile.s <= profile.minimal.dim_in
+    else:
+        assert profile.s > profile.minimal.dim_in

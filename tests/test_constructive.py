@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muchan import (ToroidalDecomposition, ValidationError,
+from muchan import (KrausChannel, NumericalError, ToroidalDecomposition, ValidationError,
                     dagger, decompose_low_dim, decompositions_equivalent,
                     haar_unitary, identity_channel, numerical_rank, schur_channel,
                     toroidal_decompose_small, toroidal_from_decomposition,
@@ -239,6 +239,65 @@ def test_zero_diag_matches_numpy_sweep(kind, n):
         _assert_zero_diag(u, z)
 
 
+def _list_sweep(z):
+    """Oracle: zero_diagonal_unitary's sweep as first written on Python
+    rows, with W from ``np.eye`` and a new list M[i:] + W[:k + 1] for every
+    rotation, on Z scaled as zero_diagonal_unitary scales it."""
+    parts = np.ascontiguousarray(z).view(float)
+    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    m = np.ldexp(parts, -e).view(complex).tolist()
+    n = len(m)
+    w = np.eye(n, dtype=complex).tolist()
+    for i in range(n - 1):
+        mi = m[i]
+        for k in range(i + 1, n):
+            mk = m[k]
+            step = (mk[k] - mi[i]) / (k - i + 1)
+            if step == 0:
+                continue
+            x0, x1 = _solve_bracketed_2x2(-step, mi[k], mk[i], (k - i) * step)
+            x1c = x1.conjugate()
+            for row in m[i:] + w[:k + 1]:
+                a, b = row[i], row[k]
+                row[i] = a * x0 + b * x1
+                row[k] = b * x0 - a * x1c
+            for c in range(i, n):
+                a, b = mi[c], mk[c]
+                mi[c] = x0 * a + x1c * b
+                mk[c] = x0 * b - x1 * a
+    return dagger(np.array(w))
+
+
+def _sweep_case(kind, n, seed):
+    z = _random_traceless(n, seed)
+    if kind == "real":
+        return z.real.astype(complex)
+    if kind == "hermitian":
+        return z + dagger(z)
+    if kind == "jordan":
+        return _jordan(n)
+    if kind == "nilpotent":  # strictly upper triangular, then Haar-conjugated
+        return _haar_conjugate(np.triu(z, 1), seed)
+    return z
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["gauss", "real", "hermitian", "jordan", "nilpotent"])
+def test_zero_diag_bitwise_equals_list_sweep(kind, n):
+    for seed in range(4):
+        z = _sweep_case(kind, n, seed)
+        u, want = zero_diagonal_unitary(z), _list_sweep(z)
+        assert np.array_equal(u, want) and u.strides == want.strides
+
+
+@pytest.mark.parametrize("z", [
+    pytest.param(_random_traceless(n, 11) * scale, id=f"n{n}_scale{scale:g}")
+    for n in (2, 5, 8) for scale in (1e-300, 1e-170, 1e160, 1e300)] + [
+    pytest.param(_TINY_FLAT, id="tiny_flat"), pytest.param(_SUBNORMAL_FILL, id="subnormal_fill")])
+def test_zero_diag_bitwise_equals_list_sweep_extreme_scale(z):
+    assert np.array_equal(zero_diagonal_unitary(z), _list_sweep(z))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_zero_diag_hermitian_valid(n):
     # no oracle here: for Hermitian z each 2x2 block is Hermitian, every
@@ -276,7 +335,42 @@ def test_low_dim_random_rank3_correlations():
         phi = schur_channel(c)
         d = decompose_low_dim(phi)
         assert d.n_terms == 3
-        assert verify_decomposition(phi, d).choi_residual <= 1e-8
+        assert verify_decomposition(phi, d).ok
+
+
+def _near_cutoff_pair(seed):
+    """{U diag(cos t) V, U diag(sin t) V} on M_3, Haar U and V, t of order
+    1e-5: a unital rank-2 channel whose second operator sits near the Choi
+    rank cutoff."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0, 1e-4, 3) if seed % 2 else 10 ** rng.uniform(-6, -4, 3)
+    u, v = haar_unitary(3, seed), haar_unitary(3, seed + 1000000)
+    return KrausChannel([u @ np.diag(np.cos(t)) @ v, u @ np.diag(np.sin(t)) @ v])
+
+
+def _near_cutoff_outcome(seed):
+    """"ok" for a decomposition that verifies against the channel, the
+    error's type for a refusal, "unverified" for a decomposition that does
+    not verify."""
+    phi = _near_cutoff_pair(seed)
+    try:
+        d = decompose_low_dim(phi)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc).__name__
+    return "ok" if verify_decomposition(phi, d).ok else "unverified"
+
+
+# seeds 17, 19 and 36 read decompositions that reproduce the minimal list but
+# miss the channel as given by more than eps_eq, which must be refused
+@pytest.mark.parametrize("seed", range(40))
+def test_low_dim_near_cutoff_verifies_or_refuses(seed):
+    assert _near_cutoff_outcome(seed) in {"ok", "ValidationError", "NumericalError"}
+
+
+def test_low_dim_near_cutoff_family_holds_each_outcome():
+    # the family above reaches both a verified return and a refusal
+    outcomes = {_near_cutoff_outcome(seed) for seed in range(40)}
+    assert {"ok", "NumericalError"} <= outcomes
 
 
 def test_low_dim_refuses_large_operator_system():

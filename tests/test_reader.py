@@ -203,8 +203,10 @@ def _old_low_dim(phi, tol=DEFAULT_TOL):
     """decompose_low_dim as built on a complementary channel: Psi by
     ``complementary`` (a second minimize_kraus), the traceless Hermitian
     directions one basis element at a time through vec/unvec, and Psi(H),
-    Psi(K) by ``apply``.  For s <= 3 only."""
+    Psi(K) by ``apply``; the result verified against the channel as given.
+    For s <= 3 only."""
     profile = channel_profile(phi, tol)
+    given = profile.minimal if phi is profile else phi
     phi, n, r = profile.minimal, profile.minimal.dim_in, profile.r
     psi = complementary(profile, tol)
     dirs = []
@@ -225,8 +227,13 @@ def _old_low_dim(phi, tol=DEFAULT_TOL):
     if d.n_terms < r:
         raise NumericalError(
             f"low-dimension construction kept {d.n_terms} of {r} terms (weight <= eps_eq)")
-    return MixedUnitaryDecomposition(
+    d = MixedUnitaryDecomposition(
         d.probs, [_phase_fix_first_entry(u) for u in d.unitaries], tol)
+    check = verify_decomposition(given, d, tol)
+    if not check.ok:
+        raise NumericalError(
+            f"low-dimension decomposition failed verification: residual {check.choi_residual:.3e}")
+    return d
 
 
 def _outcome(make):

@@ -1,10 +1,11 @@
 """Source guards over ``src/muchan``: every small float literal is a named,
 documented module constant, the package's modules import each other only
-at module level and without a cycle, and no code builds a ``Tolerance``
+at module level and without a cycle, no code builds a ``Tolerance``
 but ``tolerances.py`` (``DEFAULT_TOL``) and the CLI's ``_tol``, so every
-library rule runs under the caller's tolerance.  One guard over ``tests/``: no
-test imports hypothesis, since property cases are seeded numpy draws
-(``tests/seeded.py``) and the ``test`` extra does not install it.
+library rule runs under the caller's tolerance, and the rotation loop of
+``zero_diagonal_unitary`` names nothing under ``np.``.  One guard over
+``tests/``: no test imports hypothesis, since property cases are seeded
+numpy draws (``tests/seeded.py``) and the ``test`` extra does not install it.
 
 Run as a script, it prints the number of unnamed small float literals.
 """
@@ -117,6 +118,38 @@ def test_tolerance_built_only_by_its_module_and_the_cli():
                   and "Tolerance" in (getattr(node.func, "id", None),
                                       getattr(node.func, "attr", None))]
     assert built == []
+
+
+def numpy_in_rotation_loop():
+    """(line, expression) of every ``np.`` name in the rotation loop of
+    ``constructive.zero_diagonal_unitary`` (the outermost loop that calls
+    ``_solve_bracketed_2x2``) and in the module functions it calls."""
+    funcs = {node.name: node for node in _trees()["constructive"].body
+             if isinstance(node, ast.FunctionDef)}
+
+    def callees(node):
+        return {sub.func.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+
+    loops = [node for node in ast.walk(funcs["zero_diagonal_unitary"])
+             if isinstance(node, ast.For) and "_solve_bracketed_2x2" in callees(node)]
+    assert loops, "zero_diagonal_unitary has no rotation loop"
+    found, todo, seen = [], [loops[0]], set()
+    while todo:
+        node = todo.pop()
+        found += [(sub.lineno, ast.unparse(sub)) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id == "np"]
+        new = (callees(node) & funcs.keys()) - seen
+        seen |= new
+        todo += [funcs[name] for name in new]
+    return found
+
+
+def test_zero_diagonal_rotation_loop_makes_no_numpy_call():
+    # the sweep is O(n^3) scalar Python; one numpy call per rotation costs
+    # more than the rotation's arithmetic at the sizes the library uses
+    assert numpy_in_rotation_loop() == []
 
 
 def test_no_test_imports_hypothesis():

@@ -1,6 +1,7 @@
 """Mixed-unitary rank analysis: decompositions and their one reader
 (:func:`decomposition_from_isometry`, which every decomposition computed
-from a channel goes through), verification, rank bounds, uniqueness
+from a channel goes through), verification (:func:`_verified` for every
+returned decomposition), rank bounds, uniqueness
 certificates, the direct-sum gap construction, decomposition equivalence,
 and Schur-equivalence testing.  Every entry point that reads r and s takes
 a channel or its :class:`~muchan.channels.ChannelProfile`.
@@ -265,13 +266,28 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
     return VerificationResult(ok=ok, choi_residual=resid)
 
 
-def _require_unital_square(phi: KrausChannel, tol: Tolerance, what: str):
+def _verified(phi, d: MixedUnitaryDecomposition, tol: Tolerance, what: str):
+    """``d``, computed for ``phi``, if it verifies under ``tol`` against
+    ``phi`` as given (``phi.minimal`` for a profile), else NumericalError
+    naming ``what``.  Every returned decomposition is checked here: near the
+    rank cutoff a decomposition of the minimal list can miss the channel."""
+    check = verify_decomposition(phi.minimal if isinstance(phi, ChannelProfile) else phi, d, tol)
+    if not check.ok:
+        raise NumericalError(f"{what} failed verification: residual {check.choi_residual:.3e}")
+    return d
+
+
+def _unital_square_profile(phi, tol: Tolerance, what: str) -> ChannelProfile:
+    """The profile of ``phi``, refused unless its minimal list is square and unital."""
+    profile = channel_profile(phi, tol)
+    phi = profile.minimal
     if phi.dim_in != phi.dim_out:
         raise ValidationError(f"{what} requires a square channel, got "
                               f"{phi.dim_in}->{phi.dim_out}")
     if not phi.is_unital(tol):
         raise ValidationError(f"{what} requires a unital channel "
                               "(mixed-unitary channels are unital)")
+    return profile
 
 
 class _Bounds(NamedTuple):
@@ -314,8 +330,7 @@ def rank_bounds(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> RankBoundsRe
     and decide the bounds, and :func:`schur_equivalent` gives
     ``schur_equivalent``.
     """
-    profile = channel_profile(phi, tol)
-    _require_unital_square(profile.minimal, tol, "rank_bounds")
+    profile = _unital_square_profile(phi, tol, "rank_bounds")
     r, s = profile.r, profile.s
     b = _bounds(r, s)
     return RankBoundsReport(
@@ -332,8 +347,7 @@ def uniqueness_certificate(phi: KrausChannel, tol: Tolerance = DEFAULT_TOL) -> b
     unique mixed-unitary decomposition.  One-directional: False means
     "not certified", not "not unique".
     """
-    profile = channel_profile(phi, tol)
-    _require_unital_square(profile.minimal, tol, "uniqueness_certificate")
+    profile = _unital_square_profile(phi, tol, "uniqueness_certificate")
     return _bounds(profile.r, profile.s).unique
 
 
@@ -374,17 +388,16 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     The r-term decomposition comes in closed form from the profile
     (:func:`_rank_r_decomposition`, no search).  The returned 2r-term one
     pairs each U_k with +1 and -1 blocks at weight p_k / 2, filled into one
-    stack whose unitarity is the reader's decision on the U_k, and is
-    verified before being returned; the direct sum's Choi rank is the size
-    of its minimal Kraus list.  Both decompositions are verified, each against its
-    own channel: the gap check's phi block bounds the base residual only up
-    to a factor sqrt(1 + m^2 / ||J_phi||^2), and the base decomposition is
-    returned as a certificate too.
+    stack whose unitarity is the reader's decision on the U_k; the direct
+    sum's Choi rank is the size of its minimal Kraus list.  Both are
+    verified (:func:`_verified`), against ``phi`` as given and against its
+    direct sum with the identity: the gap check's phi block bounds the base
+    residual only up to a factor sqrt(1 + m^2 / ||J_phi||^2), and the base
+    one is returned as a certificate too.
     """
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise ValidationError(f"block dimension m must be a positive integer, got {m!r}")
-    profile = channel_profile(phi, tol)
-    _require_unital_square(profile.minimal, tol, "certified_gap_rank")
+    profile = _unital_square_profile(phi, tol, "certified_gap_rank")
     r = profile.r
     if r < 2:
         raise ValidationError(
@@ -394,11 +407,7 @@ def certified_gap_rank(phi: KrausChannel, m: int,
         raise ValidationError(
             "refusal: hypothesis s = r^2 - r + 1 (unique mixed-unitary "
             "decomposition) fails")
-    base = _rank_r_decomposition(profile, tol)
-    check = verify_decomposition(profile.minimal, base, tol)
-    if not check.ok:
-        raise NumericalError(
-            f"rank-r decomposition failed verification: residual {check.choi_residual:.3e}")
+    base = _verified(phi, _rank_r_decomposition(profile, tol), tol, "rank-r decomposition")
     # U_k (+) I and U_k (+) -I, filled in as a stack: each is unitary within
     # the reader's decision on U_k, which is not made again
     us, n, eye = base.stacked(), base.dim, np.eye(m, dtype=complex)
@@ -407,11 +416,9 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     stack[0::2, n:, n:], stack[1::2, n:, n:] = eye, -eye
     d2 = object.__new__(MixedUnitaryDecomposition)
     _fill(d2, np.repeat(base.probs / 2, 2), stack, tol)
-    summed = direct_sum(profile.minimal, identity_channel(m), tol)
-    check2 = verify_decomposition(summed, d2, tol)
-    if not check2.ok:
-        raise NumericalError(
-            f"gap decomposition failed verification: residual {check2.choi_residual:.3e}")
+    # the channel as given, as _verified reads it
+    summed = direct_sum(profile.minimal if phi is profile else phi, identity_channel(m), tol)
+    _verified(summed, d2, tol, "gap decomposition")
     choi_rank = len(minimize_kraus(summed, tol))
     if choi_rank != r + 1:
         raise NumericalError(

@@ -26,7 +26,7 @@ every trace-preserving channel.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,14 +322,13 @@ class ChannelProfile:
     """A minimal Kraus list, its operator system and the tolerance both
     were decided under, which give the Choi rank r and the dimension s.
     Made by :func:`channel_profile`; :func:`complementary` and every entry
-    point that reads r and s take it in place of a channel.  ``_derived``
-    keeps what another module computes from the profile alone (the search
-    basis), so it is built once and lives as long as the profile."""
+    point that reads r and s take it in place of a channel.  A
+    decomposition computed for a profile is verified against ``minimal``;
+    one computed for a channel, against that channel as given."""
 
     minimal: KrausChannel
     system: OperatorSystemBasis
     tol: Tolerance
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def r(self) -> int:

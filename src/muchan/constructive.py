@@ -11,7 +11,7 @@
   is run as an algorithm on the channel profile alone: the complementary
   channel is applied from the minimal Kraus list, the decomposition is
   read by :func:`~muchan.analysis.decomposition_from_isometry`, and it is
-  returned only if it verifies against the channel.
+  returned only if it verifies against the channel as given.
 * ``toroidal_decompose_small``: convex decompositions of 2x2 and 3x3
   correlation matrices into unimodular rank-one factors.
 """
@@ -23,9 +23,8 @@ import math
 import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, _fill, _hermitian_basis,
-                       _require_unital_square, decomposition_from_isometry,
-                       verify_decomposition)
-from .channels import KrausChannel, _conjugation_sum, channel_profile, schur_channel
+                       _unital_square_profile, _verified, decomposition_from_isometry)
+from .channels import KrausChannel, _conjugation_sum, schur_channel
 from .exceptions import NumericalError, ValidationError
 from .linalg import as_matrix
 from .tolerances import DEFAULT_TOL, Tolerance
@@ -209,26 +208,24 @@ def decompose_low_dim(phi: KrausChannel,
     isometry (:func:`~muchan.analysis.decomposition_from_isometry`), which
     must keep all r terms or :class:`NumericalError` is raised; make each
     unitary's first nonzero entry real positive; verify the result under
-    ``tol`` against the channel as given (a profile's minimal list), or
-    raise :class:`NumericalError`: near the Choi-rank cutoff the minimal
-    list drops a weight of order ``eps_rank``.
+    ``tol`` against ``phi`` as given, or its minimal list only when ``phi``
+    is a profile (:func:`~muchan.analysis._verified`), or raise
+    :class:`NumericalError`.
     """
-    profile = channel_profile(phi, tol)
-    given = profile.minimal if phi is profile else phi
-    phi = profile.minimal
-    _require_unital_square(phi, tol, "decompose_low_dim")
+    profile = _unital_square_profile(phi, tol, "decompose_low_dim")
+    minimal = profile.minimal
     r = profile.r
     if profile.s > 3:
         raise ValidationError(
             f"refusal: operator system has dimension {profile.s} > 3")
-    b, n = np.asarray(profile.system.basis), phi.dim_in
+    b, n = np.asarray(profile.system.basis), minimal.dim_in
     traceless = b - (np.trace(b, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
     dirs = _hermitian_basis(traceless, profile.s - 1)[0]
-    psi_kraus = phi.stacked().transpose(1, 0, 2)
+    psi_kraus = minimal.stacked().transpose(1, 0, 2)
     zmat = np.zeros((r, r), dtype=complex)
     for coeff, h in zip((1, 1j), dirs):
         zmat = zmat + coeff * _conjugation_sum(psi_kraus, h)
-    d = decomposition_from_isometry(phi, zero_diagonal_unitary(zmat, tol), tol)
+    d = decomposition_from_isometry(minimal, zero_diagonal_unitary(zmat, tol), tol)
     if d.n_terms < r:
         raise NumericalError(
             f"low-dimension construction kept {d.n_terms} of {r} terms (weight <= eps_eq)")
@@ -236,11 +233,7 @@ def decompose_low_dim(phi: KrausChannel,
     # the reader's decision (defect <= eps_eq) stands and is not made again
     fixed = object.__new__(MixedUnitaryDecomposition)
     _fill(fixed, d.probs, np.array([_phase_fix_first_entry(u) for u in d.unitaries]), tol)
-    check = verify_decomposition(given, fixed, tol)
-    if not check.ok:
-        raise NumericalError(
-            f"low-dimension decomposition failed verification: residual {check.choi_residual:.3e}")
-    return fixed
+    return _verified(phi, fixed, tol, "low-dimension decomposition")
 
 
 def _phase_fix_first_entry(u: np.ndarray) -> np.ndarray:

@@ -51,11 +51,11 @@ On a 2-core Xeon host with one BLAS thread, a round at the scan's sizes
 (gap(3,1) at N = 4..6, the C4 Schur channel at N = 3, 4) took about 69 us
 with one live restart and about 137 us with 25.
 
-``found`` means ``verify_decomposition(phi, d, tol).ok`` for the
-decomposition d read from the best isometry, under the caller's ``tol``,
-by :func:`muchan.analysis.decomposition_from_isometry`.  A failed search
-is never a certificate: ``not_found`` only reports that no restart found
-such an isometry.
+``found`` means ``verify_decomposition(phi, d, tol).ok`` under the
+caller's ``tol`` for the decomposition d read from the best isometry, with
+``phi`` the channel as given, or its minimal list only when a profile is
+passed (:func:`muchan.analysis._verified`).  A failed search is never a
+certificate: ``not_found`` only reports that no restart found one.
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (MixedUnitaryDecomposition, RankBoundsReport, _hermitian_basis,
-                       _require_unital_square, decomposition_from_isometry, rank_bounds,
-                       verify_decomposition)
+                       _unital_square_profile, _verified, decomposition_from_isometry,
+                       rank_bounds)
 from .channels import ChannelProfile, KrausChannel, channel_profile
 from .exceptions import NumericalError, ValidationError
 from .linalg import _haar_stack, _phased_q
@@ -379,8 +379,8 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     :func:`murank_search` refuses it.  ``n_terms`` must be an integer (bool
     is refused) of at least the Choi rank r.  ``status="found"`` requires
     the best objective to reach ``OBJECTIVE_TOL`` and the decomposition d
-    read from the best isometry under ``tol`` to give
-    ``verify_decomposition(phi, d, tol).ok``; it is returned with the
+    read from the best isometry to verify under ``tol`` against ``phi`` as
+    given (a profile: its minimal list); it is returned with the
     isometry.  Restarts run in index-ordered lockstep blocks of at most
     ``_BLOCK``; the next block starts only while nothing has succeeded.
     The restart log holds each finished restart's final objective up to
@@ -389,13 +389,15 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     """
     if isinstance(n_terms, bool) or not isinstance(n_terms, numbers.Integral):
         raise ValidationError(f"candidate size N must be an integer, got {n_terms!r}")
-    profile = channel_profile(phi, tol)
-    _require_unital_square(profile.minimal, tol, "search_isometry")
+    profile = _unital_square_profile(phi, tol, "search_isometry")
     if n_terms < profile.r:
         raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
-    basis = profile._derived.get("search_basis")
-    if basis is None:  # one build serves every candidate size of a scan
-        basis = profile._derived["search_basis"] = traceless_image_basis(profile, tol)
+    return _search_size(profile, traceless_image_basis(profile, tol), phi, n_terms, cfg, tol)
+
+
+def _search_size(profile: ChannelProfile, basis: np.ndarray, target, n_terms: int,
+                 cfg: SearchConfig, tol: Tolerance) -> SearchResult:
+    """:func:`search_isometry` after its checks; ``target`` is what the caller passed."""
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     def expired():
@@ -421,12 +423,10 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     decomposition = None
     if status == "found":
         try:
-            decomposition = decomposition_from_isometry(profile.minimal, best_v, tol)
+            d = decomposition_from_isometry(profile.minimal, best_v, tol)
+            decomposition = _verified(target, d, tol, "search decomposition")
         except NumericalError:
-            pass
-        if decomposition is None or not verify_decomposition(
-                profile.minimal, decomposition, tol).ok:
-            status, decomposition = "not_found", None
+            status = "not_found"
     return SearchResult(status=status, n_terms=n_terms, objective=float(best_f),
                         isometry=best_v if status == "found" else None,
                         decomposition=decomposition, restart_log=tuple(log),
@@ -440,21 +440,21 @@ def murank_search(phi: KrausChannel | ChannelProfile, cfg: SearchConfig = Search
     ``phi`` is a channel or its profile (:func:`muchan.channels.channel_profile`).
     Starts at the lower bound (the Choi rank, which is also the
     theorem-certified exact value whenever there is one) and walks up to
-    the rank bound, with one :func:`search_isometry` call per size.
+    the rank bound, searching each size as :func:`search_isometry` does.
     Failures at smaller N are recorded as diagnostics; they are soft
-    evidence only and never certify a lower bound.  The bounds and the
-    search basis come from one profile: the basis is built once and serves
+    evidence only and never certify a lower bound.  The channel is profiled
+    and checked (in :func:`rank_bounds`) once, and one search basis serves
     every size.  ``cfg.time_budget`` applies to each candidate size on its
     own, so a scan may run for up to the number of sizes times the budget.
     """
     profile = channel_profile(phi, tol)
     bounds = rank_bounds(profile, tol)
+    basis = traceless_image_basis(profile, tol)
     results = []
     for n_candidate in range(bounds.lower, bounds.upper + 1):
-        res = search_isometry(profile, n_candidate, cfg, tol)
-        results.append(res)
-        if res.status == "found":
-            return MurankReport(n_found=n_candidate, decomposition=res.decomposition,
+        results.append(_search_size(profile, basis, phi, n_candidate, cfg, tol))
+        if results[-1].status == "found":
+            return MurankReport(n_found=n_candidate, decomposition=results[-1].decomposition,
                                 bounds=bounds, results=tuple(results))
     return MurankReport(n_found=None, decomposition=None, bounds=bounds,
                         results=tuple(results))

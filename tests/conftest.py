@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import muchan.analysis
 import muchan.search
 from muchan import NumericalError
 from muchan.analysis import VerificationResult
@@ -37,7 +38,9 @@ def count_calls(monkeypatch):
 def demote_found(monkeypatch):
     """``demote(how)`` makes the decomposition of a found search isometry
     fail: its reader raises :class:`NumericalError` (``"reader"``), or its
-    verification is not ok, at Choi residual 1 (``"residual"``)."""
+    verification is not ok, at Choi residual 1 (``"residual"``).  The
+    verification is patched where ``analysis._verified``, the one check of
+    every returned decomposition, calls it."""
 
     def fail(*_):
         raise NumericalError("forced")
@@ -46,7 +49,7 @@ def demote_found(monkeypatch):
         if how == "reader":
             monkeypatch.setattr(muchan.search, "decomposition_from_isometry", fail)
         else:
-            monkeypatch.setattr(muchan.search, "verify_decomposition",
+            monkeypatch.setattr(muchan.analysis, "verify_decomposition",
                                 lambda *_: VerificationResult(False, 1.0))
 
     return demote

@@ -18,7 +18,7 @@ from muchan.cli import main
 from muchan.channels import identity_channel
 from muchan.gallery import (corr_B3, gap_channel, toroidal_CtensorI2, weyl_channel,
                             wh_channels, wh_sym3_decomposition)
-from seeded import seeded
+from seeded import near_cutoff_channel, seeded
 
 
 def run_cli(capsys, *argv):
@@ -910,6 +910,16 @@ def test_search_found_without_a_verified_decomposition_exits_3(how, tmp_path, ca
                         "--restarts", "5", "--seed", "0")
     assert code == 3
     assert (obj["status"], obj["decomposition"]) == ("not_found", None)
+
+
+def test_search_near_cutoff_exits_3_when_verify_would(tmp_path, capsys):
+    # the minimal list of near_cutoff_channel(17) drops its sin(t) operator,
+    # and the one-term decomposition of that list misses the channel in the
+    # file by more than eps_eq: search must not print it as found
+    p = str(tmp_path / "near17.json")
+    io.save(near_cutoff_channel(17), p)
+    code, obj = run_cli(capsys, "search", p, "--N", "1", "--restarts", "2")
+    assert (code, obj["status"], obj["decomposition"]) == (3, "not_found", None)
 
 
 def test_search_result_reads_back_through_verify(tmp_path, capsys):

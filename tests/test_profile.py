@@ -132,13 +132,18 @@ def test_murank_search_counts(count_calls, monkeypatch):
     # has three 3x3 Weyl blocks and the 1x1 identity corner, so two calls.
     # The search basis adds one small SVD of the image basis's Hermitian
     # parts, which makes it Hermitian; it is built once for the profile and
-    # serves every candidate size
+    # serves every candidate size.  Unitality is decided once, in rank_bounds,
+    # not again for each size
     c = _counters(count_calls)
     svds = _counting_svd(monkeypatch)
+    is_unital, unital = KrausChannel.is_unital, []
+    monkeypatch.setattr(KrausChannel, "is_unital",
+                        lambda self, *a: unital.append(1) or is_unital(self, *a))
     rep = murank_search(gap_channel(3, 1), SearchConfig(restarts=2))
     assert _counts(c) == {"minimize": 1, "system": 1, "complementary": 0,
                           "choi": 0, "choi_kraus": 0, "reader": 1}
     assert len(svds) == 2 + 1
+    assert len(unital) == 1
     shapes = channel_profile(gap_channel(3, 1)).system.block_shapes
     assert shapes == ((1, 1), (3, 3), (3, 3), (3, 3))
     assert [res.n_terms for res in rep.results] == [4, 5, 6]  # one profile, three sizes

@@ -266,12 +266,16 @@ def verify_decomposition(phi: KrausChannel, d: MixedUnitaryDecomposition,
     return VerificationResult(ok=ok, choi_residual=resid)
 
 
+def _given(phi):
+    """What a result for ``phi`` is checked against: ``phi``, or its minimal list."""
+    return phi.minimal if isinstance(phi, ChannelProfile) else phi
+
+
 def _verified(phi, d: MixedUnitaryDecomposition, tol: Tolerance, what: str):
     """``d``, computed for ``phi``, if it verifies under ``tol`` against
-    ``phi`` as given (``phi.minimal`` for a profile), else NumericalError
-    naming ``what``.  Every returned decomposition is checked here: near the
-    rank cutoff a decomposition of the minimal list can miss the channel."""
-    check = verify_decomposition(phi.minimal if isinstance(phi, ChannelProfile) else phi, d, tol)
+    ``_given(phi)``, else NumericalError naming ``what``.  Near the rank
+    cutoff a decomposition of the minimal list can miss the channel."""
+    check = verify_decomposition(_given(phi), d, tol)
     if not check.ok:
         raise NumericalError(f"{what} failed verification: residual {check.choi_residual:.3e}")
     return d
@@ -416,8 +420,7 @@ def certified_gap_rank(phi: KrausChannel, m: int,
     stack[0::2, n:, n:], stack[1::2, n:, n:] = eye, -eye
     d2 = object.__new__(MixedUnitaryDecomposition)
     _fill(d2, np.repeat(base.probs / 2, 2), stack, tol)
-    # the channel as given, as _verified reads it
-    summed = direct_sum(profile.minimal if phi is profile else phi, identity_channel(m), tol)
+    summed = direct_sum(_given(phi), identity_channel(m), tol)
     _verified(summed, d2, tol, "gap decomposition")
     choi_rank = len(minimize_kraus(summed, tol))
     if choi_rank != r + 1:

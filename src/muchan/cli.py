@@ -122,31 +122,23 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
-        time_budget=args.time_budget,
-    )
-
-
 def _result_obj(res) -> dict:
     # the objective is inf when no restart finished: JSON has no Infinity
-    out = {
+    return {
         "status": res.status,
         "N": res.n_terms,
         "objective": res.objective if np.isfinite(res.objective) else None,
         "restart_log": list(res.restart_log),
         "restart_trace": [dataclasses.asdict(rec) for rec in res.restart_trace],
-        "decomposition": None if res.decomposition is None
-        else io.to_obj(res.decomposition),
+        "decomposition": None if res.decomposition is None else io.to_obj(res.decomposition),
     }
-    return out
 
 
 def _cmd_search(args) -> int:
     tol = _tol(args)
     phi = io.load_channel(args.channel, tol)
-    cfg = _search_config(args)
+    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
+                       time_budget=args.time_budget)
     report = {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
               "seed": args.seed}
     if args.scan:

@@ -63,7 +63,7 @@ import itertools
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -369,6 +369,13 @@ def _run_block(basis: np.ndarray, n_terms: int, cfg: SearchConfig,
     return records, list(out_v[:len(records)]), exhausted
 
 
+class _Scan(NamedTuple):
+    """:func:`murank_search`'s input to :func:`search_isometry` at each size."""
+    profile: ChannelProfile
+    basis: np.ndarray
+    target: object  # the channel or profile as given
+
+
 def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
                     tol: Tolerance = DEFAULT_TOL) -> SearchResult:
     """Search for an N x r isometry zeroing all conjugated diagonals of the
@@ -389,15 +396,13 @@ def search_isometry(phi, n_terms: int, cfg: SearchConfig = SearchConfig(),
     """
     if isinstance(n_terms, bool) or not isinstance(n_terms, numbers.Integral):
         raise ValidationError(f"candidate size N must be an integer, got {n_terms!r}")
-    profile = _unital_square_profile(phi, tol, "search_isometry")
-    if n_terms < profile.r:
-        raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
-    return _search_size(profile, traceless_image_basis(profile, tol), phi, n_terms, cfg, tol)
-
-
-def _search_size(profile: ChannelProfile, basis: np.ndarray, target, n_terms: int,
-                 cfg: SearchConfig, tol: Tolerance) -> SearchResult:
-    """:func:`search_isometry` after its checks; ``target`` is what the caller passed."""
+    if isinstance(phi, _Scan):  # checked and given its basis once per scan
+        profile, basis, target = phi
+    else:
+        profile, target = _unital_square_profile(phi, tol, "search_isometry"), phi
+        if n_terms < profile.r:
+            raise ValidationError(f"candidate size N={n_terms} is below the rank r={profile.r}")
+        basis = traceless_image_basis(profile, tol)
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     def expired():
@@ -440,7 +445,7 @@ def murank_search(phi: KrausChannel | ChannelProfile, cfg: SearchConfig = Search
     ``phi`` is a channel or its profile (:func:`muchan.channels.channel_profile`).
     Starts at the lower bound (the Choi rank, which is also the
     theorem-certified exact value whenever there is one) and walks up to
-    the rank bound, searching each size as :func:`search_isometry` does.
+    the rank bound, with one :func:`search_isometry` call per size.
     Failures at smaller N are recorded as diagnostics; they are soft
     evidence only and never certify a lower bound.  The channel is profiled
     and checked (in :func:`rank_bounds`) once, and one search basis serves
@@ -449,10 +454,10 @@ def murank_search(phi: KrausChannel | ChannelProfile, cfg: SearchConfig = Search
     """
     profile = channel_profile(phi, tol)
     bounds = rank_bounds(profile, tol)
-    basis = traceless_image_basis(profile, tol)
+    scan = _Scan(profile, traceless_image_basis(profile, tol), phi)
     results = []
     for n_candidate in range(bounds.lower, bounds.upper + 1):
-        results.append(_search_size(profile, basis, phi, n_candidate, cfg, tol))
+        results.append(search_isometry(scan, n_candidate, cfg, tol))
         if results[-1].status == "found":
             return MurankReport(n_found=n_candidate, decomposition=results[-1].decomposition,
                                 bounds=bounds, results=tuple(results))

@@ -89,12 +89,11 @@ def _gen_object(name: str):
 
 def _cmd_gen(args) -> int:
     thing = _gen_object(args.name)
-    obj = io.to_obj(thing)
     if args.output:
         io.save(thing, args.output)
-        _emit({"written": args.output, "kind": obj["kind"]})
+        _emit({"written": args.output, "kind": io.kind_of(thing)})
     else:
-        _emit(obj)
+        print(io.dumps(thing))
     return EXIT_OK
 
 

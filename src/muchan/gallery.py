@@ -177,12 +177,16 @@ def mub_correlation(d: int) -> MubCorrelation:
 
     The matrix C = A A* has unit diagonal, rank d, and
     rank(conj(C) entrywise* C) = d^2 - d + 1, so the Schur channel of C
-    has a unique mixed-unitary decomposition.
+    has a unique mixed-unitary decomposition.  Its d x d within-basis
+    blocks are stored as exactly I_d, free of the product's rounding.
     """
     fam = mub_family(d)
     # row k d + j is the conjugate of vector j of basis k
     a = np.array(fam.bases[:d]).transpose(0, 2, 1).conj().reshape(d * d, d)
     c = a @ dagger(a)
+    k = np.arange(d)
+    # reshape is a view of c; block (k, k) holds basis k's overlaps, delta_jj'
+    c.reshape(d, d, d, d)[k, :, k, :] = np.eye(d)
     dec = ToroidalDecomposition([1 / d] * d, (np.sqrt(d) * a @ fam.bases[d]).T)
     return MubCorrelation(matrix=c, decomposition=dec)
 

@@ -4,10 +4,21 @@ All files are UTF-8 JSON carrying ``"format": "muchan/1"``.  Matrices are
 nested arrays, row-major, each entry a two-element array [re, im]; floats
 round-trip exactly (shortest repr).  A well-formed literal is read and
 written in one numpy pass; only a malformed one is walked entry by entry,
-to name the entry at fault.
+to name the entry at fault.  No file holds ``NaN`` or ``Infinity``, which are
+not JSON: every writer refuses a non-finite array with ``ValidationError``.
+
+:func:`load` and :func:`dumps` (so :func:`save` and every CLI ``-o`` write)
+run with the cyclic garbage collector paused.  A decode or encode builds
+thousands of short-lived, cycle-free lists, which refcounting frees at once;
+left on, the collector counts them as allocations, promotes the ones still in
+use mid-parse and so sets off full sweeps over every tracked object.  The
+pause is process-wide while it lasts and restores only what it changed: a
+collector the caller had turned off stays off.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 from typing import Optional
 
@@ -17,6 +28,7 @@ from .analysis import MixedUnitaryDecomposition
 from .channels import KrausChannel
 from .constructive import ToroidalDecomposition
 from .exceptions import FileFormatError
+from .linalg import as_matrix
 from .tolerances import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -120,13 +132,13 @@ def channel_from_obj(obj: dict, tol: Tolerance = DEFAULT_TOL,
 
 
 def correlation_to_obj(c) -> dict:
-    c = np.asarray(c, dtype=complex)
+    c = as_matrix(c, "correlation matrix")
     return {"format": FORMAT, "kind": "correlation", "dim": c.shape[0],
             "matrix": matrix_to_literal(c)}
 
 
 def matrix_obj(m) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = as_matrix(m)
     return {"format": FORMAT, "kind": "matrix", "dim": m.shape[0],
             "matrix": matrix_to_literal(m)}
 
@@ -182,22 +194,49 @@ def _terms_from_obj(obj: dict, key: str, ndim: int, read, cls, tol: Tolerance,
     return d
 
 
-def to_obj(thing) -> dict:
-    if isinstance(thing, KrausChannel):
-        return channel_to_obj(thing)
-    if isinstance(thing, MixedUnitaryDecomposition):
-        return decomposition_to_obj(thing)
-    if isinstance(thing, ToroidalDecomposition):
-        return toroidal_to_obj(thing)
-    if isinstance(thing, np.ndarray):
-        return correlation_to_obj(thing)
+# (type, kind, writer) in the order to_obj tries them
+_WRITERS = ((KrausChannel, "kraus", channel_to_obj),
+            (MixedUnitaryDecomposition, "mixed-unitary", decomposition_to_obj),
+            (ToroidalDecomposition, "toroidal", toroidal_to_obj),
+            (np.ndarray, "correlation", correlation_to_obj))
+
+
+def _writer(thing) -> tuple:
+    for cls, kind, write in _WRITERS:
+        if isinstance(thing, cls):
+            return kind, write
     raise TypeError(f"cannot serialize {type(thing).__name__}")
 
 
+def kind_of(thing) -> str:
+    """The ``kind`` that :func:`to_obj` writes for ``thing``, without
+    building its literal."""
+    return _writer(thing)[0]
+
+
+def to_obj(thing) -> dict:
+    return _writer(thing)[1](thing)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Run the block with the cyclic garbage collector off, then turn it back
+    on only if it was on before, also when the block raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def dumps(thing) -> str:
-    """The muchan/1 JSON text of ``thing``: :func:`to_obj` builds fresh dicts
-    and lists, so the encoder's cycle check is skipped."""
-    return json.dumps(to_obj(thing), sort_keys=True, check_circular=False)
+    """The muchan/1 JSON text of ``thing``, encoded with the collector paused:
+    :func:`to_obj` builds fresh dicts and lists, so the encoder's cycle check
+    is skipped."""
+    with _gc_paused():
+        return json.dumps(to_obj(thing), sort_keys=True, check_circular=False)
 
 
 def save(thing, path: str):
@@ -211,7 +250,14 @@ def save(thing, path: str):
 
 
 def load(path: str, tol: Tolerance = DEFAULT_TOL):
-    """Load any muchan/1 object; returns (kind, object)."""
+    """Load any muchan/1 object; returns (kind, object).  The whole read,
+    from ``open`` to the constructors, runs with the collector paused, and
+    the parsed literal is freed before the pause ends."""
+    with _gc_paused():
+        return _read(path, tol)
+
+
+def _read(path: str, tol: Tolerance):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io as io_
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import muchan
 import muchan.cli
-from muchan import KrausChannel, MixedUnitaryDecomposition, io
+from muchan import KrausChannel, MixedUnitaryDecomposition, ValidationError, io
+from muchan.analysis import certified_gap_rank
 from muchan.cli import main
 from muchan.channels import identity_channel
 from muchan.gallery import (corr_B3, gap_channel, toroidal_CtensorI2, weyl_channel,
@@ -438,6 +440,82 @@ def test_io_refusals(tmp_path, call, error, message):
     with pytest.raises(error) as refused:
         call(tmp_path)
     assert str(refused.value).startswith(message)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[np.nan, 1], [1, np.inf]]), np.array([[1, -np.inf], [0, 1]]),
+    np.array([[1, complex(0, np.nan)], [0, 1]]), np.ones(3)],
+    ids=["nan_and_inf", "minus_inf", "imaginary_nan", "one_dimensional"])
+def test_no_file_holds_nan_or_infinity(tmp_path, bad):
+    # NaN and Infinity are not JSON: strict parsers refuse such a file
+    path = tmp_path / "c.json"
+    for write in (io.correlation_to_obj, io.matrix_obj, io.dumps,
+                  lambda m: io.save(m, str(path))):
+        with pytest.raises(ValidationError):
+            write(bad)
+    assert not path.exists()
+
+
+def _written(tmp, text):
+    path = tmp / "f.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# call and the error it raises (None: it returns)
+_IO_CALLS = {
+    "load": (lambda tmp: io.load(_written(tmp, io.dumps(weyl_channel(3)))), None),
+    "save": (lambda tmp: io.save(weyl_channel(3), str(tmp / "w.json")), None),
+    "dumps": (lambda tmp: io.dumps(weyl_channel(3)), None),
+    "load_missing_file": (lambda tmp: io.load(str(tmp / "missing.json")),
+                          muchan.FileFormatError),
+    "load_invalid_json": (lambda tmp: io.load(_written(tmp, "{not json")),
+                          muchan.FileFormatError),
+    "load_malformed_literal": (lambda tmp: io.load(_written(tmp, json.dumps(
+        {"format": io.FORMAT, "kind": "matrix", "dim": 1, "matrix": [[[True, 0]]]}))),
+        muchan.FileFormatError),
+    "save_unwritable_path": (lambda tmp: io.save(weyl_channel(3), str(tmp / "no" / "w.json")),
+                             muchan.FileFormatError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("case", sorted(_IO_CALLS))
+def test_io_restores_the_callers_collector_state(tmp_path, case, enabled):
+    call, error = _IO_CALLS[case]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            call(tmp_path)
+        else:
+            with pytest.raises(error):
+                call(tmp_path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_collection_while_a_gap_decomposition_is_saved_and_loaded(tmp_path):
+    # the weyl(11) gap decomposition's literal is about 3.5k lists: read and
+    # written with the collector on, they set off several collections
+    dec = certified_gap_rank(weyl_channel(11), 1).decomposition
+    path = str(tmp_path / "d.json")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        io.save(dec, path)
+        kind, back = io.load(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert kind == "mixed-unitary" and back.n_terms == dec.n_terms
+    assert starts == []
 
 
 # ---------------------------------------------------------------------- gen

@@ -155,6 +155,17 @@ def test_mub_correlation_properties(d):
     assert np.linalg.norm(mc.decomposition.matrix() - c) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_mub_correlation_within_basis_blocks_are_exact(d):
+    # the overlaps of one basis are delta_jj' by construction, not A A*'s residues
+    c = mub_correlation(d).matrix
+    blocks = c.reshape(d, d, d, d)
+    for k in range(d):
+        assert np.array_equal(blocks[k, :, k, :], np.eye(d))
+    profile = channel_profile(schur_channel(c))
+    assert (profile.r, profile.s) == (d, d * d - d + 1)
+
+
 def test_mub_rejects_composite():
     with pytest.raises(ValidationError):
         mub_family(4)
@@ -164,7 +175,7 @@ def test_mub_rejects_composite():
         mub_correlation(3.0)
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_mub_gap_certificate(d, count_calls):
     # the paper's headline ranks (d + 1, 2d), on C^(d^2), in closed form
     calls = [count_calls(muchan.search, "search_isometry"),
@@ -502,7 +513,7 @@ def test_weyl_matches_the_matrix_power_construction(p):
 @pytest.mark.parametrize("d", [3, 5, 7, 11])
 def test_mub_matches_the_zeta_power_construction(d):
     _same_fixture(np.array(mub_family(d).bases), _old_mub_bases(d))
-    # C's zeros are rounding residues in both constructions: values only
+    # the old construction's zeros are rounding residues: values only
     assert np.max(np.abs(mub_correlation(d).matrix - _old_mub_correlation(d))) <= 1e-14
 
 
